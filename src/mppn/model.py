@@ -11,6 +11,13 @@ single shared affine layer projects the flattened bank to the horizon.
 Pattern extraction weights are shared across channels; the gate matrix is
 the only channel-specific parameter.  The only nonlinearity in the network
 is the gate's sigmoid.
+
+Patching and mining are both linear, so the forward pass folds each patch
+kernel into its mining kernels at run time and mines the raw window with
+one dilated convolution per pair.  That is the same map from the same
+parameters, so checkpoints are unchanged; patched units are materialised
+only by the inspection functions multi_resolution_patch and
+periodic_pattern_mine, which the tests use as the oracle of the fold.
 """
 from __future__ import annotations
 
@@ -206,16 +213,69 @@ def periodic_pattern_mine(xr: Tensor, period: int, r: int, params: MPPNParams,
     return T.reshape(out, out.shape[1:])
 
 
+def _fold_kernel(period: int, r: int, params: MPPNParams,
+                 config: MPPNConfig) -> tuple[Tensor, Tensor]:
+    """Compose patch kernel r with mining kernel (period, r) into one
+    dilated kernel over raw samples: ([D, r, K], [D]).
+
+    w'[o, j, k] = sum_i mine[o, i, k] * patch[i, j]
+    b'[o] = mine_bias[o] + sum_{i, k} mine[o, i, k] * patch_bias[i]
+    """
+    d, k = config.hidden, config.lookback // period
+    wp, bp = params.patch[r]
+    wm, bm = params.mine[(period, r)]
+    wm_t = T.transpose(wm, (0, 2, 1))  # [D, K, D]: (o, k, i)
+    w = T.linear(wm_t, T.reshape(wp, (d, r)), Tensor(np.zeros(r)))  # [D, K, r]
+    bp_tiled = T.reshape(T.concat([bp] * k, axis=0), (1, k * d))  # bp[i] at k*D + i
+    b = T.linear(bp_tiled, T.transpose(T.reshape(wm_t, (d, k * d))), bm)  # [1, D]
+    return T.transpose(w, (0, 2, 1)), T.reshape(b, (d,))
+
+
+def _unit_view(x3: Tensor, r: int, span: int, config: MPPNConfig) -> Tensor:
+    """[N, 1, L] -> [N, r, span]: sample j of each of the last `span`
+    semantic units at resolution r, the units _patch_batch would build.
+
+    Non-overlap units are consecutive r-sample blocks ending at the most
+    recent sample; overlap units start one sample apart and the last one
+    starts at L - r.  A mining scan reads span = (L//p)*(p//r) units, and
+    span*r <= L, so the units it reads never reach _patch_batch's edge
+    padding.
+    """
+    n, _, length = x3.shape
+    if config.overlap:
+        start = length - r + 1 - span
+        return T.concat([T.slice_axis(x3, 2, start + j, start + j + span) for j in range(r)],
+                        axis=1)
+    tail = T.slice_axis(x3, 2, length - span * r, length) if span * r < length else x3
+    return T.transpose(T.reshape(tail, (n, span, r)), (0, 2, 1))
+
+
 def _assemble_batch(xb: Tensor, params: MPPNParams, config: MPPNConfig) -> Tensor:
     """[B, L, C] -> [B, C, P, D] pattern bank, channels folded into the
-    batch axis so extraction weights are shared bit-exactly."""
+    batch axis so extraction weights are shared bit-exactly.
+
+    Patching and mining are both linear, so each pair runs as one dilated
+    convolution of the raw window with the patch kernel folded into the
+    mining kernel (_fold_kernel): the same map as _mine_batch over
+    _patch_batch, from the same parameters, with D*r*K taps per output
+    instead of D*D*K.  The mining scan keeps only its last period//r
+    outputs, which read only the last K*(period//r) units, so the conv runs
+    on exactly those (_unit_view, shared by pairs of equal geometry).
+    """
     if xb.ndim != 3 or xb.shape[1] != config.lookback or xb.shape[2] != config.channels:
         raise ShapeError(
             f"assemble: expected [B, {config.lookback}, {config.channels}], got {xb.shape}")
     b, length, c = xb.shape
     x1 = T.reshape(T.transpose(xb, (0, 2, 1)), (b * c, 1, length))
-    patched = {r: _patch_batch(x1, r, params, config) for r in config.used_resolutions}
-    pieces = [_mine_batch(patched[r], p, r, params, config) for p, r in config.retained_pairs]
+    views: dict[tuple[int, int], Tensor] = {}
+    pieces = []
+    for p, r in config.retained_pairs:
+        dil = p // r
+        span = (length // p) * dil
+        if (r, span) not in views:
+            views[(r, span)] = _unit_view(x1, r, span, config)
+        w, bias = _fold_kernel(p, r, params, config)
+        pieces.append(T.conv1d(views[(r, span)], w, bias, stride=1, dilation=dil))
     bank = T.concat(pieces, axis=2)  # [B*C, D, P]
     bank = T.transpose(bank, (0, 2, 1))
     return T.reshape(bank, (b, c, pattern_dim(config), config.hidden))
@@ -267,13 +327,8 @@ def forward(x: Tensor, params: MPPNParams, config: MPPNConfig) -> Tensor:
 
 def export_gates(params: MPPNParams) -> np.ndarray:
     """Sigmoid of the gate logits as a plain [C, P] matrix in (0, 1)."""
-    e = params.embed.data
-    out = np.empty_like(e)
-    pos = e >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-e[pos]))
-    ex = np.exp(e[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    with T.no_grad():
+        return T.sigmoid(params.embed).data
 
 
 def write_gates_csv(path, channel_names: list[str], gates: np.ndarray) -> None:

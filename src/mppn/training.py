@@ -32,6 +32,23 @@ log = logging.getLogger(__name__)
 
 MODEL_KINDS = ("mppn", "dlinear", "nlinear", "naive")
 
+# least value of each integer field; the seed may be any integer
+_INT_FIELD_MIN = {"lookback": 1, "horizon": 1, "hidden": 1, "top_k": 1, "moving_average": 1,
+                  "max_epochs": 0, "patience": 1, "batch_size": 1, "q": 2}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_finite_real(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
 
 @dataclass
 class RunConfig:
@@ -58,11 +75,36 @@ class RunConfig:
     fill_missing: bool = False
 
     def __post_init__(self):
+        """Check every field's type and range; a config file or flag that
+        fails raises ConfigError."""
         if self.model not in MODEL_KINDS:
             raise ConfigError(f"unknown model kind '{self.model}', expected one of {MODEL_KINDS}")
-        self.resolutions = tuple(self.resolutions)
-        if self.periods is not None:
-            self.periods = tuple(self.periods)
+        for name in ("data", "split_scheme", "binning"):
+            if not isinstance(getattr(self, name), str):
+                raise ConfigError(f"config: {name} must be a string, got {getattr(self, name)!r}")
+        for name, least in _INT_FIELD_MIN.items():
+            value = getattr(self, name)
+            if not _is_int(value) or value < least:
+                raise ConfigError(f"config: {name} must be an integer >= {least}, got {value!r}")
+        if not _is_int(self.seed):
+            raise ConfigError(f"config: seed must be an integer, got {self.seed!r}")
+        if not _is_finite_real(self.lr) or self.lr <= 0:
+            raise ConfigError(f"config: lr must be a finite number > 0, got {self.lr!r}")
+        if not _is_finite_real(self.weight_decay) or self.weight_decay < 0:
+            raise ConfigError(
+                f"config: weight_decay must be a finite number >= 0, got {self.weight_decay!r}")
+        for name in ("overlap", "date_column", "fill_missing"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"config: {name} must be true or false, got {getattr(self, name)!r}")
+        for name, least in (("resolutions", 1), ("periods", 2)):
+            value = getattr(self, name)
+            if value is None and name == "periods":
+                continue
+            if (not isinstance(value, (list, tuple))
+                    or not all(_is_int(v) and v >= least for v in value)):
+                raise ConfigError(
+                    f"config: {name} must be a list of integers >= {least}, got {value!r}")
+            setattr(self, name, tuple(value))
 
     def to_text(self) -> str:
         lines = []
@@ -198,8 +240,10 @@ def build_forecaster(run: RunConfig, channels: int, resolved_periods: tuple[int,
 
 def restore_forecaster(run: RunConfig, extras: dict, tensors: dict[str, np.ndarray]) -> Forecaster:
     """Rebuild a forecaster from checkpoint contents, bit-exact."""
-    fc = build_forecaster(run, int(extras["channels"]),
-                          tuple(extras.get("resolved_periods") or ()))
+    channels = extras.get("channels")
+    if not _is_int(channels) or channels < 1:
+        raise FormatError(f"checkpoint: 'channels' must be a positive integer, got {channels!r}")
+    fc = build_forecaster(run, channels, tuple(extras.get("resolved_periods") or ()))
     named = dict(fc.named_parameters())
     if set(named) != set(tensors):
         raise FormatError(
@@ -353,12 +397,12 @@ def _open_checkpoint(ckpt_path, data_path=None):
     run, extras = RunConfig.from_text(config_text)
     if data_path:
         run.data = str(data_path)
+    fc = restore_forecaster(run, extras, tensors)
     ds = load_dataset(run)
-    if ds.channels != int(extras["channels"]):
+    if ds.channels != extras["channels"]:
         raise ConfigError(
             f"dataset has {ds.channels} channels, checkpoint was trained on {extras['channels']}")
     std = Standardizer.fit(ds.values[:ds.train_end], strict=not run.fill_missing)
-    fc = restore_forecaster(run, extras, tensors)
     return run, extras, ds, std, fc
 
 

@@ -131,6 +131,37 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_non_integer_lookback_in_config_file_is_config_error(tone_csv, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text('model="nlinear"\nlookback="abc"\n')
+    code, _, err = run_cli(capsys, "train", "--config", str(cfg), "--data", str(tone_csv),
+                           "--out", str(tmp_path / "m.ckpt"))
+    assert code == 2
+    assert "configuration error" in err and "lookback" in err
+
+
+def test_nan_learning_rate_is_config_error(tone_csv, tmp_path, capsys):
+    code, _, err = run_cli(capsys, "train", "--data", str(tone_csv), "--model", "nlinear",
+                           "--lookback", "48", "--horizon", "12", "--lr", "nan",
+                           "--max-epochs", "1", "--out", str(tmp_path / "m.ckpt"))
+    assert code == 2
+    assert "lr" in err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_checkpoint_without_channels_is_data_error(tone_csv, tmp_path, capsys):
+    from mppn.checkpoint import save_checkpoint
+    from mppn.training import RunConfig, build_forecaster, config_blob
+    run = RunConfig(model="nlinear", data=str(tone_csv), lookback=48, horizon=12)
+    fc = build_forecaster(run, channels=2, resolved_periods=())
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, config_blob(run, {"channel_names": ["v0", "v1"]}),
+                    [(n, t.data) for n, t in fc.named_parameters()])
+    code, _, err = run_cli(capsys, "eval", "--ckpt", str(ckpt))
+    assert code == 3
+    assert "channels" in err
+
+
 def test_lookback_too_long_is_config_error(tone_csv, capsys, tmp_path):
     code, _, _ = run_cli(capsys, "train", "--data", str(tone_csv), "--lookback", "900",
                          "--horizon", "12", "--out", str(tmp_path / "m.ckpt"))
@@ -157,10 +188,19 @@ def test_analyze_constant_dataset_fully_predictable(tmp_path, capsys):
 
 
 def test_console_entry_point():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
+
+    import mppn
+    # the child imports mppn from wherever this process did, even when only
+    # pytest's own pythonpath setting put it on sys.path
+    src = str(Path(mppn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
     proc = subprocess.run([sys.executable, "-m", "mppn.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     for name in ("analyze", "train", "eval", "forecast", "synth", "gates"):
         assert name in proc.stdout

@@ -56,6 +56,19 @@ def test_run_config_rejects_unknown_model():
         RunConfig(model="transformer")
 
 
+@pytest.mark.parametrize("field,value", [
+    ("lookback", "abc"), ("lookback", 0), ("lookback", 48.0), ("horizon", True),
+    ("hidden", -1), ("batch_size", 0), ("patience", 0), ("max_epochs", -1), ("q", 1),
+    ("seed", 1.5), ("lr", float("nan")), ("lr", float("inf")), ("lr", 0.0), ("lr", "fast"), ("lr", 10 ** 400),
+    ("weight_decay", -1e-5), ("weight_decay", float("nan")), ("overlap", 1),
+    ("resolutions", 3), ("resolutions", (1, 0)), ("periods", ("24",)), ("periods", (1,)),
+    ("data", 7),
+])
+def test_run_config_rejects_bad_field(field, value):
+    with pytest.raises(ConfigError, match=field):
+        small_run("x.csv", **{field: value})
+
+
 # ---------------------------------------------------------------------------
 # early stopping
 
@@ -306,6 +319,19 @@ def test_restored_forecaster_matches_in_memory_bit_exact(tmp_path):
         a = fc.forward_batch(Tensor(x)).data
         b = restored.forward_batch(Tensor(x)).data
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("extras", [
+    {}, {"channels": None}, {"channels": "2"}, {"channels": 0}, {"channels": 2.0},
+    {"channels": True},
+])
+def test_restore_rejects_bad_channel_count(extras):
+    from mppn.training import build_forecaster, restore_forecaster
+    run = small_run("unused.csv", periods=(24,))
+    fc = build_forecaster(run, channels=2, resolved_periods=(24,))
+    tensors = {n: t.data for n, t in fc.named_parameters()}
+    with pytest.raises(FormatError, match="channels"):
+        restore_forecaster(run, {"resolved_periods": [24], **extras}, tensors)
 
 
 def test_overlap_mode_trains_and_differs(tmp_path):

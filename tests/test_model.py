@@ -5,9 +5,10 @@ import pytest
 from helpers import check_grads
 from mppn import tensor as T
 from mppn.errors import ConfigError, ShapeError
-from mppn.model import (MPPNConfig, MPPNParams, assemble_patterns, channel_adapt, export_gates,
-                        forward, forward_batch, multi_resolution_patch, pattern_dim,
-                        periodic_pattern_mine, read_gates_csv, write_gates_csv)
+from mppn.model import (MPPNConfig, MPPNParams, _assemble_batch, assemble_patterns,
+                        channel_adapt, export_gates, forward, forward_batch,
+                        multi_resolution_patch, pattern_dim, periodic_pattern_mine,
+                        read_gates_csv, write_gates_csv)
 from mppn.tensor import Tensor
 
 TINY = dict(lookback=24, horizon=4, channels=2, hidden=3, resolutions=(1, 2), periods=(6,))
@@ -194,6 +195,44 @@ def test_assemble_channel_permutation_equivariance_bitexact():
     assert np.array_equal(direct, permuted)
 
 
+def _randomize(params, rng):
+    """Draw every parameter, biases included, from a standard normal."""
+    for _, t in params.named_parameters():
+        t.data = rng.standard_normal(t.shape)
+
+
+def test_assemble_matches_patch_then_mine_oracle_random_configs():
+    # the folded single-convolution path against the two-stage inspection
+    # API, window by window and channel by channel
+    rng = np.random.default_rng(17)
+    seen = set()
+    for trial in range(60):
+        c = _random_valid_config(rng)
+        c = MPPNConfig(**{**c.__dict__, "overlap": bool(trial % 2)})
+        params = MPPNParams.init(c)
+        _randomize(params, rng)
+        xb = rng.standard_normal((2, c.lookback, c.channels))
+        with T.no_grad():
+            bank = _assemble_batch(Tensor(xb), params, c).data
+            for b in range(2):
+                for ch in range(c.channels):
+                    x = Tensor(xb[b, :, ch])
+                    units = {r: multi_resolution_patch(x, r, params, c)
+                             for r in c.used_resolutions}
+                    pieces = [periodic_pattern_mine(units[r], p, r, params, c).data
+                              for p, r in c.retained_pairs]
+                    expected = np.concatenate(pieces, axis=1).T
+                    assert np.max(np.abs(bank[b, ch] - expected)) <= 1e-12
+        seen.add("overlap" if c.overlap else "plain")
+        if not c.overlap and any(c.lookback % r for r in c.used_resolutions):
+            seen.add("padding")
+        if any(c.lookback % p for p, _ in c.retained_pairs):
+            seen.add("truncation")
+        if len(c.retained_pairs) < len(c.periods) * len(c.resolutions):
+            seen.add("dropped")
+    assert seen == {"overlap", "plain", "padding", "truncation", "dropped"}
+
+
 def test_channel_adapt_zero_logits_halve_the_bank():
     rng = np.random.default_rng(1)
     bank = Tensor(rng.standard_normal((3, 5, 4)))
@@ -275,6 +314,24 @@ def test_forward_end_to_end_gradients_overlap_mode():
     params = MPPNParams.init(c)
     x = Tensor(rng.standard_normal((24, 2)))
     target = Tensor(rng.standard_normal((4, 2)))
+
+    def loss():
+        return T.mse_loss(forward(x, params, c), target)
+
+    check_grads(loss, [t for _, t in params.named_parameters()], tol=1e-4)
+
+
+@pytest.mark.parametrize("overlap", [False, True])
+def test_forward_gradients_with_padding_truncation_and_biases(overlap):
+    # L % r != 0 pads the patched view, L % p != 0 truncates the mining scan,
+    # and random biases make every patch bias reach the loss
+    rng = np.random.default_rng(26)
+    c = cfg(lookback=13, horizon=2, channels=2, hidden=2, resolutions=(2, 3), periods=(4, 5),
+            overlap=overlap)
+    params = MPPNParams.init(c)
+    _randomize(params, rng)
+    x = Tensor(rng.standard_normal((13, 2)))
+    target = Tensor(rng.standard_normal((2, 2)))
 
     def loss():
         return T.mse_loss(forward(x, params, c), target)

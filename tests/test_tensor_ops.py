@@ -433,6 +433,36 @@ def test_adam_bit_deterministic(rng):
     assert np.array_equal(run(), run())
 
 
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+def test_adam_in_place_step_matches_out_of_place_formula(weight_decay):
+    lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
+    gen = np.random.default_rng(21)
+    shapes = [(4, 3), (5,), (2, 3, 2)]
+    start = [gen.standard_normal(s) for s in shapes]
+    grads = [[gen.standard_normal(s) for s in shapes] for _ in range(5)]
+
+    params = [Tensor(a.copy(), requires_grad=True) for a in start]
+    opt = Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps, weight_decay=weight_decay)
+    ref = [a.copy() for a in start]
+    m = [np.zeros(s) for s in shapes]
+    v = [np.zeros(s) for s in shapes]
+    for t, step_grads in enumerate(grads, 1):
+        for p, g in zip(params, step_grads):
+            p.grad = g.copy()
+        opt.step()
+        for i, g in enumerate(step_grads):
+            if weight_decay:
+                g = g + weight_decay * ref[i]
+            m[i] = b1 * m[i] + (1.0 - b1) * g
+            v[i] = b2 * v[i] + (1.0 - b2) * (g * g)
+            m_hat = m[i] / (1.0 - b1 ** t)
+            v_hat = v[i] / (1.0 - b2 ** t)
+            ref[i] = ref[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        for p, g, r in zip(params, step_grads, ref):
+            np.testing.assert_array_equal(p.data, r)
+            np.testing.assert_array_equal(p.grad, g)  # the gradient is only read
+
+
 def test_adam_shape_mismatch_error():
     p = Tensor([0.0, 0.0], requires_grad=True)
     p.grad = np.zeros(3)
