@@ -1,8 +1,8 @@
-"""Command-line interface: analyze, train, eval, forecast, synth, gates.
+"""Command-line interface: analyze, train, eval, forecast, synth, gates, kernel.
 
-Reports go to stdout as JSON; file artifacts (checkpoints, CSVs) go where
-flagged.  Exit codes: 0 ok, 2 configuration error, 3 data error, 4 runtime
-or divergence error.
+Reports go to stdout as JSON; file artifacts (checkpoints, CSVs, the
+kernel archive) go where flagged.  Exit codes: 0 ok, 2 configuration
+error, 3 data error, 4 runtime or divergence error.
 """
 from __future__ import annotations
 
@@ -11,6 +11,8 @@ import json
 import logging
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import synth as synthmod
 from . import training
@@ -89,6 +91,10 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gates", help="channel adaptation gates as CSV")
     _common(g)
     g.add_argument("--ckpt", type=str, required=True)
+
+    k = sub.add_parser("kernel", help="effective per-channel affine kernel as .npz")
+    _common(k)
+    k.add_argument("--ckpt", type=str, required=True)
 
     return p
 
@@ -182,6 +188,16 @@ def _cmd_gates(args) -> int:
     return 0
 
 
+def _cmd_kernel(args) -> int:
+    names, a, b = training.export_kernel(args.ckpt)
+    out = args.out or "kernel.npz"
+    with open(out, "wb") as fh:  # a path keeps its name; np.savez would append .npz
+        np.savez(fh, A=a, b=b, channel_names=np.array(names))
+    print(json.dumps({"out": str(out), "channels": a.shape[0], "lookback": a.shape[1],
+                      "horizon": a.shape[2]}))
+    return 0
+
+
 _COMMANDS = {
     "analyze": _cmd_analyze,
     "train": _cmd_train,
@@ -189,6 +205,7 @@ _COMMANDS = {
     "forecast": _cmd_forecast,
     "synth": _cmd_synth,
     "gates": _cmd_gates,
+    "kernel": _cmd_kernel,
 }
 
 

@@ -4,6 +4,13 @@ A run is described by a flat key=value text (JSON values per line; a JSON
 object file is accepted too) that round-trips losslessly.  Checkpoints
 embed that text plus the resolved facts of the run (detected periods,
 channel count and names) so evaluation can rebuild the exact model.
+
+Every forecaster is affine in its input window, channel by channel, at
+inference, so scoring a split (evaluate, and the per-epoch validation of
+train) extracts each model's effective kernel once (effective_kernel:
+L + 1 basis windows through forward_batch) and applies it to every window
+as one matrix product per channel.  forecast predicts a single window and
+runs forward_batch directly.
 """
 from __future__ import annotations
 
@@ -19,9 +26,10 @@ import numpy as np
 from . import baselines, model
 from . import tensor as T
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import (MetricsAccumulator, SeriesDataset, Standardizer, chronological_split,
-                   iter_batches, load_csv, window_origins)
-from .errors import ConfigError, DivergenceError, FormatError
+from .data import (ForecastMetrics, MetricsAccumulator, SeriesDataset, Standardizer,
+                   chronological_split, iter_batches, load_csv, window_origins)
+from .errors import (ArgumentError, ConfigError, DivergenceError, FormatError,
+                     NonAffineError)
 from .optim import Adam
 from .periods import detect_periods
 from .predictability import dataset_predictability
@@ -243,7 +251,18 @@ def restore_forecaster(run: RunConfig, extras: dict, tensors: dict[str, np.ndarr
     channels = extras.get("channels")
     if not _is_int(channels) or channels < 1:
         raise FormatError(f"checkpoint: 'channels' must be a positive integer, got {channels!r}")
-    fc = build_forecaster(run, channels, tuple(extras.get("resolved_periods") or ()))
+    names = extras.get("channel_names")
+    if (not isinstance(names, (list, tuple)) or len(names) != channels
+            or not all(isinstance(n, str) for n in names)):
+        raise FormatError(
+            f"checkpoint: 'channel_names' must be a list of {channels} strings, got {names!r}")
+    periods = extras.get("resolved_periods")
+    if (not isinstance(periods, (list, tuple)) or not all(_is_int(p) and p >= 2 for p in periods)
+            or (run.model == "mppn" and not periods)):
+        raise FormatError(
+            f"checkpoint: 'resolved_periods' must be a list of integers >= 2"
+            f"{', non-empty for mppn' if run.model == 'mppn' else ''}, got {periods!r}")
+    fc = build_forecaster(run, channels, tuple(periods))
     named = dict(fc.named_parameters())
     if set(named) != set(tensors):
         raise FormatError(
@@ -287,13 +306,62 @@ def resolve_periods(run: RunConfig, train_std: np.ndarray) -> tuple[int, ...]:
     return usable
 
 
-def _split_mse(fc: Forecaster, values: np.ndarray, origins: np.ndarray, lookback: int,
-               horizon: int, batch_size: int) -> float:
-    acc = MetricsAccumulator()
+# the probe forecast must match A·probe + b to this share of the summed
+# terms' magnitude; rounding leaves about 1e-15 at ETTh1 geometry
+AFFINE_RTOL = 1e-9
+
+
+def effective_kernel(fc: Forecaster, lookback: int, channels: int,
+                     batch_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The forecaster's inference map as one affine kernel per channel:
+    (A [C, L, H], b [C, H]) with forward(x)[:, c] = x[:, c] @ A[c] + b[c].
+
+    b is the forecast of the zero window, and row i of A[c] is the
+    forecast of the unit window at step i minus b.  Channels never mix, so
+    each basis window sets every channel alike and one pass serves them
+    all.  The L + 1 basis windows and one seeded random probe go through
+    forward_batch in chunks of batch_size, which bounds activation memory
+    as scoring a split does.  If the probe's forecast differs from
+    A·probe + b by more than AFFINE_RTOL, NonAffineError is raised.
+    """
+    if batch_size < 1:
+        raise ArgumentError(f"effective_kernel: batch_size must be >= 1, got {batch_size}")
+    probe = SplitMix64(derive(0, "kernel-probe")).normal((lookback, channels))
+    n = lookback + 2  # the zero window, L unit windows, the probe
+    outs = []
     with T.no_grad():
-        for inp, tgt, _ in iter_batches(values, origins, lookback, horizon, batch_size):
-            acc.add(fc.forward_batch(Tensor(inp)), tgt)
-    return acc.finalize().mse
+        for lo in range(0, n, batch_size):
+            idx = np.arange(lo, min(lo + batch_size, n))
+            chunk = np.zeros((len(idx), lookback, channels))
+            unit = np.nonzero((idx >= 1) & (idx <= lookback))[0]
+            chunk[unit, idx[unit] - 1] = 1.0
+            chunk[idx == n - 1] = probe
+            outs.append(fc.forward_batch(Tensor(chunk)).data)
+    out = np.concatenate(outs)  # [L + 2, H, C]
+    b = np.ascontiguousarray(out[0].T)
+    a = np.ascontiguousarray((out[1:lookback + 1] - out[0]).transpose(2, 0, 1))
+    want = np.einsum("lc,clh->hc", probe, a) + b.T
+    scale = np.einsum("lc,clh->hc", np.abs(probe), np.abs(a)) + np.abs(b.T)
+    err = float(np.max(np.abs(out[-1] - want)))
+    tol = AFFINE_RTOL * float(np.max(scale))
+    if not err <= tol:
+        raise NonAffineError(
+            f"{fc.kind} forecaster is not affine in its input: a probe window's forecast "
+            f"differs from its kernel's by {err:.3e} (tolerance {tol:.3e})")
+    return a, b
+
+
+def split_metrics(fc: Forecaster, values: np.ndarray, origins: np.ndarray, lookback: int,
+                  horizon: int, batch_size: int) -> ForecastMetrics:
+    """Metrics over the windows at ``origins``: the effective kernel is
+    extracted once, then each chunk of batch_size windows is one matrix
+    product per channel."""
+    a, b = effective_kernel(fc, lookback, values.shape[1], batch_size)
+    acc = MetricsAccumulator()
+    for inp, tgt, _ in iter_batches(values, origins, lookback, horizon, batch_size):
+        pred = np.matmul(inp.transpose(2, 0, 1), a) + b[:, None, :]  # [C, B, H]
+        acc.add(pred.transpose(1, 2, 0), tgt)
+    return acc.finalize()
 
 
 class EarlyStopper:
@@ -369,7 +437,8 @@ def train(run: RunConfig, out_path) -> TrainResult:
                 opt.step()
                 sq_sum += lv * out.size
                 n_elem += out.size
-            val = _split_mse(fc, values, val_origins, run.lookback, run.horizon, run.batch_size)
+            val = split_metrics(fc, values, val_origins, run.lookback, run.horizon,
+                                run.batch_size).mse
             history.append({"epoch": epoch, "train_mse": sq_sum / n_elem, "val_mse": val})
             log.info("epoch %d: train %.6f val %.6f", epoch, sq_sum / n_elem, val)
             improved, stop = stopper.update(epoch, val)
@@ -392,12 +461,16 @@ def train(run: RunConfig, out_path) -> TrainResult:
     return TrainResult(str(out_path), history, best_epoch, best_val, resolved)
 
 
-def _open_checkpoint(ckpt_path, data_path=None):
+def _restore_checkpoint(ckpt_path):
     config_text, tensors = load_checkpoint(ckpt_path)
     run, extras = RunConfig.from_text(config_text)
+    return run, extras, restore_forecaster(run, extras, tensors)
+
+
+def _open_checkpoint(ckpt_path, data_path=None):
+    run, extras, fc = _restore_checkpoint(ckpt_path)
     if data_path:
         run.data = str(data_path)
-    fc = restore_forecaster(run, extras, tensors)
     ds = load_dataset(run)
     if ds.channels != extras["channels"]:
         raise ConfigError(
@@ -407,16 +480,13 @@ def _open_checkpoint(ckpt_path, data_path=None):
 
 
 def evaluate(ckpt_path, data_path=None, split: str = "test", batch_size: int | None = None):
-    """Metrics over every window of a split, on the standardized scale."""
+    """Metrics over every window of a split, on the standardized scale;
+    batch_size defaults to the run's."""
     run, _, ds, std, fc = _open_checkpoint(ckpt_path, data_path)
     values = std.apply(ds.values)
     origins = window_origins(ds, run.lookback, run.horizon, split)
-    acc = MetricsAccumulator()
-    with T.no_grad():
-        for inp, tgt, _ in iter_batches(values, origins, run.lookback, run.horizon,
-                                        batch_size or run.batch_size):
-            acc.add(fc.forward_batch(Tensor(inp)), tgt)
-    return acc.finalize()
+    return split_metrics(fc, values, origins, run.lookback, run.horizon,
+                         run.batch_size if batch_size is None else batch_size)
 
 
 def forecast(ckpt_path, data_path=None, origin: int | None = None, standardized: bool = False):
@@ -469,9 +539,15 @@ def analyze(data_path, q_values, binning: str, top_k: int, periods_override,
 
 def export_gate_matrix(ckpt_path) -> tuple[list[str], np.ndarray]:
     """Channel names and the sigmoid gate matrix from an MPPN checkpoint."""
-    config_text, tensors = load_checkpoint(ckpt_path)
-    run, extras = RunConfig.from_text(config_text)
+    run, extras, fc = _restore_checkpoint(ckpt_path)
     if run.model != "mppn":
         raise ConfigError(f"gates: checkpoint holds a '{run.model}' model, not mppn")
-    fc = restore_forecaster(run, extras, tensors)
     return list(extras["channel_names"]), model.export_gates(fc.params)
+
+
+def export_kernel(ckpt_path) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Channel names and the effective kernel (A [C, L, H], b [C, H]) of a
+    checkpoint, extracted in chunks of the run's batch size."""
+    run, extras, fc = _restore_checkpoint(ckpt_path)
+    a, b = effective_kernel(fc, run.lookback, extras["channels"], run.batch_size)
+    return list(extras["channel_names"]), a, b

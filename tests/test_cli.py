@@ -162,6 +162,74 @@ def test_checkpoint_without_channels_is_data_error(tone_csv, tmp_path, capsys):
     assert "channels" in err
 
 
+@pytest.mark.parametrize("extras", [
+    {"resolved_periods": [24]},  # no channel_names
+    {"channel_names": ["v0"], "resolved_periods": [24]},
+    {"channel_names": [0, 1], "resolved_periods": [24]},
+    {"channel_names": "v0v1", "resolved_periods": [24]},
+    {"channel_names": ["v0", "v1"]},  # no resolved_periods
+    {"channel_names": ["v0", "v1"], "resolved_periods": "abc"},
+    {"channel_names": ["v0", "v1"], "resolved_periods": []},
+    {"channel_names": ["v0", "v1"], "resolved_periods": [1]},
+    {"channel_names": ["v0", "v1"], "resolved_periods": [24.0]},
+], ids=["names-missing", "names-short", "names-not-strings", "names-string", "periods-missing",
+        "periods-string", "periods-empty", "periods-below-two", "periods-float"])
+@pytest.mark.parametrize("command", ["eval", "forecast", "gates", "kernel"])
+def test_malformed_checkpoint_extras_are_data_errors(tone_csv, tmp_path, capsys, extras, command):
+    from mppn.checkpoint import save_checkpoint
+    from mppn.training import RunConfig, build_forecaster, config_blob
+    run = RunConfig(model="mppn", data=str(tone_csv), lookback=48, horizon=12, hidden=4,
+                    resolutions=(1, 3), periods=(24,))
+    fc = build_forecaster(run, channels=2, resolved_periods=(24,))
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, config_blob(run, {"channels": 2, **extras}),
+                    [(n, t.data) for n, t in fc.named_parameters()])
+    code, _, err = run_cli(capsys, command, "--ckpt", str(ckpt), "--out", str(tmp_path / "out"))
+    assert code == 3
+    assert "data error: checkpoint" in err
+
+
+@pytest.mark.parametrize("batch_size", ["0", "-1"])
+def test_eval_batch_size_below_one_is_config_error(tone_csv, tmp_path, capsys, batch_size):
+    ckpt = tmp_path / "lin.ckpt"
+    code, _, _ = run_cli(capsys, "train", "--data", str(tone_csv), "--model", "nlinear",
+                         "--lookback", "48", "--horizon", "12", "--max-epochs", "1",
+                         "--out", str(ckpt))
+    assert code == 0
+    code, out, err = run_cli(capsys, "eval", "--ckpt", str(ckpt), "--batch-size", batch_size)
+    assert code == 2 and out == ""
+    assert "configuration error" in err and "batch_size" in err
+
+
+def test_kernel_export_matches_standardized_forecast(tone_csv, tmp_path, capsys):
+    from mppn.data import Standardizer, chronological_split, load_csv
+    ckpt = tmp_path / "model.ckpt"
+    code, _, _ = run_cli(capsys, "train", "--data", str(tone_csv), "--out", str(ckpt),
+                         "--model", "mppn", "--lookback", "48", "--horizon", "12",
+                         "--hidden", "6", "--resolutions", "1,3", "--top-k", "1",
+                         "--max-epochs", "1", "--seed", "5")
+    assert code == 0
+    kernel = tmp_path / "kernel.npz"
+    code, out, _ = run_cli(capsys, "kernel", "--ckpt", str(ckpt), "--out", str(kernel))
+    assert code == 0
+    assert json.loads(out) == {"out": str(kernel), "channels": 2, "lookback": 48, "horizon": 12}
+    with np.load(kernel) as archive:
+        a, b, names = archive["A"], archive["b"], list(archive["channel_names"])
+    assert a.shape == (2, 48, 12) and b.shape == (2, 12) and names == ["v0", "v1"]
+
+    origin = 400
+    pred = tmp_path / "pred.csv"
+    code, _, _ = run_cli(capsys, "forecast", "--ckpt", str(ckpt), "--origin", str(origin),
+                         "--standardized", "--out", str(pred))
+    assert code == 0
+    forecast = np.loadtxt(pred, delimiter=",", skiprows=1)[:, 1:]  # [H, C]
+    ds = chronological_split(load_csv(tone_csv), "standard")
+    values = Standardizer.fit(ds.values[:ds.train_end]).apply(ds.values)
+    window = values[origin - 48:origin]  # [L, C]
+    via_kernel = np.einsum("lc,clh->hc", window, a) + b.T
+    assert np.max(np.abs(via_kernel - forecast)) <= 1e-12 * max(1.0, np.max(np.abs(forecast)))
+
+
 def test_lookback_too_long_is_config_error(tone_csv, capsys, tmp_path):
     code, _, _ = run_cli(capsys, "train", "--data", str(tone_csv), "--lookback", "900",
                          "--horizon", "12", "--out", str(tmp_path / "m.ckpt"))
@@ -202,5 +270,5 @@ def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "mppn.cli", "--help"],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
-    for name in ("analyze", "train", "eval", "forecast", "synth", "gates"):
+    for name in ("analyze", "train", "eval", "forecast", "synth", "gates", "kernel"):
         assert name in proc.stdout
