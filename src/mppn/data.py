@@ -2,13 +2,15 @@
 and forecast metrics.
 
 CSV layout: UTF-8, comma separated, header ``date,<name1>,...`` with one
-variate per remaining column.  Headerless all-numeric matrices are
-supported via ``date_column=False``.
+uniquely named variate per remaining column.  Headerless all-numeric
+matrices are supported via ``date_column=False``.
 """
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
+import math
 from dataclasses import dataclass, replace
 from typing import Iterator
 
@@ -44,15 +46,34 @@ class SeriesDataset:
         return replace(self, train_end=train_end, val_end=val_end)
 
 
+def _cell(text: str) -> float:
+    """Python ``float`` syntax; NaN for text it rejects."""
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
 def load_csv(path, strict: bool = True, date_column: bool = True) -> SeriesDataset:
     """Parse a benchmark CSV into a [T, C] float matrix.
 
-    In strict mode any missing or unparseable cell aborts with its row and
-    column; otherwise such cells are forward-filled (leading gaps take the
-    first later value) and the fill count is logged.
+    The file must be UTF-8 text.  With ``date_column`` the header names the
+    date column and then each variate; variate names must be non-blank and
+    unique.  A cell is a value when Python's ``float`` accepts it and the
+    result is finite.  In strict mode the first other cell in file order
+    aborts with its row and column; otherwise such cells are forward-filled
+    (leading gaps take the first later value) and the fill count is logged.
+    Every failure raises ``DataError``, which the CLI reports with exit 3.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            rows = [row for row in reader if row]
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not valid UTF-8: bytes {exc.object[exc.start:exc.end]!r} "
+                        f"({exc.reason})") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise DataError(f"{path}: empty file")
     if date_column:
@@ -60,6 +81,14 @@ def load_csv(path, strict: bool = True, date_column: bool = True) -> SeriesDatas
         if len(header) < 2:
             raise DataError(f"{path}: header must name a date column and at least one variate")
         names = [h.strip() for h in header[1:]]
+        seen: dict[str, int] = {}
+        for col, name in enumerate(names, start=2):
+            if not name:
+                raise DataError(f"{path}: header column {col} has a blank variate name")
+            if name in seen:
+                raise DataError(f"{path}: header names variate '{name}' in columns "
+                                f"{seen[name]} and {col}")
+            seen[name] = col
         timestamps = [r[0] for r in body]
         cells = [r[1:] for r in body]
     else:
@@ -69,26 +98,23 @@ def load_csv(path, strict: bool = True, date_column: bool = True) -> SeriesDatas
     if not cells:
         raise DataError(f"{path}: no data rows")
 
+    # Rows before the first ragged one are parsed first, so a bad cell
+    # above it is still the error reported in strict mode.
     width = len(names)
-    values = np.empty((len(cells), width), dtype=np.float64)
-    missing = 0
-    for i, row in enumerate(cells):
-        if len(row) != width:
-            raise DataError(f"{path}: row {i + 1} has {len(row)} cells, expected {width}")
-        for j, cell in enumerate(row):
-            try:
-                v = float(cell)
-                if not np.isfinite(v):
-                    raise ValueError
-            except ValueError:
-                if strict:
-                    raise DataError(
-                        f"{path}: row {i + 1}, column '{names[j]}': unparseable cell {cell!r}")
-                v = np.nan
-                missing += 1
-            values[i, j] = v
+    good = next((i for i, row in enumerate(cells) if len(row) != width), len(cells))
+    flat = itertools.chain.from_iterable(cells[:good])
+    values = np.fromiter(map(_cell, flat), np.float64, count=good * width).reshape(good, width)
+    bad = ~np.isfinite(values)
+    if strict and bad.any():
+        i, j = divmod(int(np.argmax(bad)), width)
+        raise DataError(
+            f"{path}: row {i + 1}, column '{names[j]}': unparseable cell {cells[i][j]!r}")
+    if good < len(cells):
+        raise DataError(f"{path}: row {good + 1} has {len(cells[good])} cells, expected {width}")
 
+    missing = int(bad.sum())
     if missing:
+        values[bad] = np.nan
         for j in range(width):
             col = values[:, j]
             nan = np.isnan(col)

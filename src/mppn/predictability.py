@@ -95,20 +95,25 @@ def _suffix_array(s: np.ndarray) -> np.ndarray:
     return order
 
 
-def _lcp_array(s: np.ndarray, sa: np.ndarray) -> np.ndarray:
-    """Kasai: lcp[r] = common prefix length of suffixes sa[r-1] and sa[r]."""
+def _lcp_array(s: np.ndarray, sa: np.ndarray) -> list[int]:
+    """Kasai: lcp[r] = common prefix length of suffixes sa[r-1] and sa[r].
+
+    The sweep runs over Python lists, and returns one: indexing a list is
+    several times cheaper than reading a numpy scalar.
+    """
     n = len(s)
-    rank = np.empty(n, dtype=np.int64)
-    rank[sa] = np.arange(n)
-    lcp = np.zeros(n, dtype=np.int64)
+    rank_arr = np.empty(n, dtype=np.int64)
+    rank_arr[sa] = np.arange(n)
+    text, order, rank = s.tolist(), sa.tolist(), rank_arr.tolist()
+    lcp = [0] * n
     h = 0
     for i in range(n):
         r = rank[i]
         if r == 0:
             h = 0
             continue
-        j = sa[r - 1]
-        while i + h < n and j + h < n and s[i + h] == s[j + h]:
+        j = order[r - 1]
+        while i + h < n and j + h < n and text[i + h] == text[j + h]:
             h += 1
         lcp[r] = h
         if h:
@@ -121,27 +126,27 @@ def _longest_previous_factor(s: np.ndarray) -> np.ndarray:
 
     Positions are peeled off a doubly linked list over suffix-array ranks in
     decreasing text order, so the rank neighbors of a position are always
-    its best earlier-starting candidates.
+    its best earlier-starting candidates.  Like ``_lcp_array``, the sweep
+    runs over Python lists.
     """
     n = len(s)
     sa = _suffix_array(s)
-    lcp = _lcp_array(s, sa)
-    rank = np.empty(n, dtype=np.int64)
-    rank[sa] = np.arange(n)
-
-    prev = np.arange(-1, n - 1, dtype=np.int64)
-    nxt = np.arange(1, n + 1, dtype=np.int64)
     # left_lcp[r] = current common-prefix length between list node r and its
     # left neighbor; updated as nodes are removed.
-    left_lcp = lcp.copy()
+    left_lcp = _lcp_array(s, sa)
+    rank_arr = np.empty(n, dtype=np.int64)
+    rank_arr[sa] = np.arange(n)
+    rank = rank_arr.tolist()
 
-    lpf = np.zeros(n, dtype=np.int64)
+    prev = list(range(-1, n - 1))
+    nxt = list(range(1, n + 1))
+    lpf = [0] * n
     for pos in range(n - 1, -1, -1):
-        r = int(rank[pos])
-        left = int(prev[r])
-        right = int(nxt[r])
-        with_left = int(left_lcp[r]) if left >= 0 else 0
-        with_right = int(left_lcp[right]) if right < n else 0
+        r = rank[pos]
+        left = prev[r]
+        right = nxt[r]
+        with_left = left_lcp[r] if left >= 0 else 0
+        with_right = left_lcp[right] if right < n else 0
         lpf[pos] = max(with_left, with_right)
         # unlink r; the surviving pair's lcp is the min across the removed node
         if right < n:
@@ -149,7 +154,7 @@ def _longest_previous_factor(s: np.ndarray) -> np.ndarray:
             prev[right] = left
         if left >= 0:
             nxt[left] = right
-    return lpf
+    return np.asarray(lpf, dtype=np.int64)
 
 
 def lz_match_lengths(symbols: np.ndarray) -> np.ndarray:

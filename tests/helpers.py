@@ -2,11 +2,15 @@
 
 These deliberately avoid the library's own code paths: finite differences
 for gradients, cubic-time substring search for match lengths, quadratic
-direct summation for the DFT.
+direct summation for the DFT, a cell-by-cell CSV loader.
 """
+import csv
+
 import numpy as np
 
 from mppn import tensor as T
+from mppn.data import SeriesDataset
+from mppn.errors import DataError
 
 
 def fd_gradient(loss_fn, tensor, h=1e-6):
@@ -81,3 +85,61 @@ def direct_dft_amplitude(x):
         im = float(np.sum(x * np.sin(-2.0 * np.pi * f * n / t)))
         amps.append(np.hypot(re, im))
     return np.asarray(amps)
+
+
+def reference_load_csv(path, strict=True, date_column=True):
+    """``data.load_csv`` one cell at a time: each cell goes through
+    ``float`` and a finiteness check before the next one is read, so the
+    first fault in file order raises in strict mode.  Header-name checks
+    are left to the library's own tests."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    if not rows:
+        raise DataError(f"{path}: empty file")
+    if date_column:
+        header, body = rows[0], rows[1:]
+        if len(header) < 2:
+            raise DataError(f"{path}: header must name a date column and at least one variate")
+        names = [h.strip() for h in header[1:]]
+        timestamps = [r[0] for r in body]
+        cells = [r[1:] for r in body]
+    else:
+        names = [f"v{i}" for i in range(len(rows[0]))]
+        timestamps = None
+        cells = rows
+    if not cells:
+        raise DataError(f"{path}: no data rows")
+
+    width = len(names)
+    values = np.empty((len(cells), width), dtype=np.float64)
+    missing = 0
+    for i, row in enumerate(cells):
+        if len(row) != width:
+            raise DataError(f"{path}: row {i + 1} has {len(row)} cells, expected {width}")
+        for j, cell in enumerate(row):
+            try:
+                v = float(cell)
+                if not np.isfinite(v):
+                    raise ValueError
+            except ValueError:
+                if strict:
+                    raise DataError(
+                        f"{path}: row {i + 1}, column '{names[j]}': unparseable cell {cell!r}")
+                v = np.nan
+                missing += 1
+            values[i, j] = v
+
+    if missing:
+        for j in range(width):
+            col = values[:, j]
+            nan = np.isnan(col)
+            if nan.all():
+                raise DataError(f"{path}: column '{names[j]}' has no usable values")
+            if nan.any():
+                idx = np.where(~nan, np.arange(len(col)), -1)
+                np.maximum.accumulate(idx, out=idx)
+                col[:] = np.where(idx >= 0, col[np.maximum(idx, 0)], col)
+                first = np.argmax(~nan)
+                col[:first] = col[first]
+
+    return SeriesDataset(names, values, timestamps)

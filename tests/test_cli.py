@@ -272,3 +272,53 @@ def test_console_entry_point():
     assert proc.returncode == 0
     for name in ("analyze", "train", "eval", "forecast", "synth", "gates", "kernel"):
         assert name in proc.stdout
+
+
+MALFORMED_CSVS = {
+    "bad-bytes": b"date,a,b\n2020,1,2\n2021,\xff,3\n",
+    "ragged": b"date,a,b\n2020,1,2\n2021,3\n",
+    "duplicate-name": b"date,a,a\n2020,1,2\n2021,3,4\n",
+    "blank-name": b"date,a, \n2020,1,2\n2021,3,4\n",
+    "nan": b"date,a,b\n2020,1,2\n2021,nan,4\n",
+    "inf": b"date,a,b\n2020,1,2\n2021,3,-inf\n",
+    "overflow": b"date,a,b\n2020,1,2\n2021,3,1e400\n",
+    "huge-field": b"date,a,b\n2020,1,2\n2021,3," + b"9" * 200_000 + b"\n",
+}
+
+
+@pytest.fixture(scope="module")
+def linear_ckpt(tmp_path_factory):
+    """A 2-channel NLinear checkpoint trained on a small clean CSV."""
+    from mppn import synth, training
+    root = tmp_path_factory.mktemp("clean")
+    csv_path = root / "clean.csv"
+    synth.write_csv(csv_path, synth.generate([[synth.ToneSpec(1.0, 24.0)]] * 2, 0.0, 0.1, 240, 3),
+                    ["a", "b"])
+    ckpt = root / "lin.ckpt"
+    training.train(training.RunConfig(model="nlinear", data=str(csv_path), lookback=24,
+                                      horizon=6, max_epochs=1), ckpt)
+    return ckpt
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CSVS))
+@pytest.mark.parametrize("command", ["analyze", "train", "eval", "forecast"])
+def test_malformed_csv_is_data_error_for_every_command(linear_ckpt, tmp_path, capsys, case,
+                                                       command):
+    bad = tmp_path / f"{case}.csv"
+    bad.write_bytes(MALFORMED_CSVS[case])
+    argv = [command, "--data", str(bad), "--out", str(tmp_path / "out")]
+    if command in ("eval", "forecast"):
+        argv += ["--ckpt", str(linear_ckpt)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith(f"data error: {bad}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "train"])
+def test_column_without_values_is_data_error_when_filling(tmp_path, capsys, command):
+    bad = tmp_path / "dead.csv"
+    bad.write_text("date,a,b\n2020,1,nan\n2021,2,\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, command, "--data", str(bad), "--fill-missing",
+                             "--out", str(tmp_path / "out"))
+    assert code == 3 and out == ""
+    assert "column 'b' has no usable values" in err

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_load_csv
 from mppn.data import (ForecastMetrics, MetricsAccumulator, SeriesDataset, Standardizer,
                        chronological_split, gather_windows, iter_batches, load_csv,
                        window_origins)
@@ -52,6 +53,120 @@ def test_load_csv_headerless_matrix(tmp_path):
     assert ds.values.shape == (3, 2)
     assert ds.names == ["v0", "v1"]
     assert ds.timestamps is None
+
+
+def test_load_csv_bad_cell_above_a_ragged_row_wins_in_strict_mode(tmp_path):
+    path = write(tmp_path, "date,a,b\n1,2,3\n2,x,4\n3,5\n")
+    with pytest.raises(DataError, match=r"row 2, column 'a': unparseable cell 'x'"):
+        load_csv(path)
+    with pytest.raises(DataError, match="row 3 has 1 cells, expected 2"):
+        load_csv(path, strict=False)
+
+
+def test_load_csv_accepts_python_float_syntax(tmp_path):
+    path = write(tmp_path, 'date,a\n1, 7 \n2,1_000\n3,"\n-.5e1\t"\n4,١٢\n')
+    np.testing.assert_array_equal(load_csv(path).values[:, 0], [7.0, 1000.0, -5.0, 12.0])
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-Infinity", "1e400", "", "0x10"])
+def test_load_csv_non_finite_or_unparseable_cell_is_rejected(tmp_path, text):
+    path = write(tmp_path, f"date,a\n1,1\n2,{text}\n")
+    with pytest.raises(DataError, match=f"row 2, column 'a': unparseable cell '{text}'"):
+        load_csv(path)
+    np.testing.assert_array_equal(load_csv(path, strict=False).values[:, 0], [1.0, 1.0])
+
+
+def test_load_csv_invalid_utf8_names_the_file(tmp_path):
+    path = tmp_path / "bytes.csv"
+    path.write_bytes(b"date,a\n2020,1\n2021,\xff\n")
+    with pytest.raises(DataError, match=r"bytes\.csv: not valid UTF-8: bytes b'\\xff'"):
+        load_csv(path)
+
+
+def test_load_csv_reader_error_names_file_and_line(tmp_path):
+    path = write(tmp_path, "date,a\n2020,1\n2021," + "9" * 200_000 + "\n")
+    with pytest.raises(DataError, match=r"data\.csv: line 3: field larger than field limit"):
+        load_csv(path)
+
+
+@pytest.mark.parametrize("header, message", [
+    ("date,a,a", "names variate 'a' in columns 2 and 3"),
+    ("date,a, b ,b", "names variate 'b' in columns 3 and 4"),
+    ("date,a,", "header column 3 has a blank variate name"),
+    ("date, ,a", "header column 2 has a blank variate name"),
+])
+def test_load_csv_rejects_duplicate_or_blank_names(tmp_path, header, message):
+    width = header.count(",")
+    path = write(tmp_path, header + "\n2020" + ",1" * width + "\n")
+    with pytest.raises(DataError, match=message):
+        load_csv(path)
+
+
+FINITE_TEXTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["1_000", "+.5", "1.", "-0", "1e-400", "\n4\n", "١٢"]),
+)
+CELL_TEXTS = st.one_of(
+    FINITE_TEXTS,
+    st.sampled_from(["", "nan", "-NaN", "inf", "-Infinity", "1e400", "-1e400", "abc", "_1",
+                     "0x10", "1,5", '3"', "1e", "--1"]),
+)
+BAD_TEXTS = st.sampled_from(["", "nan", "inf", "1e400", "x"])
+VARIATE_NAMES = ["a", "b", " c ", "OT", "x y", "p,q", 'say "hi"', "été"]
+
+
+def _csv_field(text, quote):
+    if quote or any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+@st.composite
+def csv_documents(draw):
+    """(text, date_column): random widths, padded and quoted cells,
+    blank lines, ragged rows and, unless every cell is finite text, maybe
+    a column with no usable value."""
+    date_column = draw(st.booleans())
+    width = draw(st.integers(1, 4))
+    clean = draw(st.booleans())
+    dead = None if clean else draw(st.none() | st.integers(0, width - 1))
+    pad = st.sampled_from(["", "", " ", "\t", "  "])
+    cell = st.builds(lambda a, t, b: a + t + b, pad, FINITE_TEXTS if clean else CELL_TEXTS, pad)
+    rows = []
+    if date_column:
+        names = draw(st.lists(st.sampled_from(VARIATE_NAMES), min_size=width, max_size=width,
+                              unique_by=str.strip))
+        rows.append(["date"] + names)
+    for i in range(draw(st.integers(0, 8))):
+        n = draw(st.integers(0, width + 1)) if draw(st.integers(0, 11)) == 0 else width
+        row = [draw(BAD_TEXTS if j == dead else cell) for j in range(n)]
+        rows.append([f"2020-01-{i + 1:02d}"] + row if date_column else row)
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = []
+    for row in rows:
+        lines.extend([""] * draw(st.integers(0, 1)))
+        lines.append(",".join(_csv_field(c, draw(st.integers(0, 4)) == 0) for c in row))
+    return eol.join(lines) + draw(st.sampled_from(["", eol])), date_column
+
+
+def _load_outcome(loader, path, strict, date_column):
+    try:
+        ds = loader(path, strict=strict, date_column=date_column)
+    except DataError as exc:
+        return "error", str(exc)
+    return "ok", ds.values.shape, ds.values.tobytes(), ds.names, ds.timestamps
+
+
+@given(csv_documents())
+@settings(max_examples=300, deadline=None)
+def test_load_csv_matches_cell_by_cell_reference(tmp_path_factory, document):
+    text, date_column = document
+    path = tmp_path_factory.mktemp("csv") / "doc.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    for strict in (True, False):
+        assert (_load_outcome(load_csv, path, strict, date_column)
+                == _load_outcome(reference_load_csv, path, strict, date_column))
 
 
 def test_load_etth1_shape_when_available():
