@@ -4,7 +4,8 @@ Both linear models map the lookback axis straight to the horizon with
 weights shared across channels.  One removes the window's final value
 before the projection and adds it back afterwards; the other splits the
 window into a moving-average trend and a residual and projects each part
-separately.
+separately.  Each forecaster maps a batch of windows [B, L, C] to
+[B, H, C].
 """
 from __future__ import annotations
 
@@ -19,14 +20,18 @@ from .rng import SplitMix64, derive
 from .tensor import Tensor
 
 
+def _batch(x, fn: str) -> Tensor:
+    x = x if isinstance(x, Tensor) else Tensor(x)
+    if x.ndim != 3:
+        raise ShapeError(f"{fn}: expected [B, L, C], got {x.shape}")
+    return x
+
+
 def naive_last(x, horizon: int) -> Tensor:
-    """Repeat the most recent observation for every horizon step."""
-    xd = np.asarray(getattr(x, "data", x), dtype=np.float64)
-    if xd.ndim == 2:
-        return Tensor(np.repeat(xd[-1:, :], horizon, axis=0))
-    if xd.ndim == 3:
-        return Tensor(np.repeat(xd[:, -1:, :], horizon, axis=1))
-    raise ShapeError(f"naive_last: expected [L, C] or [B, L, C], got {xd.shape}")
+    """[B, L, C] -> [B, H, C]: repeat each window's most recent observation
+    for every horizon step."""
+    x = _batch(x, "naive_last")
+    return Tensor(np.repeat(x.data[:, -1:, :], horizon, axis=1))
 
 
 @dataclass
@@ -45,7 +50,11 @@ class NLinearParams:
         return [("weight", self.weight), ("bias", self.bias)]
 
 
-def _nlinear_batch(xb: Tensor, params: NLinearParams) -> Tensor:
+def nlinear_forward(x, params: NLinearParams) -> Tensor:
+    """[B, L, C] -> [B, H, C] projection of the last-value-anchored window:
+    shifting every input by a constant shifts every output by the same
+    constant."""
+    xb = _batch(x, "nlinear_forward")
     length = params.weight.shape[0]
     if xb.shape[1] != length:
         raise ShapeError(f"nlinear: lookback axis {xb.shape[1]} != weight rows {length}")
@@ -53,18 +62,6 @@ def _nlinear_batch(xb: Tensor, params: NLinearParams) -> Tensor:
     centered = T.sub(xb, last)
     y = T.linear(T.transpose(centered, (0, 2, 1)), params.weight, params.bias)  # [B, C, H]
     return T.add(T.transpose(y, (0, 2, 1)), last)
-
-
-def nlinear_forward(x, params: NLinearParams) -> Tensor:
-    """Project the last-value-anchored window: shifting every input by a
-    constant shifts every output by the same constant."""
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    if x.ndim == 3:
-        return _nlinear_batch(x, params)
-    if x.ndim != 2:
-        raise ShapeError(f"nlinear_forward: expected [L, C], got {x.shape}")
-    out = _nlinear_batch(T.reshape(x, (1,) + x.shape), params)
-    return T.reshape(out, out.shape[1:])
 
 
 @dataclass
@@ -89,18 +86,14 @@ class DLinearParams:
 
 
 def moving_average_decompose(x, window: int) -> tuple[Tensor, Tensor]:
-    """Centered moving-average trend with edge replication, plus residual.
+    """Centered moving-average trend with edge replication, plus residual,
+    along the time axis of [B, L, C].
 
-    The two parts sum back to the input by construction.  Accepts [L, C]
-    or [B, L, C] along the time axis.
+    The two parts sum back to the input by construction.
     """
-    x = x if isinstance(x, Tensor) else Tensor(x)
+    xb = _batch(x, "moving_average_decompose")
     if window % 2 == 0:
         raise ArgumentError(f"moving_average_decompose: window must be odd, got {window}")
-    squeezed = x.ndim == 2
-    xb = T.reshape(x, (1,) + x.shape) if squeezed else x
-    if xb.ndim != 3:
-        raise ShapeError(f"moving_average_decompose: expected [L, C] or [B, L, C], got {x.shape}")
     b, length, c = xb.shape
     if not (3 <= window <= 2 * length - 1):
         raise ArgumentError(
@@ -111,14 +104,13 @@ def moving_average_decompose(x, window: int) -> tuple[Tensor, Tensor]:
     kernel = Tensor(np.full((1, 1, window), 1.0 / window))
     smooth = T.conv1d(padded, kernel, Tensor(np.zeros(1)), stride=1)
     trend = T.transpose(T.reshape(smooth, (b, c, length)), (0, 2, 1))
-    seasonal = T.sub(xb, trend)
-    if squeezed:
-        trend = T.reshape(trend, (length, c))
-        seasonal = T.reshape(seasonal, (length, c))
-    return trend, seasonal
+    return trend, T.sub(xb, trend)
 
 
-def _dlinear_batch(xb: Tensor, params: DLinearParams) -> Tensor:
+def dlinear_forward(x, params: DLinearParams) -> Tensor:
+    """[B, L, C] -> [B, H, C]: decompose, project trend and residual
+    separately, and sum."""
+    xb = _batch(x, "dlinear_forward")
     length = params.trend_weight.shape[0]
     if xb.shape[1] != length:
         raise ShapeError(f"dlinear: lookback axis {xb.shape[1]} != weight rows {length}")
@@ -126,14 +118,3 @@ def _dlinear_batch(xb: Tensor, params: DLinearParams) -> Tensor:
     yt = T.linear(T.transpose(trend, (0, 2, 1)), params.trend_weight, params.trend_bias)
     ys = T.linear(T.transpose(seasonal, (0, 2, 1)), params.seasonal_weight, params.seasonal_bias)
     return T.transpose(T.add(yt, ys), (0, 2, 1))
-
-
-def dlinear_forward(x, params: DLinearParams) -> Tensor:
-    """Decompose, project trend and residual separately, and sum."""
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    if x.ndim == 3:
-        return _dlinear_batch(x, params)
-    if x.ndim != 2:
-        raise ShapeError(f"dlinear_forward: expected [L, C], got {x.shape}")
-    out = _dlinear_batch(T.reshape(x, (1,) + x.shape), params)
-    return T.reshape(out, out.shape[1:])

@@ -9,6 +9,7 @@ Layout, all integers little-endian:
 
 Loading validates magic/version and every length before touching payload
 bytes, so a truncated file fails cleanly with the offending byte offset.
+A payload holding NaN or an infinity is rejected, naming the tensor.
 """
 from __future__ import annotations
 
@@ -96,7 +97,11 @@ def load_checkpoint(path) -> tuple[str, dict[str, np.ndarray]]:
         for d in dims:
             numel *= d
         payload = r.take(numel * 8, f"payload of '{name}'")
-        tensors[name] = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(dims)
+        arr = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(dims)
+        if not np.isfinite(arr).all():
+            raise FormatError(f"{path}: tensor '{name}' holds a non-finite value "
+                              f"in its payload ending at byte {r.off}")
+        tensors[name] = arr
     if r.off != len(blob):
         raise FormatError(f"{path}: {len(blob) - r.off} trailing bytes at byte {r.off}")
     return config_text, tensors

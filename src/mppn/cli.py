@@ -16,8 +16,8 @@ import numpy as np
 
 from . import synth as synthmod
 from . import training
+from .data import write_csv
 from .errors import ConfigError, DataError, DivergenceError
-from .model import write_gates_csv
 from .training import RunConfig
 
 
@@ -155,10 +155,8 @@ def _cmd_forecast(args) -> int:
     pred, names, origin = training.forecast(
         args.ckpt, data_path=args.data, origin=args.origin, standardized=args.standardized)
     out = args.out or "forecast.csv"
-    lines = ["step," + ",".join(names)]
-    for i, row in enumerate(pred):
-        lines.append(str(i) + "," + ",".join(repr(float(v)) for v in row))
-    Path(out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(out, ["step"] + list(names),
+              ([str(i)] + [repr(float(v)) for v in row] for i, row in enumerate(pred)))
     print(json.dumps({"origin": origin, "horizon": len(pred), "out": str(out)}))
     return 0
 
@@ -183,7 +181,8 @@ def _cmd_synth(args) -> int:
 def _cmd_gates(args) -> int:
     names, gates = training.export_gate_matrix(args.ckpt)
     out = args.out or "gates.csv"
-    write_gates_csv(out, names, gates)
+    write_csv(out, ["channel"] + [f"p{i}" for i in range(gates.shape[1])],
+              ([name] + [repr(float(v)) for v in row] for name, row in zip(names, gates)))
     print(json.dumps({"out": str(out), "channels": len(names), "patterns": int(gates.shape[1])}))
     return 0
 

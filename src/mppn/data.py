@@ -1,5 +1,5 @@
 """Dataset ingestion, chronological splits, standardization, windowing,
-and forecast metrics.
+forecast metrics, and the one CSV writer every output goes through.
 
 CSV layout: UTF-8, comma separated, header ``date,<name1>,...`` with one
 uniquely named variate per remaining column.  Headerless all-numeric
@@ -54,6 +54,30 @@ def _cell(text: str) -> float:
         return math.nan
 
 
+def variate_names(raw, where: str, error: type[Exception], first_column: int = 1) -> list[str]:
+    """Strip each name; raise ``error`` for a blank or repeated one, naming
+    its column (counted from ``first_column``)."""
+    names = [name.strip() for name in raw]
+    seen: dict[str, int] = {}
+    for col, name in enumerate(names, start=first_column):
+        if not name:
+            raise error(f"{where} column {col} has a blank variate name")
+        if name in seen:
+            raise error(f"{where} names variate '{name}' in columns {seen[name]} and {col}")
+        seen[name] = col
+    return names
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """Write a header and rows of text cells as comma-separated UTF-8 with
+    Unix line ends, quoting a cell only where ``load_csv`` needs it to read
+    the cell back (a comma, a quote or a line break inside it)."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def load_csv(path, strict: bool = True, date_column: bool = True) -> SeriesDataset:
     """Parse a benchmark CSV into a [T, C] float matrix.
 
@@ -80,15 +104,7 @@ def load_csv(path, strict: bool = True, date_column: bool = True) -> SeriesDatas
         header, body = rows[0], rows[1:]
         if len(header) < 2:
             raise DataError(f"{path}: header must name a date column and at least one variate")
-        names = [h.strip() for h in header[1:]]
-        seen: dict[str, int] = {}
-        for col, name in enumerate(names, start=2):
-            if not name:
-                raise DataError(f"{path}: header column {col} has a blank variate name")
-            if name in seen:
-                raise DataError(f"{path}: header names variate '{name}' in columns "
-                                f"{seen[name]} and {col}")
-            seen[name] = col
+        names = variate_names(header[1:], f"{path}: header", DataError, first_column=2)
         timestamps = [r[0] for r in body]
         cells = [r[1:] for r in body]
     else:

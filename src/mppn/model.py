@@ -15,9 +15,11 @@ is the gate's sigmoid.
 Patching and mining are both linear, so the forward pass folds each patch
 kernel into its mining kernels at run time and mines the raw window with
 one dilated convolution per pair.  That is the same map from the same
-parameters, so checkpoints are unchanged; patched units are materialised
-only by the inspection functions multi_resolution_patch and
-periodic_pattern_mine, which the tests use as the oracle of the fold.
+parameters, so checkpoints are unchanged.  Patched units are never
+materialised here; the test suite's plain-numpy reference_bank patches
+and mines stage by stage and is the oracle of the fold.
+
+Every entry point takes a batch of windows, [B, L, C].
 """
 from __future__ import annotations
 
@@ -147,72 +149,6 @@ class MPPNParams:
         return [t for _, t in self.named_parameters()]
 
 
-def _patch_batch(x3: Tensor, r: int, params: MPPNParams, config: MPPNConfig) -> Tensor:
-    """[N, 1, L] -> [N, D, ceil(L/r)] semantic units at resolution r.
-
-    Non-overlap mode left-pads by replicating the earliest value so the
-    most recent timestep always closes a patch; overlap mode strides by 1
-    on the raw series and keeps the trailing ceil(L/r) positions so the
-    mining geometry is unchanged.
-    """
-    length = config.lookback
-    w, b = params.patch[r]
-    keep = -(-length // r)  # ceil
-    if config.overlap:
-        raw = T.conv1d(x3, w, b, stride=1)
-        have = raw.shape[-1]
-        if have < keep:
-            raise ConfigError(f"patch: overlap output {have} shorter than {keep} at resolution {r}")
-        if have == keep:
-            return raw
-        return T.slice_axis(raw, 2, have - keep, have)
-    pad = (-length) % r
-    padded = T.pad_edge(x3, pad, 0) if pad else x3
-    return T.conv1d(padded, w, b, stride=r)
-
-
-def _mine_batch(xr: Tensor, period: int, r: int, params: MPPNParams, config: MPPNConfig) -> Tensor:
-    """[N, D, L_r] -> [N, D, period//r] phase aggregates for one pair.
-
-    Kernel size is the period count in the lookback, dilation is the patch
-    count per period, and only the trailing one-period window of positions
-    survives, so slot p holds the most recent aggregates of phase p.
-    """
-    kernel = config.lookback // period
-    dil = period // r
-    w, b = params.mine[(period, r)]
-    try:
-        raw = T.conv1d(xr, w, b, stride=1, dilation=dil)
-    except ShapeError as exc:
-        raise ConfigError(f"mine: (period={period}, resolution={r}) does not fit: {exc}") from exc
-    have = raw.shape[-1]
-    if have < dil:
-        raise ConfigError(
-            f"mine: (period={period}, resolution={r}) yields {have} positions, needs {dil}")
-    if have == dil:
-        return raw
-    return T.slice_axis(raw, 2, have - dil, have)
-
-
-def multi_resolution_patch(x: Tensor, r: int, params: MPPNParams, config: MPPNConfig) -> Tensor:
-    """Single-channel view: [L] -> [D, L_r]."""
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    if x.ndim != 1 or x.shape[0] != config.lookback:
-        raise ShapeError(f"multi_resolution_patch: expected [{config.lookback}], got {x.shape}")
-    out = _patch_batch(T.reshape(x, (1, 1, config.lookback)), r, params, config)
-    return T.reshape(out, out.shape[1:])
-
-
-def periodic_pattern_mine(xr: Tensor, period: int, r: int, params: MPPNParams,
-                          config: MPPNConfig) -> Tensor:
-    """Single-channel view: [D, L_r] -> [D, period // r]."""
-    xr = xr if isinstance(xr, Tensor) else Tensor(xr)
-    if xr.ndim != 2:
-        raise ShapeError(f"periodic_pattern_mine: expected [D, L_r], got {xr.shape}")
-    out = _mine_batch(T.reshape(xr, (1,) + xr.shape), period, r, params, config)
-    return T.reshape(out, out.shape[1:])
-
-
 def _fold_kernel(period: int, r: int, params: MPPNParams,
                  config: MPPNConfig) -> tuple[Tensor, Tensor]:
     """Compose patch kernel r with mining kernel (period, r) into one
@@ -233,12 +169,12 @@ def _fold_kernel(period: int, r: int, params: MPPNParams,
 
 def _unit_view(x3: Tensor, r: int, span: int, config: MPPNConfig) -> Tensor:
     """[N, 1, L] -> [N, r, span]: sample j of each of the last `span`
-    semantic units at resolution r, the units _patch_batch would build.
+    semantic units at resolution r, the units reference_bank patches.
 
     Non-overlap units are consecutive r-sample blocks ending at the most
     recent sample; overlap units start one sample apart and the last one
     starts at L - r.  A mining scan reads span = (L//p)*(p//r) units, and
-    span*r <= L, so the units it reads never reach _patch_batch's edge
+    span*r <= L, so the units it reads never reach reference_bank's edge
     padding.
     """
     n, _, length = x3.shape
@@ -256,8 +192,8 @@ def _assemble_batch(xb: Tensor, params: MPPNParams, config: MPPNConfig) -> Tenso
 
     Patching and mining are both linear, so each pair runs as one dilated
     convolution of the raw window with the patch kernel folded into the
-    mining kernel (_fold_kernel): the same map as _mine_batch over
-    _patch_batch, from the same parameters, with D*r*K taps per output
+    mining kernel (_fold_kernel): the same map as patching with kernel r
+    and then mining, from the same parameters, with D*r*K taps per output
     instead of D*D*K.  The mining scan keeps only its last period//r
     outputs, which read only the last K*(period//r) units, so the conv runs
     on exactly those (_unit_view, shared by pairs of equal geometry).
@@ -279,15 +215,6 @@ def _assemble_batch(xb: Tensor, params: MPPNParams, config: MPPNConfig) -> Tenso
     bank = T.concat(pieces, axis=2)  # [B*C, D, P]
     bank = T.transpose(bank, (0, 2, 1))
     return T.reshape(bank, (b, c, pattern_dim(config), config.hidden))
-
-
-def assemble_patterns(x: Tensor, params: MPPNParams, config: MPPNConfig) -> Tensor:
-    """[L, C] -> [C, P, D]; see _assemble_batch for the geometry."""
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    if x.ndim != 2:
-        raise ShapeError(f"assemble_patterns: expected [L, C], got {x.shape}")
-    out = _assemble_batch(T.reshape(x, (1,) + x.shape), params, config)
-    return T.reshape(out, out.shape[1:])
 
 
 def channel_adapt(bank: Tensor, embed: Tensor) -> Tensor:
@@ -316,40 +243,7 @@ def forward_batch(xb: Tensor, params: MPPNParams, config: MPPNConfig) -> Tensor:
     return T.transpose(y, (0, 2, 1))
 
 
-def forward(x: Tensor, params: MPPNParams, config: MPPNConfig) -> Tensor:
-    """[L, C] -> [H, C] forecast for a single window."""
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    if x.ndim != 2:
-        raise ShapeError(f"forward: expected [L, C], got {x.shape}")
-    out = forward_batch(T.reshape(x, (1,) + x.shape), params, config)
-    return T.reshape(out, out.shape[1:])
-
-
 def export_gates(params: MPPNParams) -> np.ndarray:
     """Sigmoid of the gate logits as a plain [C, P] matrix in (0, 1)."""
     with T.no_grad():
         return T.sigmoid(params.embed).data
-
-
-def write_gates_csv(path, channel_names: list[str], gates: np.ndarray) -> None:
-    """One row per channel, header ``channel,p0,p1,...``; floats use their
-    shortest round-trip representation."""
-    c, p = gates.shape
-    if len(channel_names) != c:
-        raise ShapeError(f"gates: {len(channel_names)} names for {c} channels")
-    lines = ["channel," + ",".join(f"p{i}" for i in range(p))]
-    for name, row in zip(channel_names, gates):
-        lines.append(name + "," + ",".join(repr(float(v)) for v in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_gates_csv(path) -> tuple[list[str], np.ndarray]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    names, rows = [], []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        names.append(cells[0])
-        rows.append([float(v) for v in cells[1:]])
-    return names, np.asarray(rows)

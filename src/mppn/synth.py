@@ -6,6 +6,7 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
+from . import data
 from .errors import ArgumentError
 from .rng import SplitMix64, derive
 
@@ -46,18 +47,17 @@ def generate(tones_per_channel: list[list[ToneSpec]], trend: float, noise_sd: fl
 
 
 def write_csv(path, values: np.ndarray, names: list[str] | None = None) -> None:
-    """Standard benchmark layout with hourly timestamps; byte-deterministic."""
+    """Standard benchmark layout with hourly timestamps; byte-deterministic.
+    Names follow load_csv's rule: stripped, non-blank and unique."""
     timesteps, c = values.shape
     if names is None:
         names = [f"v{i}" for i in range(c)]
     elif len(names) != c:
         raise ArgumentError(f"synth: {len(names)} names for {c} channels")
-    lines = ["date," + ",".join(names)]
-    for i in range(timesteps):
-        stamp = (_EPOCH + timedelta(hours=i)).strftime("%Y-%m-%d %H:%M:%S")
-        lines.append(stamp + "," + ",".join(repr(float(v)) for v in values[i]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    names = data.variate_names(names, "synth: names", ArgumentError)
+    rows = ([(_EPOCH + timedelta(hours=i)).strftime("%Y-%m-%d %H:%M:%S")]
+            + [repr(float(v)) for v in values[i]] for i in range(timesteps))
+    data.write_csv(path, ["date"] + names, rows)
 
 
 def parse_tone_spec(raw) -> list[list[ToneSpec]]:

@@ -156,52 +156,35 @@ def backward(loss: Tensor) -> None:
 # elementwise / broadcasting arithmetic
 
 def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = _broadcast_op("add", a, b, a.data + b.data)
-    return out
+    return _broadcast_op("add", a, b, np.add, lambda g: g, lambda g: g)
 
 
 def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-
-    def bw(g):
-        ga = _unbroadcast(g, a.shape) if a.requires_grad else None
-        gb = -_unbroadcast(g, b.shape) if b.requires_grad else None
-        return ga, gb
-
-    _check_broadcast("sub", a, b)
-    return _record("sub", (a, b), a.data - b.data, bw)
+    return _broadcast_op("sub", a, b, np.subtract, lambda g: g, lambda g: -g)
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    _check_broadcast("mul", a, b)
     ad, bd = a.data, b.data
-
-    def bw(g):
-        ga = _unbroadcast(g * bd, a.shape) if a.requires_grad else None
-        gb = _unbroadcast(g * ad, b.shape) if b.requires_grad else None
-        return ga, gb
-
-    return _record("mul", (a, b), ad * bd, bw)
+    return _broadcast_op("mul", a, b, np.multiply, lambda g: g * bd, lambda g: g * ad)
 
 
-def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
+def _broadcast_op(op: str, a, b, fn: Callable, grad_a: Callable, grad_b: Callable) -> Tensor:
+    """Elementwise ``fn(a, b)`` under numpy broadcasting.  ``grad_a`` and
+    ``grad_b`` map the upstream gradient to each operand's gradient at the
+    output's shape; backward then sums it over the broadcast axes."""
+    a, b = _as_tensor(a), _as_tensor(b)
     try:
         np.broadcast_shapes(a.shape, b.shape)
     except ValueError as exc:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from exc
 
-
-def _broadcast_op(op: str, a: Tensor, b: Tensor, out_data: np.ndarray) -> Tensor:
-    _check_broadcast(op, a, b)
-
     def bw(g):
-        ga = _unbroadcast(g, a.shape) if a.requires_grad else None
-        gb = _unbroadcast(g, b.shape) if b.requires_grad else None
+        ga = _unbroadcast(grad_a(g), a.shape) if a.requires_grad else None
+        gb = _unbroadcast(grad_b(g), b.shape) if b.requires_grad else None
         return ga, gb
 
-    return _record(op, (a, b), out_data, bw)
+    return _record(op, (a, b), fn(a.data, b.data), bw)
 
 
 def broadcast_mul(a: Tensor, gate: Tensor) -> Tensor:
@@ -383,8 +366,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, dilation: int = 1) -> Tensor:
     """Strided, dilated cross-correlation with no implicit padding.
 
-    Accepts ``[Cin, L]`` or batched ``[N, Cin, L]`` input and returns
-    ``[Cout, Lout]`` or ``[N, Cout, Lout]`` with
+    Maps ``[N, Cin, L]`` to ``[N, Cout, Lout]`` with
     ``Lout = (L - (K-1)*dilation - 1)//stride + 1``.
     """
     x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
@@ -395,14 +377,9 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, dilation: i
     c_out, c_in, k = weight.shape
     if bias.shape != (c_out,):
         raise ShapeError(f"conv1d: bias shape {bias.shape} != ({c_out},)")
-    if x.ndim == 2:
-        batched = False
-        xd = x.data[None]
-    elif x.ndim == 3:
-        batched = True
-        xd = x.data
-    else:
-        raise ShapeError(f"conv1d: input must be [Cin, L] or [N, Cin, L], got {x.shape}")
+    if x.ndim != 3:
+        raise ShapeError(f"conv1d: input must be [N, Cin, L], got {x.shape}")
+    xd = x.data
     n, cin_x, l_in = xd.shape
     if cin_x != c_in:
         raise ShapeError(f"conv1d: input channel axis {cin_x} != weight channel axis {c_in}")
@@ -414,67 +391,36 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, dilation: i
     l_out = (l_in - span) // stride + 1
     w2 = weight.data.reshape(c_out, c_in * k)
 
-    # Two exact-tiling layouts avoid any im2col copy: a dilated kernel whose
-    # taps cover the input once (mining geometry), and a kernel marching at
-    # its own width (patch geometry).  Both make the gather a pure reshape
-    # and the input gradient a reshape of the upstream matmul.
-    if stride == 1 and l_in == k * dilation:
+    # A dilated kernel whose taps cover the input exactly once (the mining
+    # geometry) needs no im2col copy: the gather is a pure reshape and the
+    # input gradient a reshape of the upstream matmul.  Any other geometry
+    # gathers its columns by index.
+    exact = stride == 1 and l_in == k * dilation
+    if exact:
         cols = xd.reshape(n, c_in * k, l_out)
-        out = np.matmul(w2, cols) + bias.data[:, None]
-
-        def bw(g):
-            g3 = g if batched else g[None]
-            gw = gb = gx = None
-            if weight.requires_grad:
-                gw = np.tensordot(g3, cols, axes=([0, 2], [0, 2])).reshape(c_out, c_in, k)
-            if bias.requires_grad:
-                gb = g3.sum(axis=(0, 2))
-            if x.requires_grad:
-                gx3 = np.matmul(w2.T, g3).reshape(n, c_in, l_in)
-                gx = gx3 if batched else gx3[0]
-            return gx, gw, gb
-
-    elif dilation == 1 and stride == k and l_in == k * l_out:
-        cols = xd.reshape(n, c_in, l_out, k)
-        out = np.tensordot(cols, weight.data, axes=([1, 3], [1, 2]))  # [N, Lout, Cout]
-        out = np.ascontiguousarray(out.transpose(0, 2, 1)) + bias.data[:, None]
-
-        def bw(g):
-            g3 = g if batched else g[None]
-            gw = gb = gx = None
-            if weight.requires_grad:
-                gw = np.tensordot(g3, cols, axes=([0, 2], [0, 2]))  # [Cout, Cin, K]
-            if bias.requires_grad:
-                gb = g3.sum(axis=(0, 2))
-            if x.requires_grad:
-                dcols = np.matmul(w2.T, g3).reshape(n, c_in, k, l_out)
-                gx3 = np.ascontiguousarray(dcols.transpose(0, 1, 3, 2)).reshape(n, c_in, l_in)
-                gx = gx3 if batched else gx3[0]
-            return gx, gw, gb
-
     else:
         gather = (np.arange(l_out) * stride)[None, :] + (np.arange(k) * dilation)[:, None]
         cols = xd[:, :, gather].reshape(n, c_in * k, l_out)
-        out = np.matmul(w2, cols) + bias.data[:, None]
+    out = np.matmul(w2, cols) + bias.data[:, None]
 
-        def bw(g):
-            g3 = g if batched else g[None]
-            gw = gb = gx = None
-            if weight.requires_grad:
-                gw = np.tensordot(g3, cols, axes=([0, 2], [0, 2])).reshape(c_out, c_in, k)
-            if bias.requires_grad:
-                gb = g3.sum(axis=(0, 2))
-            if x.requires_grad:
-                dcols = np.matmul(w2.T, g3).reshape(n, c_in, k, l_out)
-                gx3 = np.zeros((n, c_in, l_in))
+    def bw(g):
+        gw = gb = gx = None
+        if weight.requires_grad:
+            gw = np.tensordot(g, cols, axes=([0, 2], [0, 2])).reshape(c_out, c_in, k)
+        if bias.requires_grad:
+            gb = g.sum(axis=(0, 2))
+        if x.requires_grad:
+            dcols = np.matmul(w2.T, g)
+            if exact:
+                gx = dcols.reshape(n, c_in, l_in)
+            else:
+                dcols = dcols.reshape(n, c_in, k, l_out)
+                gx = np.zeros((n, c_in, l_in))
                 for j in range(k):
                     off = j * dilation
-                    gx3[:, :, off:off + stride * (l_out - 1) + 1:stride] += dcols[:, :, j, :]
-                gx = gx3 if batched else gx3[0]
-            return gx, gw, gb
+                    gx[:, :, off:off + stride * (l_out - 1) + 1:stride] += dcols[:, :, j, :]
+        return gx, gw, gb
 
-    if not batched:
-        out = out[0]
     return _record("conv1d", (x, weight, bias), out, bw)
 
 

@@ -463,7 +463,10 @@ def train(run: RunConfig, out_path) -> TrainResult:
 
 def _restore_checkpoint(ckpt_path):
     config_text, tensors = load_checkpoint(ckpt_path)
-    run, extras = RunConfig.from_text(config_text)
+    try:
+        run, extras = RunConfig.from_text(config_text)
+    except (ConfigError, json.JSONDecodeError) as exc:
+        raise FormatError(f"checkpoint: config text does not parse: {exc}") from None
     return run, extras, restore_forecaster(run, extras, tensors)
 
 

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own code paths: finite differences
 for gradients, cubic-time substring search for match lengths, quadratic
-direct summation for the DFT, a cell-by-cell CSV loader.
+direct summation for the DFT, a cell-by-cell CSV loader, and MPPN's
+pattern bank built stage by stage (patch, then mine) with explicit loops.
 """
 import csv
 
@@ -143,3 +144,59 @@ def reference_load_csv(path, strict=True, date_column=True):
                 col[:first] = col[first]
 
     return SeriesDataset(names, values, timestamps)
+
+
+def reference_units(x, r, params, config):
+    """[L] -> [D, ceil(L/r)] semantic units of one channel at resolution r.
+
+    Non-overlap units are r-sample blocks of the series left-padded with
+    copies of its first value, so the last block ends at the most recent
+    sample.  Overlap units start at every sample (stride 1, no padding)
+    and the trailing ceil(L/r) of them are kept.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    length = config.lookback
+    w = params.patch[r][0].data[:, 0, :]  # [D, r]
+    b = params.patch[r][1].data
+    keep = -(-length // r)
+    if config.overlap:
+        starts = range(length - r + 1 - keep, length - r + 1)
+        series = x
+    else:
+        pad = keep * r - length
+        series = np.concatenate([np.full(pad, x[0]), x])
+        starts = range(0, keep * r, r)
+    units = np.empty((w.shape[0], keep))
+    for u, start in enumerate(starts):
+        for d in range(w.shape[0]):
+            units[d, u] = b[d] + sum(w[d, j] * series[start + j] for j in range(r))
+    return units
+
+
+def reference_mine(units, period, r, params, config):
+    """[D, n] -> [D, period//r]: a dilated scan of the units (kernel
+    L//period taps, dilation period//r) of which the trailing period//r
+    positions are kept."""
+    w, b = (t.data for t in params.mine[(period, r)])  # [D, D, K], [D]
+    taps, dil = config.lookback // period, period // r
+    n = units.shape[1]
+    scan = n - (taps - 1) * dil
+    out = np.empty((w.shape[0], dil))
+    for slot, t in enumerate(range(scan - dil, scan)):
+        for o in range(w.shape[0]):
+            out[o, slot] = b[o] + sum(w[o, i, k] * units[i, t + k * dil]
+                                      for i in range(w.shape[1]) for k in range(taps))
+    return out
+
+
+def reference_bank(x, params, config):
+    """[L, C] -> [C, P, D]: MPPN's pattern bank of one window, each channel
+    patched at every used resolution and mined for every retained
+    (period, resolution) pair, slots concatenated in pair order."""
+    x = np.asarray(x, dtype=np.float64)
+    bank = []
+    for c in range(x.shape[1]):
+        units = {r: reference_units(x[:, c], r, params, config) for r in config.used_resolutions}
+        pieces = [reference_mine(units[r], p, r, params, config) for p, r in config.retained_pairs]
+        bank.append(np.concatenate(pieces, axis=1).T)
+    return np.stack(bank)

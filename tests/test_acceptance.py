@@ -18,7 +18,7 @@ from helpers import brute_match_lengths, check_grads
 from mppn import tensor as T
 from mppn.data import Standardizer, chronological_split, load_csv
 from mppn.errors import ConfigError
-from mppn.model import MPPNConfig, MPPNParams, export_gates, forward, pattern_dim
+from mppn.model import MPPNConfig, MPPNParams, export_gates, forward_batch, pattern_dim
 from mppn.periods import detect_periods
 from mppn.predictability import (DiscreteSeries, dataset_predictability, fano_upper_bound,
                                  lz_entropy_rate, lz_entropy_rate_corrected, lz_match_lengths)
@@ -133,11 +133,11 @@ def _op_cases(rng):
     def mk(shape, grad=True):
         return Tensor(rng.standard_normal(shape), requires_grad=grad)
 
-    x = mk((2, 14))
+    x = mk((1, 2, 14))
     w = mk((3, 2, 3))
     b = mk((3,))
     yield "conv1d", [x, w, b], lambda: T.mse_loss(
-        T.conv1d(x, w, b, stride=2, dilation=2), Tensor(np.zeros((3, 5))))
+        T.conv1d(x, w, b, stride=2, dilation=2), Tensor(np.zeros((1, 3, 5))))
 
     xl = mk((4, 6))
     wl = mk((6, 3))
@@ -197,9 +197,9 @@ def test_a4_gradient_suite():
     config = MPPNConfig(lookback=24, horizon=4, channels=2, hidden=3,
                         resolutions=(1, 2), periods=(6,))
     params = MPPNParams.init(config)
-    x = Tensor(rng.standard_normal((24, 2)))
-    target = Tensor(rng.standard_normal((4, 2)))
-    err = check_grads(lambda: T.mse_loss(forward(x, params, config), target),
+    x = Tensor(rng.standard_normal((1, 24, 2)))
+    target = Tensor(rng.standard_normal((1, 4, 2)))
+    err = check_grads(lambda: T.mse_loss(forward_batch(x, params, config), target),
                       [t for _, t in params.named_parameters()], tol=1e-4)
     elapsed = time.perf_counter() - start
     report("A4", "PASS",
@@ -302,9 +302,9 @@ def test_a7_shape_and_structure():
                        if config.lookback // p >= 1 and p // r >= 1)
         assert pattern_dim(config) == expected, config
         params = MPPNParams.init(config)
-        out = forward(Tensor(rng.standard_normal((config.lookback, config.channels))),
-                      params, config)
-        assert out.shape == (config.horizon, config.channels), config
+        out = forward_batch(Tensor(rng.standard_normal((1, config.lookback, config.channels))),
+                            params, config)
+        assert out.shape == (1, config.horizon, config.channels), config
 
     # bit-exact channel-permutation equivariance with permuted gate rows
     config = MPPNConfig(lookback=24, horizon=5, channels=4, hidden=4,
@@ -317,8 +317,8 @@ def test_a7_shape_and_structure():
     for (_, a), (_, b) in zip(permuted.named_parameters(), params.named_parameters()):
         a.data = b.data.copy()
     permuted.embed.data = params.embed.data[perm]
-    assert np.array_equal(forward(Tensor(x[:, perm]), permuted, config).data,
-                          forward(Tensor(x), params, config).data[:, perm])
+    assert np.array_equal(forward_batch(Tensor(x[None][:, :, perm]), permuted, config).data,
+                          forward_batch(Tensor(x[None]), params, config).data[:, :, perm])
 
     # zero gate logits scale the bank by exactly one half
     params.embed.data[:] = 0.0

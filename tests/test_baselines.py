@@ -8,7 +8,7 @@ from helpers import check_grads
 from mppn import tensor as T
 from mppn.baselines import (DLinearParams, NLinearParams, dlinear_forward,
                             moving_average_decompose, naive_last, nlinear_forward)
-from mppn.errors import ArgumentError
+from mppn.errors import ArgumentError, ShapeError
 from mppn.tensor import Tensor
 
 
@@ -17,14 +17,14 @@ from mppn.tensor import Tensor
 
 def test_naive_repeats_last_row():
     x = np.array([[0.0, 9.0], [1.0, 2.0]])
-    out = naive_last(Tensor(x), 3)
-    np.testing.assert_array_equal(out.data, [[1.0, 2.0]] * 3)
+    out = naive_last(Tensor(x[None]), 3)
+    np.testing.assert_array_equal(out.data, [[[1.0, 2.0]] * 3])
 
 
 def test_naive_perfect_on_constant_target():
     x = np.array([[5.0], [5.0], [5.0]])
-    out = naive_last(Tensor(x), 4)
-    target = np.full((4, 1), 5.0)
+    out = naive_last(Tensor(x[None]), 4)
+    target = np.full((1, 4, 1), 5.0)
     assert float(np.mean((out.data - target) ** 2)) == 0.0
 
 
@@ -38,7 +38,7 @@ def test_naive_tone_mse_matches_closed_form():
     origins = np.arange(lookback, lookback + period)
     sq = []
     for t0 in origins:
-        pred = naive_last(Tensor(x[t0 - lookback:t0, None]), horizon).data
+        pred = naive_last(Tensor(x[None, t0 - lookback:t0, None]), horizon).data[0]
         target = x[t0:t0 + horizon, None]
         sq.append(np.mean((pred - target) ** 2))
     direct = float(np.mean(sq))
@@ -52,38 +52,38 @@ def test_naive_tone_mse_matches_closed_form():
 # moving-average decomposition
 
 def test_decompose_constant_series():
-    x = np.full((20, 2), 3.0)
+    x = np.full((1, 20, 2), 3.0)
     trend, seasonal = moving_average_decompose(Tensor(x), 5)
     assert np.max(np.abs(trend.data - x)) <= 1e-12
     assert np.max(np.abs(seasonal.data)) <= 1e-12
 
 
 def test_decompose_linear_ramp_interior():
-    x = np.arange(30.0)[:, None]
+    x = np.arange(30.0)[None, :, None]
     trend, _ = moving_average_decompose(Tensor(x), 7)
     inner = slice(3, 27)
-    assert np.max(np.abs(trend.data[inner] - x[inner])) <= 1e-9
+    assert np.max(np.abs(trend.data[:, inner] - x[:, inner])) <= 1e-9
 
 
 def test_decompose_reconstructs_input():
     rng = np.random.default_rng(0)
-    x = rng.standard_normal((40, 3))
+    x = rng.standard_normal((1, 40, 3))
     trend, seasonal = moving_average_decompose(Tensor(x), 25)
     assert np.max(np.abs(trend.data + seasonal.data - x)) <= 1e-12
 
 
 def test_decompose_rejects_even_window():
     with pytest.raises(ArgumentError):
-        moving_average_decompose(Tensor(np.zeros((10, 1))), 4)
+        moving_average_decompose(Tensor(np.zeros((1, 10, 1))), 4)
     with pytest.raises(ArgumentError):
-        moving_average_decompose(Tensor(np.zeros((10, 1))), 21)  # > 2L-1
+        moving_average_decompose(Tensor(np.zeros((1, 10, 1))), 21)  # > 2L-1
 
 
 # ---------------------------------------------------------------------------
 # nlinear
 
 def test_nlinear_zero_weights_reduce_to_naive():
-    x = np.random.default_rng(1).standard_normal((8, 3))
+    x = np.random.default_rng(1).standard_normal((1, 8, 3))
     params = NLinearParams(Tensor(np.zeros((8, 5))), Tensor(np.zeros(5)))
     out = nlinear_forward(Tensor(x), params)
     np.testing.assert_array_equal(out.data, naive_last(Tensor(x), 5).data)
@@ -95,7 +95,7 @@ def test_nlinear_shift_equivariance_bitexact(pattern, shift_eighths):
     # with dyadic inputs, shift, and weights every operation is exact, so the
     # structural identity forward(x + c) == forward(x) + c holds bit for bit
     rng = np.random.default_rng(pattern)
-    x = rng.integers(-32, 33, size=(6, 2)).astype(np.float64) / 8.0
+    x = rng.integers(-32, 33, size=(1, 6, 2)).astype(np.float64) / 8.0
     c = shift_eighths / 8.0
     params = NLinearParams(Tensor(rng.integers(-32, 33, size=(6, 4)) / 64.0),
                            Tensor(rng.integers(-32, 33, size=4) / 64.0))
@@ -106,7 +106,7 @@ def test_nlinear_shift_equivariance_bitexact(pattern, shift_eighths):
 
 def test_nlinear_shift_equivariance_arbitrary_weights_to_rounding():
     rng = np.random.default_rng(17)
-    x = rng.standard_normal((12, 3))
+    x = rng.standard_normal((1, 12, 3))
     params = NLinearParams.init(12, 5, seed=17)
     for c in (0.5, -3.25, 100.0):
         base = nlinear_forward(Tensor(x), params).data
@@ -132,8 +132,8 @@ def test_nlinear_gradients():
 def test_dlinear_zero_weights_give_zero():
     params = DLinearParams(Tensor(np.zeros((6, 4))), Tensor(np.zeros(4)),
                            Tensor(np.zeros((6, 4))), Tensor(np.zeros(4)), window=3)
-    out = dlinear_forward(Tensor(np.random.default_rng(3).standard_normal((6, 2))), params)
-    np.testing.assert_array_equal(out.data, np.zeros((4, 2)))
+    out = dlinear_forward(Tensor(np.random.default_rng(3).standard_normal((1, 6, 2))), params)
+    np.testing.assert_array_equal(out.data, np.zeros((1, 4, 2)))
 
 
 def test_dlinear_uniform_trend_weights_pass_constant_through():
@@ -143,7 +143,7 @@ def test_dlinear_uniform_trend_weights_pass_constant_through():
                            Tensor(np.zeros((lookback, horizon))), Tensor(np.zeros(horizon)),
                            window=3)
     const = 2.75
-    out = dlinear_forward(Tensor(np.full((lookback, 3), const)), params)
+    out = dlinear_forward(Tensor(np.full((1, lookback, 3), const)), params)
     assert np.max(np.abs(out.data - const)) <= 1e-12
 
 
@@ -165,4 +165,17 @@ def test_dlinear_batch_matches_single():
     xb = rng.standard_normal((3, 10, 2))
     batched = dlinear_forward(Tensor(xb), params).data
     for i in range(3):
-        np.testing.assert_array_equal(batched[i], dlinear_forward(Tensor(xb[i]), params).data)
+        single = dlinear_forward(Tensor(xb[i:i + 1]), params).data
+        np.testing.assert_array_equal(batched[i], single[0])
+
+
+@pytest.mark.parametrize("shape", [(10, 2), (10,), (1, 1, 10, 2)])
+@pytest.mark.parametrize("forecast", [
+    lambda x: naive_last(x, 3),
+    lambda x: nlinear_forward(x, NLinearParams.init(10, 3)),
+    lambda x: dlinear_forward(x, DLinearParams.init(10, 3, window=5)),
+    lambda x: moving_average_decompose(x, 5),
+], ids=["naive_last", "nlinear_forward", "dlinear_forward", "moving_average_decompose"])
+def test_baselines_reject_input_rank_other_than_three(forecast, shape):
+    with pytest.raises(ShapeError, match=r"\[B, L, C\]"):
+        forecast(Tensor(np.zeros(shape)))

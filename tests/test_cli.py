@@ -1,11 +1,11 @@
 """Command-line surface: subcommands, JSON reports, exit codes."""
+import csv
 import json
 
 import numpy as np
 import pytest
 
 from mppn.cli import main
-from mppn.model import read_gates_csv
 
 
 def run_cli(capsys, *argv):
@@ -89,8 +89,11 @@ def test_train_eval_forecast_gates_pipeline(tone_csv, tmp_path, capsys):
     gates = tmp_path / "gates.csv"
     code, out, _ = run_cli(capsys, "gates", "--ckpt", str(ckpt), "--out", str(gates))
     assert code == 0
-    names, matrix = read_gates_csv(gates)
-    assert names == ["v0", "v1"]
+    with open(gates, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    matrix = np.array([r[1:] for r in rows[1:]], dtype=float)
+    assert rows[0] == ["channel"] + [f"p{i}" for i in range(matrix.shape[1])]
+    assert [r[0] for r in rows[1:]] == ["v0", "v1"]
     assert np.all((matrix > 0) & (matrix < 1))
 
 
@@ -162,6 +165,25 @@ def test_checkpoint_without_channels_is_data_error(tone_csv, tmp_path, capsys):
     assert "channels" in err
 
 
+def _mppn_checkpoint(tone_csv, path, extras=None, config_text=None, poison=None):
+    """A freshly initialised 2-channel MPPN checkpoint.  ``extras`` replaces
+    its resolved facts, ``config_text`` its whole config, and ``poison`` is
+    written into one mining weight."""
+    from mppn.checkpoint import save_checkpoint
+    from mppn.training import RunConfig, build_forecaster, config_blob
+    run = RunConfig(model="mppn", data=str(tone_csv), lookback=48, horizon=12, hidden=4,
+                    resolutions=(1, 3), periods=(24,))
+    fc = build_forecaster(run, channels=2, resolved_periods=(24,))
+    tensors = [(n, t.data.copy()) for n, t in fc.named_parameters()]
+    if poison is not None:
+        dict(tensors)["mine.24.3.weight"][1, 2, 0] = poison
+    if extras is None:
+        extras = {"channels": 2, "channel_names": ["v0", "v1"], "resolved_periods": [24]}
+    save_checkpoint(path, config_blob(run, extras) if config_text is None else config_text,
+                    tensors)
+    return path
+
+
 @pytest.mark.parametrize("extras", [
     {"resolved_periods": [24]},  # no channel_names
     {"channel_names": ["v0"], "resolved_periods": [24]},
@@ -176,17 +198,73 @@ def test_checkpoint_without_channels_is_data_error(tone_csv, tmp_path, capsys):
         "periods-string", "periods-empty", "periods-below-two", "periods-float"])
 @pytest.mark.parametrize("command", ["eval", "forecast", "gates", "kernel"])
 def test_malformed_checkpoint_extras_are_data_errors(tone_csv, tmp_path, capsys, extras, command):
-    from mppn.checkpoint import save_checkpoint
-    from mppn.training import RunConfig, build_forecaster, config_blob
-    run = RunConfig(model="mppn", data=str(tone_csv), lookback=48, horizon=12, hidden=4,
-                    resolutions=(1, 3), periods=(24,))
-    fc = build_forecaster(run, channels=2, resolved_periods=(24,))
-    ckpt = tmp_path / "m.ckpt"
-    save_checkpoint(ckpt, config_blob(run, {"channels": 2, **extras}),
-                    [(n, t.data) for n, t in fc.named_parameters()])
+    ckpt = _mppn_checkpoint(tone_csv, tmp_path / "m.ckpt", extras={"channels": 2, **extras})
     code, _, err = run_cli(capsys, command, "--ckpt", str(ckpt), "--out", str(tmp_path / "out"))
     assert code == 3
     assert "data error: checkpoint" in err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["eval", "forecast", "gates", "kernel"])
+def test_non_finite_checkpoint_tensor_is_data_error(tone_csv, tmp_path, capsys, value, command):
+    ckpt = _mppn_checkpoint(tone_csv, tmp_path / "m.ckpt", poison=value)
+    out_path = tmp_path / "out"
+    code, out, err = run_cli(capsys, command, "--ckpt", str(ckpt), "--out", str(out_path))
+    assert code == 3 and out == "" and not out_path.exists()
+    assert err.startswith(f"data error: {ckpt}: tensor 'mine.24.3.weight' holds a non-finite")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("config_text", ["{not json", "model=mppn\nlookback"],
+                         ids=["json", "key-value"])
+@pytest.mark.parametrize("command", ["eval", "forecast", "gates", "kernel"])
+def test_unparseable_checkpoint_config_is_data_error(tone_csv, tmp_path, capsys, config_text,
+                                                     command):
+    ckpt = _mppn_checkpoint(tone_csv, tmp_path / "m.ckpt", config_text=config_text)
+    code, out, err = run_cli(capsys, command, "--ckpt", str(ckpt), "--out", str(tmp_path / "o"))
+    assert code == 3 and out == ""
+    assert err.startswith("data error: checkpoint: config text does not parse")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("names", ["a,a", " ,b"], ids=["duplicate", "blank"])
+def test_synth_names_follow_the_loader_rule(tmp_path, capsys, names):
+    out_path = tmp_path / "s.csv"
+    code, out, err = run_cli(capsys, "synth", "--out", str(out_path), "--names", names,
+                             "--spec", '[[{"amplitude":1,"period":24}],[{"amplitude":1,"period":12}]]')
+    assert code == 2 and out == "" and not out_path.exists()
+    assert err.startswith("configuration error: synth: names ") and "Traceback" not in err
+
+
+def test_quoted_variate_name_survives_forecast_and_gates(tmp_path, capsys):
+    from mppn import synth
+    from mppn.data import load_csv
+    data = tmp_path / "quoted.csv"
+    synth.write_csv(data, synth.generate([[synth.ToneSpec(1.0, 24.0)]] * 2, 0.0, 0.1, 480, 3),
+                    ["a,b", "c"])
+    assert data.read_text(encoding="utf-8").startswith('date,"a,b",c\n')
+    ckpt = tmp_path / "m.ckpt"
+    code, _, _ = run_cli(capsys, "train", "--data", str(data), "--out", str(ckpt),
+                         "--model", "mppn", "--lookback", "48", "--horizon", "12", "--hidden", "4",
+                         "--resolutions", "1,3", "--periods", "24", "--max-epochs", "1")
+    assert code == 0
+    pred, gates = tmp_path / "pred.csv", tmp_path / "gates.csv"
+    assert run_cli(capsys, "forecast", "--ckpt", str(ckpt), "--out", str(pred))[0] == 0
+    assert run_cli(capsys, "gates", "--ckpt", str(ckpt), "--out", str(gates))[0] == 0
+
+    with open(pred, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["step", "a,b", "c"] and all(len(r) == 3 for r in rows)
+    loaded = load_csv(pred)
+    assert loaded.names == ["a,b", "c"] and loaded.values.shape == (12, 2)
+
+    with open(gates, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert [r[0] for r in rows[1:]] == ["a,b", "c"]
+    assert len({len(r) for r in rows}) == 1
+    loaded = load_csv(gates)
+    assert loaded.timestamps == ["a,b", "c"] and loaded.values.shape == (2, len(rows[0]) - 1)
 
 
 @pytest.mark.parametrize("batch_size", ["0", "-1"])

@@ -146,6 +146,19 @@ def test_synth_same_seed_same_bytes(tmp_path):
     assert a.read_bytes() != c.read_bytes()
 
 
+def test_synth_csv_bytes_match_plain_layout(tmp_path):
+    # plain names and float cells need no quoting, so each line is exactly
+    # its cells joined by commas
+    values = generate([[ToneSpec(1.0, 24.0)], [ToneSpec(0.5, 7.0, 1.0)]], 0.1, 0.3, 50, seed=2)
+    values[3, 1] = -0.0
+    path = tmp_path / "s.csv"
+    write_csv(path, values, ["HUFL", "OT"])
+    lines = ["date,HUFL,OT"] + [
+        f"2016-07-{1 + i // 24:02d} {i % 24:02d}:00:00," + ",".join(repr(float(v)) for v in row)
+        for i, row in enumerate(values)]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
 def test_synth_variance_moment_oracle():
     tones = [[ToneSpec(2.0, 24.0), ToneSpec(1.0, 7.0)]]
     values = generate(tones, trend=0.0, noise_sd=0.5, timesteps=10000, seed=9)

@@ -2,13 +2,14 @@
 import numpy as np
 import pytest
 
-from helpers import check_grads
+import csv
+
+from helpers import check_grads, reference_bank, reference_mine, reference_units
 from mppn import tensor as T
+from mppn.data import load_csv, write_csv
 from mppn.errors import ConfigError, ShapeError
-from mppn.model import (MPPNConfig, MPPNParams, _assemble_batch, assemble_patterns,
-                        channel_adapt, export_gates, forward, forward_batch,
-                        multi_resolution_patch, pattern_dim, periodic_pattern_mine,
-                        read_gates_csv, write_gates_csv)
+from mppn.model import (MPPNConfig, MPPNParams, _assemble_batch, channel_adapt, export_gates,
+                        forward_batch, pattern_dim)
 from mppn.tensor import Tensor
 
 TINY = dict(lookback=24, horizon=4, channels=2, hidden=3, resolutions=(1, 2), periods=(6,))
@@ -62,42 +63,46 @@ def test_config_drops_only_invalid_pairs():
 
 
 # ---------------------------------------------------------------------------
-# patching
+# patching: the reference's patch stage, which the library folds away, is
+# checked on the reference itself; what reaches the bank is checked there
 
 def test_patch_lengths():
     c = cfg(lookback=336, horizon=96, channels=7, hidden=48,
             resolutions=(1, 3, 4, 6), periods=(24,))
     params = MPPNParams.init(c)
-    x = Tensor(np.arange(336.0))
-    assert multi_resolution_patch(x, 4, params, c).shape == (48, 84)
-    assert multi_resolution_patch(x, 1, params, c).shape == (48, 336)
+    x = np.arange(336.0)
+    assert reference_units(x, 4, params, c).shape == (48, 84)
+    assert reference_units(x, 1, params, c).shape == (48, 336)
 
 
 def test_patch_resolution_one_is_padding_free():
     c = cfg(resolutions=(1,), periods=(6,))
     params = MPPNParams.init(c)
     x = np.linspace(-1, 1, 24)
-    out = multi_resolution_patch(Tensor(x), 1, params, c)
+    out = reference_units(x, 1, params, c)
     w, b = params.patch[1]
     expected = np.outer(w.data[:, 0, 0], x) + b.data[:, None]
-    assert np.max(np.abs(out.data - expected)) <= 1e-15
+    assert np.max(np.abs(out - expected)) <= 1e-15
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 5])
 def test_patch_constant_input_is_constant_over_time(r):
-    c = cfg(lookback=30, resolutions=(r,), periods=(6,))
+    # constant units make every slot of a pair's scan equal; L = 31 is not a
+    # multiple of r = 2, 3, 5, and period 12 leaves each pair two slots or more
+    c = cfg(lookback=31, resolutions=(r,), periods=(12,))
     params = MPPNParams.init(c)
-    out = multi_resolution_patch(Tensor(np.full(30, 2.5)), r, params, c).data
-    assert np.max(np.abs(out - out[:, :1])) <= 1e-12
+    bank = _assemble_batch(Tensor(np.full((1, 31, 2), 2.5)), params, c).data
+    assert bank.shape[2] == 12 // r >= 2
+    assert np.max(np.abs(bank - bank[:, :, :1])) <= 1e-12
 
 
 def test_patch_overlap_mode_lengths():
     c = cfg(lookback=24, resolutions=(1, 2), periods=(6,), overlap=True)
     params = MPPNParams.init(c)
-    x = Tensor(np.arange(24.0))
+    x = np.arange(24.0)
     # stride 1 then trailing truncation to ceil(L/r)
-    assert multi_resolution_patch(x, 2, params, c).shape == (3, 12)
-    assert multi_resolution_patch(x, 1, params, c).shape == (3, 24)
+    assert reference_units(x, 2, params, c).shape == (3, 12)
+    assert reference_units(x, 1, params, c).shape == (3, 24)
 
 
 # ---------------------------------------------------------------------------
@@ -109,17 +114,19 @@ def test_mine_length_arithmetic(r, expected_lr, kernel, dil):
             resolutions=(r,), periods=(24,))
     params = MPPNParams.init(c)
     assert c.lookback // 24 == kernel and 24 // r == dil
-    xr = Tensor(np.zeros((8, expected_lr)))
-    out = periodic_pattern_mine(xr, 24, r, params, c)
     # raw dilated length L_r - (K-1)*d already equals d: truncation is identity
     assert expected_lr - (kernel - 1) * dil == dil
-    assert out.shape == (8, dil)
+    assert reference_units(np.zeros(336), r, params, c).shape == (8, expected_lr)
+    bank = _assemble_batch(Tensor(np.zeros((1, 336, 7))), params, c)
+    assert bank.shape == (1, 7, dil, 8)
 
 
 def test_mine_phase_average_oracle():
-    # unit-sum averaging kernel over a d-periodic input returns one period
-    c = cfg(lookback=24, resolutions=(1,), periods=(6,), hidden=3)
+    # unit-sum averaging kernel over a d-periodic input returns one period:
+    # with identity patches each channel's bank holds its last period
+    c = cfg(lookback=24, channels=3, resolutions=(1,), periods=(6,), hidden=3)
     params = MPPNParams.init(c)
+    params.patch[1] = (Tensor(np.ones((3, 1, 1))), Tensor(np.zeros(3)))
     k = 24 // 6
     w = np.zeros((3, 3, k))
     for o in range(3):
@@ -128,22 +135,23 @@ def test_mine_phase_average_oracle():
     base = np.array([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
                      [0.5, -1.0, 2.0, 0.0, 3.0, -2.0],
                      [9.0, 8.0, 7.0, 6.0, 5.0, 4.0]])
-    xr = np.tile(base, (1, 4))  # period 6, L_r = 24
-    out = periodic_pattern_mine(Tensor(xr), 6, 1, params, c)
-    assert np.max(np.abs(out.data - base)) <= 1e-12
+    x = np.tile(base, (1, 4)).T  # [24, 3], period 6
+    bank = _assemble_batch(Tensor(x[None]), params, c).data[0]  # [C, 6, D]
+    assert np.max(np.abs(bank - base[:, :, None])) <= 1e-12
 
 
 def test_mine_truncation_keeps_last_positions():
-    # L not a multiple of the period: raw output is longer than d
+    # L not a multiple of the period: the raw scan is longer than d, and the
+    # reference keeps its last d positions
     c = cfg(lookback=30, resolutions=(1,), periods=(7,), hidden=2)
     params = MPPNParams.init(c)
     k, d = 30 // 7, 7 // 1
     xr = np.arange(2 * 30, dtype=float).reshape(2, 30)
-    out = periodic_pattern_mine(Tensor(xr), 7, 1, params, c)
-    raw = T.conv1d(Tensor(xr), params.mine[(7, 1)][0], params.mine[(7, 1)][1],
-                   stride=1, dilation=d)
+    out = reference_mine(xr, 7, 1, params, c)
+    raw = T.conv1d(Tensor(xr[None]), params.mine[(7, 1)][0], params.mine[(7, 1)][1],
+                   stride=1, dilation=d).data[0]
     assert raw.shape[-1] == 30 - (k - 1) * d > d
-    np.testing.assert_array_equal(out.data, raw.data[:, -d:])
+    assert np.max(np.abs(out - raw[:, -d:])) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +160,8 @@ def test_mine_truncation_keeps_last_positions():
 def test_assemble_single_pair_shape():
     c = cfg(lookback=48, channels=1, hidden=5, periods=(24,), resolutions=(1,))
     params = MPPNParams.init(c)
-    out = assemble_patterns(Tensor(np.random.default_rng(0).standard_normal((48, 1))), params, c)
-    assert out.shape == (1, 24, 5)
+    out = _assemble_batch(Tensor(np.random.default_rng(0).standard_normal((1, 48, 1))), params, c)
+    assert out.shape == (1, 1, 24, 5)
 
 
 def _random_valid_config(rng) -> MPPNConfig:
@@ -179,9 +187,9 @@ def test_assemble_shape_property_random_configs():
     for _ in range(25):
         c = _random_valid_config(rng)
         params = MPPNParams.init(c)
-        x = Tensor(rng.standard_normal((c.lookback, c.channels)))
-        out = assemble_patterns(x, params, c)
-        assert out.shape == (c.channels, pattern_dim(c), c.hidden)
+        x = Tensor(rng.standard_normal((1, c.lookback, c.channels)))
+        out = _assemble_batch(x, params, c)
+        assert out.shape == (1, c.channels, pattern_dim(c), c.hidden)
 
 
 def test_assemble_channel_permutation_equivariance_bitexact():
@@ -190,8 +198,8 @@ def test_assemble_channel_permutation_equivariance_bitexact():
     params = MPPNParams.init(c)
     x = rng.standard_normal((24, 4))
     perm = np.array([2, 0, 3, 1])
-    direct = assemble_patterns(Tensor(x[:, perm]), params, c).data
-    permuted = assemble_patterns(Tensor(x), params, c).data[perm]
+    direct = _assemble_batch(Tensor(x[None][:, :, perm]), params, c).data
+    permuted = _assemble_batch(Tensor(x[None]), params, c).data[:, perm]
     assert np.array_equal(direct, permuted)
 
 
@@ -202,8 +210,8 @@ def _randomize(params, rng):
 
 
 def test_assemble_matches_patch_then_mine_oracle_random_configs():
-    # the folded single-convolution path against the two-stage inspection
-    # API, window by window and channel by channel
+    # the folded single-convolution path against the plain-numpy two-stage
+    # reference, window by window
     rng = np.random.default_rng(17)
     seen = set()
     for trial in range(60):
@@ -214,15 +222,8 @@ def test_assemble_matches_patch_then_mine_oracle_random_configs():
         xb = rng.standard_normal((2, c.lookback, c.channels))
         with T.no_grad():
             bank = _assemble_batch(Tensor(xb), params, c).data
-            for b in range(2):
-                for ch in range(c.channels):
-                    x = Tensor(xb[b, :, ch])
-                    units = {r: multi_resolution_patch(x, r, params, c)
-                             for r in c.used_resolutions}
-                    pieces = [periodic_pattern_mine(units[r], p, r, params, c).data
-                              for p, r in c.retained_pairs]
-                    expected = np.concatenate(pieces, axis=1).T
-                    assert np.max(np.abs(bank[b, ch] - expected)) <= 1e-12
+        for b in range(2):
+            assert np.max(np.abs(bank[b] - reference_bank(xb[b], params, c))) <= 1e-12
         seen.add("overlap" if c.overlap else "plain")
         if not c.overlap and any(c.lookback % r for r in c.used_resolutions):
             seen.add("padding")
@@ -271,8 +272,8 @@ def test_forward_output_shape_property():
     for _ in range(20):
         c = _random_valid_config(rng)
         params = MPPNParams.init(c)
-        out = forward(Tensor(rng.standard_normal((c.lookback, c.channels))), params, c)
-        assert out.shape == (c.horizon, c.channels)
+        out = forward_batch(Tensor(rng.standard_normal((1, c.lookback, c.channels))), params, c)
+        assert out.shape == (1, c.horizon, c.channels)
 
 
 def test_forward_zero_output_layer_gives_zero():
@@ -280,8 +281,8 @@ def test_forward_zero_output_layer_gives_zero():
     params = MPPNParams.init(c)
     params.out_weight.data[:] = 0.0
     params.out_bias.data[:] = 0.0
-    out = forward(Tensor(np.random.default_rng(3).standard_normal((24, 2))), params, c)
-    np.testing.assert_array_equal(out.data, np.zeros((4, 2)))
+    out = forward_batch(Tensor(np.random.default_rng(3).standard_normal((1, 24, 2))), params, c)
+    np.testing.assert_array_equal(out.data, np.zeros((1, 4, 2)))
 
 
 def test_forward_batch_matches_single_windows():
@@ -291,19 +292,20 @@ def test_forward_batch_matches_single_windows():
     xb = rng.standard_normal((5, 24, 2))
     batched = forward_batch(Tensor(xb), params, c).data
     for i in range(5):
-        np.testing.assert_array_equal(batched[i], forward(Tensor(xb[i]), params, c).data)
+        single = forward_batch(Tensor(xb[i:i + 1]), params, c).data
+        np.testing.assert_array_equal(batched[i], single[0])
 
 
 def test_forward_end_to_end_gradients_tiny_config():
     rng = np.random.default_rng(6)
     c = cfg()  # L=24, H=4, C=2, D=3, periods {6}, resolutions (1, 2)
     params = MPPNParams.init(c)
-    x = Tensor(rng.standard_normal((24, 2)))
-    target = Tensor(rng.standard_normal((4, 2)))
+    x = Tensor(rng.standard_normal((1, 24, 2)))
+    target = Tensor(rng.standard_normal((1, 4, 2)))
     tensors = [t for _, t in params.named_parameters()]
 
     def loss():
-        return T.mse_loss(forward(x, params, c), target)
+        return T.mse_loss(forward_batch(x, params, c), target)
 
     check_grads(loss, tensors, tol=1e-4)
 
@@ -312,11 +314,11 @@ def test_forward_end_to_end_gradients_overlap_mode():
     rng = np.random.default_rng(16)
     c = cfg(overlap=True)
     params = MPPNParams.init(c)
-    x = Tensor(rng.standard_normal((24, 2)))
-    target = Tensor(rng.standard_normal((4, 2)))
+    x = Tensor(rng.standard_normal((1, 24, 2)))
+    target = Tensor(rng.standard_normal((1, 4, 2)))
 
     def loss():
-        return T.mse_loss(forward(x, params, c), target)
+        return T.mse_loss(forward_batch(x, params, c), target)
 
     check_grads(loss, [t for _, t in params.named_parameters()], tol=1e-4)
 
@@ -330,11 +332,11 @@ def test_forward_gradients_with_padding_truncation_and_biases(overlap):
             overlap=overlap)
     params = MPPNParams.init(c)
     _randomize(params, rng)
-    x = Tensor(rng.standard_normal((13, 2)))
-    target = Tensor(rng.standard_normal((2, 2)))
+    x = Tensor(rng.standard_normal((1, 13, 2)))
+    target = Tensor(rng.standard_normal((1, 2, 2)))
 
     def loss():
-        return T.mse_loss(forward(x, params, c), target)
+        return T.mse_loss(forward_batch(x, params, c), target)
 
     check_grads(loss, [t for _, t in params.named_parameters()], tol=1e-4)
 
@@ -352,8 +354,8 @@ def test_forward_channel_permutation_with_gate_rows():
         a.data = b.data.copy()
     permuted_params.embed.data = params.embed.data[perm]
 
-    direct = forward(Tensor(x[:, perm]), permuted_params, c).data
-    reference = forward(Tensor(x), params, c).data[:, perm]
+    direct = forward_batch(Tensor(x[None][:, :, perm]), permuted_params, c).data
+    reference = forward_batch(Tensor(x[None]), params, c).data[:, :, perm]
     assert np.array_equal(direct, reference)
 
 
@@ -374,11 +376,19 @@ def test_export_gates_in_unit_interval():
 
 
 def test_gates_csv_round_trip(tmp_path):
+    # the gates CSV layout, written by the shared CSV writer and read back
+    # both as CSV rows and by load_csv with the channel column as its dates
     params = MPPNParams.init(cfg(channels=3))
     params.embed.data[:] = np.random.default_rng(10).standard_normal(params.embed.shape)
     gates = export_gates(params)
     path = tmp_path / "gates.csv"
-    write_gates_csv(path, ["alpha", "beta", "gamma"], gates)
-    names, parsed = read_gates_csv(path)
-    assert names == ["alpha", "beta", "gamma"]
-    assert np.max(np.abs(parsed - gates)) <= 1e-12
+    names = ["alpha", "beta,gamma", 'delta "d"']
+    write_csv(path, ["channel"] + [f"p{i}" for i in range(gates.shape[1])],
+              ([n] + [repr(float(v)) for v in row] for n, row in zip(names, gates)))
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert [r[0] for r in rows[1:]] == names
+    assert np.max(np.abs(np.array(rows[1:])[:, 1:].astype(float) - gates)) <= 1e-12
+    loaded = load_csv(path)
+    assert loaded.timestamps == names
+    np.testing.assert_array_equal(loaded.values, gates)

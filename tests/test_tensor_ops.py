@@ -22,37 +22,37 @@ def rng():
 # conv1d
 
 def test_conv1d_identity_kernel():
-    x = Tensor([[1.0, 2.0, 3.0, 4.0]])
+    x = Tensor([[[1.0, 2.0, 3.0, 4.0]]])
     w = Tensor([[[1.0]]])
     b = Tensor([0.0])
     out = T.conv1d(x, w, b)
-    np.testing.assert_array_equal(out.data, [[1.0, 2.0, 3.0, 4.0]])
+    np.testing.assert_array_equal(out.data, [[[1.0, 2.0, 3.0, 4.0]]])
 
 
 def test_conv1d_output_length_arithmetic():
-    x = Tensor(np.arange(6.0)[None, :])
+    x = Tensor(np.arange(6.0)[None, None, :])
     w = Tensor(np.ones((1, 1, 2)))
     b = Tensor([0.0])
-    assert T.conv1d(x, w, b, stride=2).shape == (1, 3)
+    assert T.conv1d(x, w, b, stride=2).shape == (1, 1, 3)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_conv1d_gradients_match_finite_differences(seed):
     rng = np.random.default_rng(seed)
-    x = Tensor(randn(rng, 2, 20), requires_grad=True)
+    x = Tensor(randn(rng, 2, 20)[None], requires_grad=True)
     w = Tensor(randn(rng, 3, 2, 4), requires_grad=True)
     b = Tensor(randn(rng, 3), requires_grad=True)
 
     def loss():
-        return T.mse_loss(T.conv1d(x, w, b, stride=2, dilation=3), Tensor(np.zeros((3, 6))))
+        return T.mse_loss(T.conv1d(x, w, b, stride=2, dilation=3), Tensor(np.zeros((1, 3, 6))))
 
     check_grads(loss, [x, w, b], tol=1e-5)
 
 
 @pytest.mark.parametrize("lin,k,stride,dilation", [
     (12, 3, 1, 4),   # dilated kernel tiling the input exactly
-    (12, 3, 3, 1),   # kernel marching at its own width
-    (13, 3, 2, 2),   # neither tiling applies
+    (12, 3, 3, 1),   # kernel marching at its own width, through the gather
+    (13, 3, 2, 2),   # strided and dilated, through the gather
     (9, 1, 1, 1),    # unit kernel, stride one
 ])
 def test_conv1d_gradients_every_layout(lin, k, stride, dilation):
@@ -105,15 +105,15 @@ def test_conv1d_batched_matches_per_sample(rng):
     b = Tensor(randn(rng, 3))
     full = T.conv1d(Tensor(xb), w, b, stride=2, dilation=2).data
     for i in range(4):
-        single = T.conv1d(Tensor(xb[i]), w, b, stride=2, dilation=2).data
-        np.testing.assert_array_equal(full[i], single)
+        single = T.conv1d(Tensor(xb[i:i + 1]), w, b, stride=2, dilation=2).data
+        np.testing.assert_array_equal(full[i], single[0])
 
 
 def test_conv1d_linear_in_input(rng):
     w = Tensor(randn(rng, 3, 2, 4))
     zero_b = Tensor(np.zeros(3))
-    x = randn(rng, 2, 15)
-    y = randn(rng, 2, 15)
+    x = randn(rng, 2, 15)[None]
+    y = randn(rng, 2, 15)[None]
     a, c = 0.7, -1.3
     mixed = T.conv1d(Tensor(a * x + c * y), w, zero_b).data
     parts = a * T.conv1d(Tensor(x), w, zero_b).data + c * T.conv1d(Tensor(y), w, zero_b).data
@@ -121,7 +121,7 @@ def test_conv1d_linear_in_input(rng):
 
 
 def test_conv1d_linear_in_weight(rng):
-    x = Tensor(randn(rng, 2, 15))
+    x = Tensor(randn(rng, 2, 15)[None])
     zero_b = Tensor(np.zeros(3))
     w1 = randn(rng, 3, 2, 4)
     w2 = randn(rng, 3, 2, 4)
@@ -135,11 +135,17 @@ def test_conv1d_errors():
     w = Tensor(np.ones((1, 2, 3)))
     b = Tensor(np.zeros(1))
     with pytest.raises(ShapeError):
-        T.conv1d(Tensor(np.ones((3, 10))), w, b)  # channel mismatch
+        T.conv1d(Tensor(np.ones((1, 3, 10))), w, b)  # channel mismatch
     with pytest.raises(ReceptiveFieldError):
-        T.conv1d(Tensor(np.ones((2, 4))), w, b, dilation=2)  # needs length 5
+        T.conv1d(Tensor(np.ones((1, 2, 4))), w, b, dilation=2)  # needs length 5
     with pytest.raises(ArgumentError):
-        T.conv1d(Tensor(np.ones((2, 10))), w, b, stride=0)
+        T.conv1d(Tensor(np.ones((1, 2, 10))), w, b, stride=0)
+
+
+@pytest.mark.parametrize("shape", [(10,), (2, 10), (1, 1, 2, 10)])
+def test_conv1d_rejects_input_rank_other_than_three(shape):
+    with pytest.raises(ShapeError, match=r"\[N, Cin, L\]"):
+        T.conv1d(Tensor(np.ones(shape)), Tensor(np.ones((1, 2, 3))), Tensor(np.zeros(1)))
 
 
 # ---------------------------------------------------------------------------
