@@ -9,7 +9,8 @@ autodiff core.
 from .baselines import (DLinearParams, NLinearParams, dlinear_forward,
                         moving_average_decompose, naive_last, nlinear_forward)
 from .data import ForecastMetrics, SeriesDataset, Standardizer, chronological_split, load_csv
-from .model import MPPNConfig, MPPNParams, channel_adapt, export_gates, forward_batch, pattern_dim
+from .model import (MPPNConfig, MPPNParams, channel_adapt, compose_kernel, export_gates,
+                    forward_batch, pattern_dim)
 from .optim import Adam
 from .periods import AmplitudeSpectrum, PeriodSet, amplitude_spectrum, detect_periods, topk_periods
 from .predictability import (DiscreteSeries, PredictabilityReport, dataset_predictability,
@@ -23,9 +24,9 @@ __all__ = [
     "Adam", "AmplitudeSpectrum", "DiscreteSeries", "DLinearParams", "ForecastMetrics",
     "MPPNConfig", "MPPNParams", "NLinearParams", "PeriodSet", "PredictabilityReport",
     "RunConfig", "SeriesDataset", "Standardizer", "Tensor", "amplitude_spectrum", "backward",
-    "channel_adapt", "chronological_split", "dataset_predictability", "detect_periods",
-    "discretize", "dlinear_forward", "evaluate", "export_gates", "fano_upper_bound",
-    "forward_batch", "load_csv", "lz_entropy_rate", "lz_match_lengths",
+    "channel_adapt", "chronological_split", "compose_kernel", "dataset_predictability",
+    "detect_periods", "discretize", "dlinear_forward", "evaluate", "export_gates",
+    "fano_upper_bound", "forward_batch", "load_csv", "lz_entropy_rate", "lz_match_lengths",
     "moving_average_decompose", "naive_last", "nlinear_forward", "no_grad", "pattern_dim",
     "topk_periods", "train",
 ]

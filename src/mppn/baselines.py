@@ -4,8 +4,10 @@ Both linear models map the lookback axis straight to the horizon with
 weights shared across channels.  One removes the window's final value
 before the projection and adds it back afterwards; the other splits the
 window into a moving-average trend and a residual and projects each part
-separately.  Each forecaster maps a batch of windows [B, L, C] to
-[B, H, C].
+separately.  All three are affine in the window, so each composes its
+kernel (A [C, L, H], b [C, H]) from its weights, as the pattern
+forecaster does, and maps a batch of windows [B, L, C] to [B, H, C] by
+applying it.  The kernel is the same for every channel.
 """
 from __future__ import annotations
 
@@ -27,11 +29,27 @@ def _batch(x, fn: str) -> Tensor:
     return x
 
 
+def _per_channel(a: Tensor, b: Tensor, channels: int) -> tuple[Tensor, Tensor]:
+    """A shared kernel ([L, H], [H]) repeated for every channel:
+    ([C, L, H], [C, H])."""
+    length, horizon = a.shape
+    zeros = Tensor(np.zeros((channels, 1, 1)))
+    return (T.add(T.reshape(a, (1, length, horizon)), zeros),
+            T.add(T.reshape(b, (1, horizon)), T.reshape(zeros, (channels, 1))))
+
+
+def naive_kernel(lookback: int, horizon: int, channels: int) -> tuple[Tensor, Tensor]:
+    """Last-value repeat as a kernel: A = e_L 1^T, b = 0."""
+    a = np.zeros((channels, lookback, horizon))
+    a[:, -1] = 1.0
+    return Tensor(a), Tensor(np.zeros((channels, horizon)))
+
+
 def naive_last(x, horizon: int) -> Tensor:
     """[B, L, C] -> [B, H, C]: repeat each window's most recent observation
     for every horizon step."""
     x = _batch(x, "naive_last")
-    return Tensor(np.repeat(x.data[:, -1:, :], horizon, axis=1))
+    return T.channel_affine(x, *naive_kernel(x.shape[1], horizon, x.shape[2]))
 
 
 @dataclass
@@ -50,6 +68,18 @@ class NLinearParams:
         return [("weight", self.weight), ("bias", self.bias)]
 
 
+def nlinear_kernel(params: NLinearParams, channels: int) -> tuple[Tensor, Tensor]:
+    """(x - last) @ W + b + last as a kernel: A = W plus 1 - colsum(W) on
+    its last row, so a constant shift of the window shifts the forecast by
+    the same constant."""
+    length, horizon = params.weight.shape
+    colsum = T.linear(Tensor(np.ones((1, length))), params.weight, Tensor(np.zeros(horizon)))
+    last_row = T.concat([Tensor(np.zeros((length - 1, horizon))),
+                         T.sub(np.ones((1, horizon)), colsum)], axis=0)
+    a = T.add(params.weight, last_row)
+    return _per_channel(a, params.bias, channels)
+
+
 def nlinear_forward(x, params: NLinearParams) -> Tensor:
     """[B, L, C] -> [B, H, C] projection of the last-value-anchored window:
     shifting every input by a constant shifts every output by the same
@@ -58,10 +88,7 @@ def nlinear_forward(x, params: NLinearParams) -> Tensor:
     length = params.weight.shape[0]
     if xb.shape[1] != length:
         raise ShapeError(f"nlinear: lookback axis {xb.shape[1]} != weight rows {length}")
-    last = T.slice_axis(xb, 1, length - 1, length)  # [B, 1, C]
-    centered = T.sub(xb, last)
-    y = T.linear(T.transpose(centered, (0, 2, 1)), params.weight, params.bias)  # [B, C, H]
-    return T.add(T.transpose(y, (0, 2, 1)), last)
+    return T.channel_affine(xb, *nlinear_kernel(params, xb.shape[2]))
 
 
 @dataclass
@@ -85,6 +112,23 @@ class DLinearParams:
                 ("seasonal.weight", self.seasonal_weight), ("seasonal.bias", self.seasonal_bias)]
 
 
+def moving_average_matrix(length: int, window: int) -> np.ndarray:
+    """[L, L] centered moving average with edge replication: trend = M x.
+    Row i weighs sample clip(i + d, 0, L - 1) by 1/window for each offset
+    d in [-(window-1)/2, (window-1)/2]."""
+    if window % 2 == 0:
+        raise ArgumentError(f"moving_average_decompose: window must be odd, got {window}")
+    if not (3 <= window <= 2 * length - 1):
+        raise ArgumentError(
+            f"moving_average_decompose: window {window} outside [3, {2 * length - 1}]")
+    half = (window - 1) // 2
+    rows = np.arange(length)
+    counts = np.zeros((length, length))
+    for d in range(-half, half + 1):
+        counts[rows, np.clip(rows + d, 0, length - 1)] += 1.0
+    return counts / window
+
+
 def moving_average_decompose(x, window: int) -> tuple[Tensor, Tensor]:
     """Centered moving-average trend with edge replication, plus residual,
     along the time axis of [B, L, C].
@@ -92,19 +136,22 @@ def moving_average_decompose(x, window: int) -> tuple[Tensor, Tensor]:
     The two parts sum back to the input by construction.
     """
     xb = _batch(x, "moving_average_decompose")
-    if window % 2 == 0:
-        raise ArgumentError(f"moving_average_decompose: window must be odd, got {window}")
-    b, length, c = xb.shape
-    if not (3 <= window <= 2 * length - 1):
-        raise ArgumentError(
-            f"moving_average_decompose: window {window} outside [3, {2 * length - 1}]")
-    half = (window - 1) // 2
-    flat = T.reshape(T.transpose(xb, (0, 2, 1)), (b * c, 1, length))
-    padded = T.pad_edge(flat, half, half)
-    kernel = Tensor(np.full((1, 1, window), 1.0 / window))
-    smooth = T.conv1d(padded, kernel, Tensor(np.zeros(1)), stride=1)
-    trend = T.transpose(T.reshape(smooth, (b, c, length)), (0, 2, 1))
+    length = xb.shape[1]
+    m = moving_average_matrix(length, window)
+    trend = T.transpose(T.linear(T.transpose(xb, (0, 2, 1)), Tensor(m.T), Tensor(np.zeros(length))),
+                        (0, 2, 1))
     return trend, T.sub(xb, trend)
+
+
+def dlinear_kernel(params: DLinearParams, channels: int) -> tuple[Tensor, Tensor]:
+    """trend @ W_t + (x - trend) @ W_s with trend = M x as a kernel:
+    A = W_s + M^T (W_t - W_s), b = b_t + b_s."""
+    length, horizon = params.trend_weight.shape
+    m = moving_average_matrix(length, params.window)
+    a = T.add(params.seasonal_weight,
+              T.linear(Tensor(m.T), T.sub(params.trend_weight, params.seasonal_weight),
+                       Tensor(np.zeros(horizon))))
+    return _per_channel(a, T.add(params.trend_bias, params.seasonal_bias), channels)
 
 
 def dlinear_forward(x, params: DLinearParams) -> Tensor:
@@ -114,7 +161,4 @@ def dlinear_forward(x, params: DLinearParams) -> Tensor:
     length = params.trend_weight.shape[0]
     if xb.shape[1] != length:
         raise ShapeError(f"dlinear: lookback axis {xb.shape[1]} != weight rows {length}")
-    trend, seasonal = moving_average_decompose(xb, params.window)
-    yt = T.linear(T.transpose(trend, (0, 2, 1)), params.trend_weight, params.trend_bias)
-    ys = T.linear(T.transpose(seasonal, (0, 2, 1)), params.seasonal_weight, params.seasonal_bias)
-    return T.transpose(T.add(yt, ys), (0, 2, 1))
+    return T.channel_affine(xb, *dlinear_kernel(params, xb.shape[2]))

@@ -2,7 +2,7 @@
 
 Reports go to stdout as JSON; file artifacts (checkpoints, CSVs, the
 kernel archive) go where flagged.  Exit codes: 0 ok, 2 configuration
-error, 3 data error, 4 runtime or divergence error.
+error, 3 data error, 4 a training run that diverged.
 """
 from __future__ import annotations
 
@@ -121,9 +121,8 @@ def _run_config(args) -> RunConfig:
 def _cmd_analyze(args) -> int:
     if not args.data:
         raise ConfigError("analyze: --data is required")
-    q = _int_list(args.q)
     report = training.analyze(
-        args.data, list(q) if len(q) > 1 else q[0], args.binning, args.top_k,
+        args.data, list(_int_list(args.q)), args.binning, args.top_k,
         args.periods, args.split_scheme, date_column=not args.no_date_column,
         fill_missing=args.fill_missing)
     print(json.dumps(report))
@@ -220,7 +219,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except (DivergenceError, RuntimeError) as exc:
+    except DivergenceError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 4
     except OSError as exc:

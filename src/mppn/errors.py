@@ -1,8 +1,7 @@
 """Exception taxonomy shared across the toolkit.
 
 The CLI maps these onto exit codes: configuration problems exit 2, data
-problems exit 3, runtime failures (divergence, a forecaster that is not
-affine) exit 4.
+problems exit 3, a training run that diverges exits 4.
 """
 
 
@@ -32,8 +31,3 @@ class FormatError(DataError):
 
 class DivergenceError(RuntimeError):
     """Training produced a non-finite loss."""
-
-
-class NonAffineError(RuntimeError):
-    """A forecaster's forward pass is not affine in its input window, so no
-    effective kernel represents it."""

@@ -10,16 +10,17 @@ single shared affine layer projects the flattened bank to the horizon.
 
 Pattern extraction weights are shared across channels; the gate matrix is
 the only channel-specific parameter.  The only nonlinearity in the network
-is the gate's sigmoid.
+is the gate's sigmoid, and it acts on a parameter, not on the input.
 
-Patching and mining are both linear, so the forward pass folds each patch
-kernel into its mining kernels at run time and mines the raw window with
-one dilated convolution per pair.  That is the same map from the same
-parameters, so checkpoints are unchanged.  Patched units are never
-materialised here; the test suite's plain-numpy reference_bank patches
-and mines stage by stage and is the oracle of the fold.
-
-Every entry point takes a batch of windows, [B, L, C].
+So the whole network is one affine map per channel, and that map is what
+runs: compose_kernel folds each patch kernel into its mining kernels,
+projects the folded taps through the output layer, gates them and places
+them on the samples they read, giving (A [C, L, H], b [C, H]) from the
+same parameters the staged network has, so checkpoints are unchanged.
+forward_batch applies that kernel to a batch of windows [B, L, C].  The
+pattern bank is never materialised here; the test suite's plain-numpy
+reference_bank and reference_forward run the network stage by stage and
+are the oracles of the composition.
 """
 from __future__ import annotations
 
@@ -152,9 +153,9 @@ class MPPNParams:
 def _fold_kernel(period: int, r: int, params: MPPNParams,
                  config: MPPNConfig) -> tuple[Tensor, Tensor]:
     """Compose patch kernel r with mining kernel (period, r) into one
-    dilated kernel over raw samples: ([D, r, K], [D]).
+    dilated kernel over raw samples: ([K, r, D], [D]).
 
-    w'[o, j, k] = sum_i mine[o, i, k] * patch[i, j]
+    w'[k, j, o] = sum_i mine[o, i, k] * patch[i, j]
     b'[o] = mine_bias[o] + sum_{i, k} mine[o, i, k] * patch_bias[i]
     """
     d, k = config.hidden, config.lookback // period
@@ -164,83 +165,85 @@ def _fold_kernel(period: int, r: int, params: MPPNParams,
     w = T.linear(wm_t, T.reshape(wp, (d, r)), Tensor(np.zeros(r)))  # [D, K, r]
     bp_tiled = T.reshape(T.concat([bp] * k, axis=0), (1, k * d))  # bp[i] at k*D + i
     b = T.linear(bp_tiled, T.transpose(T.reshape(wm_t, (d, k * d))), bm)  # [1, D]
-    return T.transpose(w, (0, 2, 1)), T.reshape(b, (d,))
+    return T.transpose(w, (1, 2, 0)), T.reshape(b, (d,))
 
 
-def _unit_view(x3: Tensor, r: int, span: int, config: MPPNConfig) -> Tensor:
-    """[N, 1, L] -> [N, r, span]: sample j of each of the last `span`
-    semantic units at resolution r, the units reference_bank patches.
+def _rows_at(block: Tensor, start: int, length: int) -> Tensor:
+    """[C, n, H] -> [C, length, H]: the block at rows [start, start + n),
+    zeros elsewhere."""
+    c, n, h = block.shape
+    parts = [Tensor(np.zeros((c, start, h)))] if start else []
+    parts.append(block)
+    if start + n < length:
+        parts.append(Tensor(np.zeros((c, length - start - n, h))))
+    return T.concat(parts, axis=1) if len(parts) > 1 else block
 
-    Non-overlap units are consecutive r-sample blocks ending at the most
-    recent sample; overlap units start one sample apart and the last one
-    starts at L - r.  A mining scan reads span = (L//p)*(p//r) units, and
-    span*r <= L, so the units it reads never reach reference_bank's edge
-    padding.
+
+def compose_kernel(params: MPPNParams, config: MPPNConfig) -> tuple[Tensor, Tensor]:
+    """The model's map as one affine kernel per channel: (A [C, L, H],
+    b [C, H]) with forecast[:, c] = window[:, c] @ A[c] + b[c].
+
+    The gate is a sigmoid of a parameter, not of the window, so the whole
+    network is affine in its input.  For each pair, slot t's mining output
+    feature o reads raw sample j of unit t + k*(period//r) through tap k of
+    the folded kernel and reaches the horizon through its out_weight rows,
+    so one linear composes the pair's taps M[k, j, t, h] = sum_o w'[k, j, o]
+    * W_out[t, o, h].  Each channel's gate row scales its slots, and the
+    taps land on the samples they read at the tail of the window: disjoint
+    r-sample blocks without overlap (a reshape), r shifted runs of
+    consecutive samples with overlap (r slices summed).  The folded biases
+    reach b through the same out_weight rows and the same gates.
     """
-    n, _, length = x3.shape
-    if config.overlap:
-        start = length - r + 1 - span
-        return T.concat([T.slice_axis(x3, 2, start + j, start + j + span) for j in range(r)],
-                        axis=1)
-    tail = T.slice_axis(x3, 2, length - span * r, length) if span * r < length else x3
-    return T.transpose(T.reshape(tail, (n, span, r)), (0, 2, 1))
-
-
-def _assemble_batch(xb: Tensor, params: MPPNParams, config: MPPNConfig) -> Tensor:
-    """[B, L, C] -> [B, C, P, D] pattern bank, channels folded into the
-    batch axis so extraction weights are shared bit-exactly.
-
-    Patching and mining are both linear, so each pair runs as one dilated
-    convolution of the raw window with the patch kernel folded into the
-    mining kernel (_fold_kernel): the same map as patching with kernel r
-    and then mining, from the same parameters, with D*r*K taps per output
-    instead of D*D*K.  The mining scan keeps only its last period//r
-    outputs, which read only the last K*(period//r) units, so the conv runs
-    on exactly those (_unit_view, shared by pairs of equal geometry).
-    """
-    if xb.ndim != 3 or xb.shape[1] != config.lookback or xb.shape[2] != config.channels:
-        raise ShapeError(
-            f"assemble: expected [B, {config.lookback}, {config.channels}], got {xb.shape}")
-    b, length, c = xb.shape
-    x1 = T.reshape(T.transpose(xb, (0, 2, 1)), (b * c, 1, length))
-    views: dict[tuple[int, int], Tensor] = {}
-    pieces = []
+    c, length, h, d = config.channels, config.lookback, config.horizon, config.hidden
+    out_w = T.reshape(params.out_weight, (pattern_dim(config), d, h))
+    kernel, slot_bias, off = None, [], 0
     for p, r in config.retained_pairs:
-        dil = p // r
-        span = (length // p) * dil
-        if (r, span) not in views:
-            views[(r, span)] = _unit_view(x1, r, span, config)
-        w, bias = _fold_kernel(p, r, params, config)
-        pieces.append(T.conv1d(views[(r, span)], w, bias, stride=1, dilation=dil))
-    bank = T.concat(pieces, axis=2)  # [B*C, D, P]
-    bank = T.transpose(bank, (0, 2, 1))
-    return T.reshape(bank, (b, c, pattern_dim(config), config.hidden))
+        k, s = length // p, p // r
+        span = k * s  # units a mining scan reads
+        w, b = _fold_kernel(p, r, params, config)
+        w_slots = T.reshape(T.transpose(T.slice_axis(out_w, 0, off, off + s), (1, 0, 2)),
+                            (d, s * h))  # [D, S*H]
+        zero = Tensor(np.zeros(s * h))
+        slot_bias.append(T.reshape(T.linear(T.reshape(b, (1, d)), w_slots, zero), (s, h)))
+        taps = T.reshape(T.linear(T.reshape(w, (k * r, d)), w_slots, zero), (k * r, 1, s, h))
+        gated = T.reshape(channel_adapt(taps, T.slice_axis(params.embed, 1, off, off + s)),
+                          (k, r, c, s, h))
+        if config.overlap:  # unit u = t + k*s spans samples L - r + 1 - span + u + [0, r)
+            runs = T.reshape(T.transpose(gated, (2, 1, 0, 3, 4)), (c, r, span, h))
+            start = length - r + 1 - span
+            parts = [_rows_at(T.reshape(T.slice_axis(runs, 1, j, j + 1), (c, span, h)),
+                              start + j, length) for j in range(r)]
+        else:  # unit u spans samples L - span*r + u*r + [0, r)
+            blocks = T.reshape(T.transpose(gated, (2, 0, 3, 1, 4)), (c, span * r, h))
+            parts = [_rows_at(blocks, length - span * r, length)]
+        for part in parts:
+            kernel = part if kernel is None else T.add(kernel, part)
+        off += s
+    bias = T.linear(T.sigmoid(params.embed), T.concat(slot_bias, axis=0), params.out_bias)
+    return kernel, bias
 
 
 def channel_adapt(bank: Tensor, embed: Tensor) -> Tensor:
     """Scale pattern slots by per-channel sigmoid gates.
 
-    bank is [..., C, P, D] and embed is [C, P]; the gate broadcasts over
+    bank is [..., C, P, D], or [..., 1, P, D] or [P, D] to gate one set of
+    slots for every channel, and embed is [C, P]; the gate broadcasts over
     the feature axis (and any leading batch axis).
     """
     embed = embed if isinstance(embed, Tensor) else Tensor(embed)
     if embed.ndim != 2:
         raise ShapeError(f"channel_adapt: embed must be [C, P], got {embed.shape}")
     c, p = embed.shape
-    if bank.shape[-3:] != (c, p, bank.shape[-1]):
+    if bank.ndim < 2 or bank.shape[-2] != p or (bank.ndim > 2 and bank.shape[-3] not in (1, c)):
         raise ShapeError(f"channel_adapt: bank {bank.shape} incompatible with embed {embed.shape}")
     gate = T.reshape(T.sigmoid(embed), (c, p, 1))
     return T.broadcast_mul(bank, gate)
 
 
 def forward_batch(xb: Tensor, params: MPPNParams, config: MPPNConfig) -> Tensor:
-    """[B, L, C] -> [B, H, C] direct multi-horizon forecast."""
-    b = xb.shape[0]
-    bank = _assemble_batch(xb, params, config)
-    adapted = channel_adapt(bank, params.embed)
-    flat = T.reshape(adapted, (b, config.channels, pattern_dim(config) * config.hidden))
-    y = T.linear(flat, params.out_weight, params.out_bias)  # [B, C, H]
-    return T.transpose(y, (0, 2, 1))
+    """[B, L, C] -> [B, H, C] direct multi-horizon forecast: the composed
+    kernel applied to each window."""
+    return T.channel_affine(xb, *compose_kernel(params, config))
 
 
 def export_gates(params: MPPNParams) -> np.ndarray:

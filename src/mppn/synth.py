@@ -1,6 +1,7 @@
 """Deterministic synthetic series: sums of sinusoids, linear trend, noise."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 
@@ -29,20 +30,28 @@ def generate(tones_per_channel: list[list[ToneSpec]], trend: float, noise_sd: fl
         raise ArgumentError("synth: need at least one channel")
     for tones in tones_per_channel:
         for tone in tones:
+            if not all(math.isfinite(v) for v in (tone.amplitude, tone.period, tone.phase)):
+                raise ArgumentError(f"synth: tone values must be finite, got {tone}")
             if tone.period <= 0:
                 raise ArgumentError(f"synth: tone period must be positive, got {tone.period}")
-    if noise_sd < 0:
-        raise ArgumentError(f"synth: noise sd must be >= 0, got {noise_sd}")
+    if not math.isfinite(trend):
+        raise ArgumentError(f"synth: trend must be finite, got {trend}")
+    if not (math.isfinite(noise_sd) and noise_sd >= 0):
+        raise ArgumentError(f"synth: noise sd must be a finite number >= 0, got {noise_sd}")
     t = np.arange(timesteps, dtype=np.float64)
     c = len(tones_per_channel)
     out = np.zeros((timesteps, c))
-    for j, tones in enumerate(tones_per_channel):
-        for tone in tones:
-            out[:, j] += tone.amplitude * np.sin(2.0 * np.pi * t / tone.period + tone.phase)
-        out[:, j] += trend * t
-    if noise_sd > 0:
-        rng = SplitMix64(derive(seed, "synth-noise"))
-        out += rng.normal((timesteps, c), sd=noise_sd)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, tones in enumerate(tones_per_channel):
+            for tone in tones:
+                out[:, j] += tone.amplitude * np.sin(2.0 * np.pi * t / tone.period + tone.phase)
+            out[:, j] += trend * t
+        if noise_sd > 0:
+            rng = SplitMix64(derive(seed, "synth-noise"))
+            out += rng.normal((timesteps, c), sd=noise_sd)
+    if not np.isfinite(out).all():
+        raise ArgumentError("synth: the series overflows the float range; "
+                            "lower the amplitudes, trend or noise sd")
     return out
 
 

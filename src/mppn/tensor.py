@@ -5,9 +5,11 @@ appends one node to the thread's tape; ``backward`` replays the tape once
 in reverse creation order, accumulating gradients additively, and then
 clears it.  Graphs are rebuilt on every forward pass, never cached.
 
-The operator set is exactly what the forecasters need: affine maps, strided
-and dilated 1-d convolution, sigmoid, concatenation, broadcasting multiply,
-edge padding, slicing, transposition, reshape, and mean-squared-error loss.
+The operator set is what the forecasters need: affine maps, the
+per-channel kernel every forecaster applies to its windows, sigmoid,
+concatenation, broadcasting multiply, slicing, transposition, reshape, and
+mean-squared-error loss.  Strided and dilated 1-d convolution and edge
+padding remain as general ops, though no forecaster composes through them.
 """
 from __future__ import annotations
 
@@ -363,6 +365,36 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return _record("linear", (x, weight, bias), out, bw)
 
 
+def channel_affine(x: Tensor, a: Tensor, b: Tensor) -> Tensor:
+    """Per-channel affine map of a batch of windows:
+    ``out[n, h, c] = sum_l x[n, l, c] * a[c, l, h] + b[c, h]``, mapping
+    ``[B, L, C]`` through ``a [C, L, H]`` and ``b [C, H]`` to ``[B, H, C]``.
+
+    The forward contraction is an einsum rather than a BLAS product, so
+    every output sums its L terms in the same order whatever the batch
+    size: a window's forecast is bit-identical alone or in a batch.
+    """
+    x, a, b = _as_tensor(x), _as_tensor(a), _as_tensor(b)
+    if (x.ndim != 3 or a.ndim != 3 or a.shape[:2] != (x.shape[2], x.shape[1])
+            or b.shape != (a.shape[0], a.shape[2])):
+        raise ShapeError(f"channel_affine: windows {x.shape} do not match kernel {a.shape} "
+                         f"and bias {b.shape}; expected [B, L, C], [C, L, H], [C, H]")
+    out = np.einsum("blc,clh->bhc", x.data, a.data) + b.data.T
+
+    def bw(g):
+        gt = g.transpose(2, 0, 1)  # [C, B, H]
+        gx = ga = gb = None
+        if x.requires_grad:
+            gx = np.ascontiguousarray(np.matmul(gt, a.data.transpose(0, 2, 1)).transpose(1, 2, 0))
+        if a.requires_grad:
+            ga = np.matmul(x.data.transpose(2, 1, 0), gt)
+        if b.requires_grad:
+            gb = np.ascontiguousarray(g.sum(axis=0).T)
+        return gx, ga, gb
+
+    return _record("channel_affine", (x, a, b), out, bw)
+
+
 def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, dilation: int = 1) -> Tensor:
     """Strided, dilated cross-correlation with no implicit padding.
 
@@ -390,17 +422,8 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, dilation: i
             f"(kernel {k}, dilation {dilation})")
     l_out = (l_in - span) // stride + 1
     w2 = weight.data.reshape(c_out, c_in * k)
-
-    # A dilated kernel whose taps cover the input exactly once (the mining
-    # geometry) needs no im2col copy: the gather is a pure reshape and the
-    # input gradient a reshape of the upstream matmul.  Any other geometry
-    # gathers its columns by index.
-    exact = stride == 1 and l_in == k * dilation
-    if exact:
-        cols = xd.reshape(n, c_in * k, l_out)
-    else:
-        gather = (np.arange(l_out) * stride)[None, :] + (np.arange(k) * dilation)[:, None]
-        cols = xd[:, :, gather].reshape(n, c_in * k, l_out)
+    gather = (np.arange(l_out) * stride)[None, :] + (np.arange(k) * dilation)[:, None]
+    cols = xd[:, :, gather].reshape(n, c_in * k, l_out)
     out = np.matmul(w2, cols) + bias.data[:, None]
 
     def bw(g):
@@ -410,15 +433,11 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, dilation: i
         if bias.requires_grad:
             gb = g.sum(axis=(0, 2))
         if x.requires_grad:
-            dcols = np.matmul(w2.T, g)
-            if exact:
-                gx = dcols.reshape(n, c_in, l_in)
-            else:
-                dcols = dcols.reshape(n, c_in, k, l_out)
-                gx = np.zeros((n, c_in, l_in))
-                for j in range(k):
-                    off = j * dilation
-                    gx[:, :, off:off + stride * (l_out - 1) + 1:stride] += dcols[:, :, j, :]
+            dcols = np.matmul(w2.T, g).reshape(n, c_in, k, l_out)
+            gx = np.zeros((n, c_in, l_in))
+            for j in range(k):
+                off = j * dilation
+                gx[:, :, off:off + stride * (l_out - 1) + 1:stride] += dcols[:, :, j, :]
         return gx, gw, gb
 
     return _record("conv1d", (x, weight, bias), out, bw)

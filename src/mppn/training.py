@@ -5,12 +5,11 @@ object file is accepted too) that round-trips losslessly.  Checkpoints
 embed that text plus the resolved facts of the run (detected periods,
 channel count and names) so evaluation can rebuild the exact model.
 
-Every forecaster is affine in its input window, channel by channel, at
-inference, so scoring a split (evaluate, and the per-epoch validation of
-train) extracts each model's effective kernel once (effective_kernel:
-L + 1 basis windows through forward_batch) and applies it to every window
-as one matrix product per channel.  forecast predicts a single window and
-runs forward_batch directly.
+Every forecaster is affine in its input window, channel by channel, and
+composes that map from its weights as one kernel (A [C, L, H], b [C, H])
+on the tape.  Training, forecast and kernel export run through it; scoring
+a split (evaluate, and the per-epoch validation of train) composes it once
+and applies it to every chunk of windows.
 """
 from __future__ import annotations
 
@@ -20,6 +19,7 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -28,8 +28,7 @@ from . import tensor as T
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (ForecastMetrics, MetricsAccumulator, SeriesDataset, Standardizer,
                    chronological_split, iter_batches, load_csv, window_origins)
-from .errors import (ArgumentError, ConfigError, DivergenceError, FormatError,
-                     NonAffineError)
+from .errors import ConfigError, DivergenceError, FormatError
 from .optim import Adam
 from .periods import detect_periods
 from .predictability import dataset_predictability
@@ -172,64 +171,22 @@ def config_blob(run: RunConfig, extras: dict) -> str:
 # ---------------------------------------------------------------------------
 # model adapters
 
+@dataclass
 class Forecaster:
-    kind = "base"
+    """One model of any kind: its parameters (None for naive) and
+    ``kernel()``, which composes from them (A [C, L, H], b [C, H]) with
+    forward_batch(x)[:, :, c] = x[:, :, c] @ A[c] + b[c]."""
+
+    kind: str
+    params: object
+    kernel: Callable[[], tuple[Tensor, Tensor]]
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        return []
+        return [] if self.params is None else self.params.named_parameters()
 
     def forward_batch(self, xb: Tensor) -> Tensor:
-        raise NotImplementedError
-
-
-class MPPNForecaster(Forecaster):
-    kind = "mppn"
-
-    def __init__(self, config: model.MPPNConfig):
-        self.config = config
-        self.params = model.MPPNParams.init(config)
-
-    def named_parameters(self):
-        return self.params.named_parameters()
-
-    def forward_batch(self, xb):
-        return model.forward_batch(xb, self.params, self.config)
-
-
-class NLinearForecaster(Forecaster):
-    kind = "nlinear"
-
-    def __init__(self, lookback: int, horizon: int, seed: int):
-        self.params = baselines.NLinearParams.init(lookback, horizon, seed)
-
-    def named_parameters(self):
-        return self.params.named_parameters()
-
-    def forward_batch(self, xb):
-        return baselines.nlinear_forward(xb, self.params)
-
-
-class DLinearForecaster(Forecaster):
-    kind = "dlinear"
-
-    def __init__(self, lookback: int, horizon: int, seed: int, window: int):
-        self.params = baselines.DLinearParams.init(lookback, horizon, seed, window)
-
-    def named_parameters(self):
-        return self.params.named_parameters()
-
-    def forward_batch(self, xb):
-        return baselines.dlinear_forward(xb, self.params)
-
-
-class NaiveForecaster(Forecaster):
-    kind = "naive"
-
-    def __init__(self, horizon: int):
-        self.horizon = horizon
-
-    def forward_batch(self, xb):
-        return baselines.naive_last(xb, self.horizon)
+        """[B, L, C] -> [B, H, C]: compose the kernel, then apply it."""
+        return T.channel_affine(xb, *self.kernel())
 
 
 def build_forecaster(run: RunConfig, channels: int, resolved_periods: tuple[int, ...]) -> Forecaster:
@@ -238,12 +195,17 @@ def build_forecaster(run: RunConfig, channels: int, resolved_periods: tuple[int,
             lookback=run.lookback, horizon=run.horizon, channels=channels, hidden=run.hidden,
             resolutions=run.resolutions, periods=resolved_periods, overlap=run.overlap,
             seed=run.seed)
-        return MPPNForecaster(cfg)
+        params = model.MPPNParams.init(cfg)
+        return Forecaster("mppn", params, lambda: model.compose_kernel(params, cfg))
     if run.model == "nlinear":
-        return NLinearForecaster(run.lookback, run.horizon, run.seed)
+        params = baselines.NLinearParams.init(run.lookback, run.horizon, run.seed)
+        return Forecaster("nlinear", params, lambda: baselines.nlinear_kernel(params, channels))
     if run.model == "dlinear":
-        return DLinearForecaster(run.lookback, run.horizon, run.seed, run.moving_average)
-    return NaiveForecaster(run.horizon)
+        params = baselines.DLinearParams.init(run.lookback, run.horizon, run.seed,
+                                              run.moving_average)
+        return Forecaster("dlinear", params, lambda: baselines.dlinear_kernel(params, channels))
+    return Forecaster("naive", None,
+                      lambda: baselines.naive_kernel(run.lookback, run.horizon, channels))
 
 
 def restore_forecaster(run: RunConfig, extras: dict, tensors: dict[str, np.ndarray]) -> Forecaster:
@@ -306,61 +268,15 @@ def resolve_periods(run: RunConfig, train_std: np.ndarray) -> tuple[int, ...]:
     return usable
 
 
-# the probe forecast must match A·probe + b to this share of the summed
-# terms' magnitude; rounding leaves about 1e-15 at ETTh1 geometry
-AFFINE_RTOL = 1e-9
-
-
-def effective_kernel(fc: Forecaster, lookback: int, channels: int,
-                     batch_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The forecaster's inference map as one affine kernel per channel:
-    (A [C, L, H], b [C, H]) with forward(x)[:, c] = x[:, c] @ A[c] + b[c].
-
-    b is the forecast of the zero window, and row i of A[c] is the
-    forecast of the unit window at step i minus b.  Channels never mix, so
-    each basis window sets every channel alike and one pass serves them
-    all.  The L + 1 basis windows and one seeded random probe go through
-    forward_batch in chunks of batch_size, which bounds activation memory
-    as scoring a split does.  If the probe's forecast differs from
-    A·probe + b by more than AFFINE_RTOL, NonAffineError is raised.
-    """
-    if batch_size < 1:
-        raise ArgumentError(f"effective_kernel: batch_size must be >= 1, got {batch_size}")
-    probe = SplitMix64(derive(0, "kernel-probe")).normal((lookback, channels))
-    n = lookback + 2  # the zero window, L unit windows, the probe
-    outs = []
-    with T.no_grad():
-        for lo in range(0, n, batch_size):
-            idx = np.arange(lo, min(lo + batch_size, n))
-            chunk = np.zeros((len(idx), lookback, channels))
-            unit = np.nonzero((idx >= 1) & (idx <= lookback))[0]
-            chunk[unit, idx[unit] - 1] = 1.0
-            chunk[idx == n - 1] = probe
-            outs.append(fc.forward_batch(Tensor(chunk)).data)
-    out = np.concatenate(outs)  # [L + 2, H, C]
-    b = np.ascontiguousarray(out[0].T)
-    a = np.ascontiguousarray((out[1:lookback + 1] - out[0]).transpose(2, 0, 1))
-    want = np.einsum("lc,clh->hc", probe, a) + b.T
-    scale = np.einsum("lc,clh->hc", np.abs(probe), np.abs(a)) + np.abs(b.T)
-    err = float(np.max(np.abs(out[-1] - want)))
-    tol = AFFINE_RTOL * float(np.max(scale))
-    if not err <= tol:
-        raise NonAffineError(
-            f"{fc.kind} forecaster is not affine in its input: a probe window's forecast "
-            f"differs from its kernel's by {err:.3e} (tolerance {tol:.3e})")
-    return a, b
-
-
 def split_metrics(fc: Forecaster, values: np.ndarray, origins: np.ndarray, lookback: int,
                   horizon: int, batch_size: int) -> ForecastMetrics:
-    """Metrics over the windows at ``origins``: the effective kernel is
-    extracted once, then each chunk of batch_size windows is one matrix
-    product per channel."""
-    a, b = effective_kernel(fc, lookback, values.shape[1], batch_size)
-    acc = MetricsAccumulator()
-    for inp, tgt, _ in iter_batches(values, origins, lookback, horizon, batch_size):
-        pred = np.matmul(inp.transpose(2, 0, 1), a) + b[:, None, :]  # [C, B, H]
-        acc.add(pred.transpose(1, 2, 0), tgt)
+    """Metrics over the windows at ``origins``: the kernel is composed once
+    and applied to each chunk of batch_size windows."""
+    with T.no_grad():
+        a, b = fc.kernel()
+        acc = MetricsAccumulator()
+        for inp, tgt, _ in iter_batches(values, origins, lookback, horizon, batch_size):
+            acc.add(T.channel_affine(Tensor(inp), a, b), tgt)
     return acc.finalize()
 
 
@@ -518,9 +434,13 @@ def analyze(data_path, q_values, binning: str, top_k: int, periods_override,
             split_scheme: str, date_column: bool = True, fill_missing: bool = False) -> dict:
     """Predictability (raw series, optionally swept over Q) plus detected
     or overridden periods (standardized training split)."""
+    q_list = list(q_values) if isinstance(q_values, (list, tuple)) else [int(q_values)]
+    if not q_list:
+        raise ConfigError("analyze: need at least one bin count Q")
+    if periods_override and min(periods_override) < 2:
+        raise ConfigError(f"analyze: periods must be >= 2, got {list(periods_override)}")
     ds = load_csv(data_path, strict=not fill_missing, date_column=date_column)
 
-    q_list = list(q_values) if isinstance(q_values, (list, tuple)) else [int(q_values)]
     reports = [dataset_predictability(ds, q, binning).to_dict() for q in q_list]
     predict_part = reports[0] if len(reports) == 1 else {"sweep": reports}
 
@@ -549,8 +469,9 @@ def export_gate_matrix(ckpt_path) -> tuple[list[str], np.ndarray]:
 
 
 def export_kernel(ckpt_path) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Channel names and the effective kernel (A [C, L, H], b [C, H]) of a
-    checkpoint, extracted in chunks of the run's batch size."""
-    run, extras, fc = _restore_checkpoint(ckpt_path)
-    a, b = effective_kernel(fc, run.lookback, extras["channels"], run.batch_size)
-    return list(extras["channel_names"]), a, b
+    """Channel names and the composed kernel (A [C, L, H], b [C, H]) of a
+    checkpoint."""
+    _, extras, fc = _restore_checkpoint(ckpt_path)
+    with T.no_grad():
+        a, b = fc.kernel()
+    return list(extras["channel_names"]), a.data, b.data

@@ -2,8 +2,10 @@
 
 These deliberately avoid the library's own code paths: finite differences
 for gradients, cubic-time substring search for match lengths, quadratic
-direct summation for the DFT, a cell-by-cell CSV loader, and MPPN's
-pattern bank built stage by stage (patch, then mine) with explicit loops.
+direct summation for the DFT, a cell-by-cell CSV loader, MPPN's pattern
+bank built stage by stage (patch, then mine) with explicit loops and its
+forecast gated and projected from that bank, and a forecaster's affine
+kernel read off its forward map through basis windows.
 """
 import csv
 
@@ -200,3 +202,43 @@ def reference_bank(x, params, config):
         pieces = [reference_mine(units[r], p, r, params, config) for p, r in config.retained_pairs]
         bank.append(np.concatenate(pieces, axis=1).T)
     return np.stack(bank)
+
+
+def reference_forward(x, params, config):
+    """[L, C] -> [H, C]: MPPN's forecast of one window from reference_bank,
+    scaled by the sigmoid gates and projected by the output layer."""
+    bank = reference_bank(x, params, config)  # [C, P, D]
+    gate = 1.0 / (1.0 + np.exp(-params.embed.data))
+    flat = (bank * gate[:, :, None]).reshape(bank.shape[0], -1)
+    return (flat @ params.out_weight.data + params.out_bias.data).T
+
+
+# the probe forecast must match A.probe + b to this share of the summed
+# terms' magnitude; rounding leaves about 1e-15 at ETTh1 geometry
+AFFINE_RTOL = 1e-9
+
+
+def reference_kernel(forward, lookback, channels):
+    """(A [C, L, H], b [C, H]) of an affine map ``forward`` from windows
+    [N, L, C] to forecasts [N, H, C], with
+    forward(x)[:, :, c] = x[:, :, c] @ A[c] + b[c].
+
+    b is the forecast of the zero window, and row i of A[c] is the
+    forecast of the unit window at step i minus b.  Each basis window sets
+    every channel alike, so one pass serves all channels.  A seeded random
+    probe window checks the result: a map that is not affine, or that
+    mixes channels, fails the assertion.
+    """
+    probe = np.random.default_rng(0).standard_normal((lookback, channels))
+    windows = np.zeros((lookback + 2, lookback, channels))
+    windows[np.arange(1, lookback + 1), np.arange(lookback)] = 1.0
+    windows[-1] = probe
+    out = np.asarray(forward(windows))  # [L + 2, H, C]
+    b = np.ascontiguousarray(out[0].T)
+    a = np.ascontiguousarray((out[1:lookback + 1] - out[0]).transpose(2, 0, 1))
+    want = np.einsum("lc,clh->hc", probe, a) + b.T
+    scale = np.einsum("lc,clh->hc", np.abs(probe), np.abs(a)) + np.abs(b.T)
+    err = float(np.max(np.abs(out[-1] - want)))
+    assert err <= AFFINE_RTOL * float(np.max(scale)), (
+        f"not affine per channel: the probe's forecast differs from its kernel's by {err:.3e}")
+    return a, b

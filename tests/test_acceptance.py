@@ -171,6 +171,12 @@ def _op_cases(rng):
     pe = mk((2, 6))
     yield "pad_edge", [pe], lambda: T.mse_loss(T.pad_edge(pe, 2, 3), Tensor(np.zeros((2, 11))))
 
+    cx = mk((3, 5, 2))
+    ck = mk((2, 5, 4))
+    cb = mk((2, 4))
+    yield "channel_affine", [cx, ck, cb], lambda: T.mse_loss(
+        T.channel_affine(cx, ck, cb), Tensor(np.zeros((3, 4, 2))))
+
     sl = mk((3, 8))
     yield "slice_axis", [sl], lambda: T.mse_loss(
         T.slice_axis(sl, 1, 2, 7), Tensor(np.zeros((3, 5))))

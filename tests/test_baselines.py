@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from helpers import check_grads
 from mppn import tensor as T
-from mppn.baselines import (DLinearParams, NLinearParams, dlinear_forward,
-                            moving_average_decompose, naive_last, nlinear_forward)
+from mppn.baselines import (DLinearParams, NLinearParams, dlinear_forward, dlinear_kernel,
+                            moving_average_decompose, moving_average_matrix, naive_last,
+                            nlinear_forward, nlinear_kernel)
 from mppn.errors import ArgumentError, ShapeError
 from mppn.tensor import Tensor
 
@@ -70,6 +71,16 @@ def test_decompose_reconstructs_input():
     x = rng.standard_normal((1, 40, 3))
     trend, seasonal = moving_average_decompose(Tensor(x), 25)
     assert np.max(np.abs(trend.data + seasonal.data - x)) <= 1e-12
+
+
+@pytest.mark.parametrize("length,window", [(20, 5), (9, 17), (30, 25)])
+def test_moving_average_matrix_matches_term_by_term_average(length, window):
+    # edge replication by explicit index clipping, one term at a time
+    x = np.random.default_rng(length).standard_normal(length)
+    half = (window - 1) // 2
+    want = np.array([sum(x[min(max(i + d, 0), length - 1)] for d in range(-half, half + 1))
+                     for i in range(length)]) / window
+    assert np.max(np.abs(moving_average_matrix(length, window) @ x - want)) <= 1e-12
 
 
 def test_decompose_rejects_even_window():
@@ -157,6 +168,31 @@ def test_dlinear_gradients():
         return T.mse_loss(dlinear_forward(x, params), target)
 
     check_grads(loss, [t for _, t in params.named_parameters()], tol=1e-5)
+
+
+def test_dlinear_kernel_matches_decomposed_projection():
+    # W_s + M^T (W_t - W_s) against projecting trend and residual apart
+    rng = np.random.default_rng(12)
+    params = DLinearParams.init(15, 4, seed=3, window=7)
+    params.trend_bias.data = rng.standard_normal(4)
+    params.seasonal_bias.data = rng.standard_normal(4)
+    x = rng.standard_normal((3, 15, 2))
+    trend, seasonal = moving_average_decompose(Tensor(x), 7)
+    want = (np.einsum("blc,lh->bhc", trend.data, params.trend_weight.data)
+            + np.einsum("blc,lh->bhc", seasonal.data, params.seasonal_weight.data)
+            + (params.trend_bias.data + params.seasonal_bias.data)[None, :, None])
+    assert np.max(np.abs(dlinear_forward(Tensor(x), params).data - want)) <= 1e-12
+    a, b = dlinear_kernel(params, 2)
+    assert a.shape == (2, 15, 4) and b.shape == (2, 4)
+    assert np.array_equal(a.data[0], a.data[1])
+
+
+def test_nlinear_kernel_columns_sum_to_one():
+    # a constant window forecasts itself plus the bias
+    params = NLinearParams.init(9, 4, seed=8)
+    a, b = nlinear_kernel(params, 3)
+    assert a.shape == (3, 9, 4) and b.shape == (3, 4)
+    assert np.max(np.abs(a.data.sum(axis=1) - 1.0)) <= 1e-12
 
 
 def test_dlinear_batch_matches_single():

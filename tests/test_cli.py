@@ -237,6 +237,32 @@ def test_synth_names_follow_the_loader_rule(tmp_path, capsys, names):
     assert err.startswith("configuration error: synth: names ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,why", [
+    (["--trend", "nan"], "trend must be finite"),
+    (["--trend", "inf"], "trend must be finite"),
+    (["--noise-sd", "nan"], "noise sd must be a finite number"),
+    (["--spec", '[[{"amplitude":1,"period":NaN}]]'], "tone values must be finite"),
+    (["--spec", '[[{"amplitude":1e308,"period":24}]]', "--trend", "1e308"], "overflows"),
+], ids=["trend-nan", "trend-inf", "noise-nan", "period-nan", "overflow"])
+def test_synth_rejects_non_finite_values(tmp_path, capsys, recwarn, argv, why):
+    out_path = tmp_path / "s.csv"
+    code, out, err = run_cli(capsys, "synth", "--out", str(out_path), "--timesteps", "20", *argv)
+    assert code == 2 and out == "" and not out_path.exists()
+    assert err.startswith("configuration error: synth: ") and why in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("argv,why", [
+    (["--q", ","], "at least one bin count"),
+    (["--periods", "0"], "periods must be >= 2"),
+    (["--periods", "24,1"], "periods must be >= 2"),
+], ids=["empty-q", "period-0", "period-1"])
+def test_analyze_rejects_empty_q_and_short_periods(tone_csv, capsys, argv, why):
+    code, out, err = run_cli(capsys, "analyze", "--data", str(tone_csv), *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("configuration error: analyze: ") and why in err
+
+
 def test_quoted_variate_name_survives_forecast_and_gates(tmp_path, capsys):
     from mppn import synth
     from mppn.data import load_csv

@@ -1,15 +1,15 @@
-"""The effective affine kernel, the path every split is scored through."""
+"""The composed affine kernel, the path every forecaster runs through."""
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_forward, reference_kernel
 from mppn import tensor as T
 from mppn.data import MetricsAccumulator, iter_batches
-from mppn.errors import NonAffineError
+from mppn.model import MPPNConfig, compose_kernel
 from mppn.tensor import Tensor
-from mppn.training import (MODEL_KINDS, Forecaster, RunConfig, build_forecaster,
-                           effective_kernel, split_metrics)
+from mppn.training import MODEL_KINDS, RunConfig, build_forecaster, split_metrics
 
 
 @st.composite
@@ -40,6 +40,41 @@ def random_forecaster(kind, geom, seed):
     return fc
 
 
+def mppn_config(geom):
+    return MPPNConfig(**{k: geom[k] for k in ("lookback", "horizon", "channels", "hidden",
+                                              "resolutions", "periods", "overlap")})
+
+
+def moving_average(xb, window):
+    """Edge-replicated centered moving average along axis 1, term by term."""
+    half = (window - 1) // 2
+    padded = np.concatenate([np.repeat(xb[:, :1], half, axis=1), xb,
+                             np.repeat(xb[:, -1:], half, axis=1)], axis=1)
+    return sum(padded[:, i:i + xb.shape[1]] for i in range(window)) / window
+
+
+def reference_forecaster(fc, geom):
+    """Plain-numpy forward map [N, L, C] -> [N, H, C] of a forecaster, from
+    its parameter arrays and none of the library's forward code."""
+    p = {name: t.data for name, t in fc.named_parameters()}
+
+    def project(x, weight, bias):
+        return np.einsum("nlc,lh->nhc", x, weight) + bias[None, :, None]
+
+    if fc.kind == "mppn":
+        cfg = mppn_config(geom)
+        return lambda xb: np.stack([reference_forward(x, fc.params, cfg) for x in xb])
+    if fc.kind == "nlinear":
+        return lambda xb: project(xb - xb[:, -1:], p["weight"], p["bias"]) + xb[:, -1:]
+    if fc.kind == "dlinear":
+        def dlinear(xb):
+            trend = moving_average(xb, geom["moving_average"])
+            return (project(trend, p["trend.weight"], p["trend.bias"])
+                    + project(xb - trend, p["seasonal.weight"], p["seasonal.bias"]))
+        return dlinear
+    return lambda xb: np.repeat(xb[:, -1:], geom["horizon"], axis=1)
+
+
 def usable(geom) -> bool:
     return any(geom["lookback"] // p >= 1 and p // r >= 1
                for p in geom["periods"] for r in geom["resolutions"])
@@ -56,46 +91,64 @@ _PINNED = dict(lookback=13, horizon=5, channels=2, hidden=3, resolutions=(1, 3, 
 @example("mppn", {**_PINNED, "overlap": True}, 2)
 @settings(max_examples=120, deadline=None)
 def test_kernel_reproduces_forward_batch(kind, geom, seed):
+    # the composed kernel against the one read off an independent forward
     if kind == "mppn":
         assume(usable(geom))
     fc = random_forecaster(kind, geom, seed)
-    a, b = effective_kernel(fc, geom["lookback"], geom["channels"], geom["batch_size"])
+    with T.no_grad():
+        a, b = (t.data for t in fc.kernel())
     assert a.shape == (geom["channels"], geom["lookback"], geom["horizon"])
     assert b.shape == (geom["channels"], geom["horizon"])
+    want_a, want_b = reference_kernel(reference_forecaster(fc, geom), geom["lookback"],
+                                      geom["channels"])
+    scale = max(1.0, float(np.max(np.abs(want_a))), float(np.max(np.abs(want_b))))
+    assert np.max(np.abs(a - want_a)) <= 1e-12 * scale
+    assert np.max(np.abs(b - want_b)) <= 1e-12 * scale
     x = np.random.default_rng(seed + 1).standard_normal((3, geom["lookback"], geom["channels"]))
     with T.no_grad():
         direct = fc.forward_batch(Tensor(x)).data
     via_kernel = np.einsum("blc,clh->bhc", x, a) + b.T
-    scale = max(1.0, float(np.max(np.abs(direct))))
-    assert np.max(np.abs(direct - via_kernel)) <= 1e-12 * scale
+    assert np.max(np.abs(direct - via_kernel)) <= 1e-12 * max(1.0, float(np.max(np.abs(direct))))
+
+
+@given(geometries(), st.integers(0, 2**32 - 1))
+@example({**_PINNED, "overlap": False}, 3)
+@example({**_PINNED, "overlap": True}, 4)
+@settings(max_examples=60, deadline=None)
+def test_compose_kernel_matches_reference_forward(geom, seed):
+    # overlap on and off, dropped pairs (the pinned geometry), L % r != 0
+    assume(usable(geom))
+    fc = random_forecaster("mppn", geom, seed)
+    cfg = mppn_config(geom)
+    with T.no_grad():
+        a, b = (t.data for t in compose_kernel(fc.params, cfg))
+    for x in np.random.default_rng(seed + 1).standard_normal((2, cfg.lookback, cfg.channels)):
+        want = reference_forward(x, fc.params, cfg)
+        got = np.einsum("lc,clh->hc", x, a) + b.T
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
 
 
 def test_pinned_geometry_drops_pairs_and_pads():
-    fc = random_forecaster("mppn", {**_PINNED, "overlap": False}, 0)
-    cfg = fc.config
+    cfg = mppn_config({**_PINNED, "overlap": False})
     assert len(cfg.retained_pairs) < len(cfg.periods) * len(cfg.resolutions)
     assert any(cfg.lookback % r for r in cfg.used_resolutions)
 
 
-class _Tanh(Forecaster):
-    kind = "tanh"
-
-    def forward_batch(self, xb):
-        return Tensor(np.tanh(xb.data[:, -2:, :]))
+def _tanh(xb):
+    return np.tanh(xb[:, -2:, :])
 
 
-class _ChannelMixing(Forecaster):
+def _channel_mixing(xb):
     """Affine, but channel c reads channel C-1-c: no per-channel kernel."""
-    kind = "mixing"
-
-    def forward_batch(self, xb):
-        return Tensor(xb.data[:, -2:, ::-1].copy())
+    return xb[:, -2:, ::-1].copy()
 
 
-@pytest.mark.parametrize("fc", [_Tanh(), _ChannelMixing()], ids=["tanh", "mixing"])
-def test_extraction_refuses_a_map_it_cannot_represent(fc):
-    with pytest.raises(NonAffineError, match=fc.kind):
-        effective_kernel(fc, lookback=8, channels=3, batch_size=4)
+@pytest.mark.parametrize("forward", [_tanh, _channel_mixing], ids=["tanh", "mixing"])
+def test_extraction_refuses_a_map_it_cannot_represent(forward):
+    # the oracle's own probe: reference_kernel must not accept what no
+    # per-channel kernel represents
+    with pytest.raises(AssertionError, match="not affine"):
+        reference_kernel(forward, lookback=8, channels=3)
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)

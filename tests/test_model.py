@@ -8,7 +8,7 @@ from helpers import check_grads, reference_bank, reference_mine, reference_units
 from mppn import tensor as T
 from mppn.data import load_csv, write_csv
 from mppn.errors import ConfigError, ShapeError
-from mppn.model import (MPPNConfig, MPPNParams, _assemble_batch, channel_adapt, export_gates,
+from mppn.model import (MPPNConfig, MPPNParams, channel_adapt, compose_kernel, export_gates,
                         forward_batch, pattern_dim)
 from mppn.tensor import Tensor
 
@@ -19,6 +19,20 @@ def cfg(**kw):
     base = dict(TINY)
     base.update(kw)
     return MPPNConfig(**base)
+
+
+def _bank(xb, params, config):
+    """[B, L, C] -> [B, C, P, D]: the pattern bank read out through the
+    composed kernel.  A copy of the model with zero gate logits (gates of
+    exactly 1/2), the identity as its output layer and horizon P*D
+    forecasts half the flattened bank; doubling is exact."""
+    p_dim, d = pattern_dim(config), config.hidden
+    probe = MPPNConfig(**{**config.__dict__, "horizon": p_dim * d})
+    readout = MPPNParams(params.patch, params.mine, Tensor(np.zeros((config.channels, p_dim))),
+                         Tensor(np.eye(p_dim * d)), Tensor(np.zeros(p_dim * d)))
+    with T.no_grad():
+        out = forward_batch(Tensor(xb), readout, probe).data  # [B, P*D, C]
+    return 2.0 * out.transpose(0, 2, 1).reshape(len(xb), config.channels, p_dim, d)
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +105,7 @@ def test_patch_constant_input_is_constant_over_time(r):
     # multiple of r = 2, 3, 5, and period 12 leaves each pair two slots or more
     c = cfg(lookback=31, resolutions=(r,), periods=(12,))
     params = MPPNParams.init(c)
-    bank = _assemble_batch(Tensor(np.full((1, 31, 2), 2.5)), params, c).data
+    bank = _bank(np.full((1, 31, 2), 2.5), params, c)
     assert bank.shape[2] == 12 // r >= 2
     assert np.max(np.abs(bank - bank[:, :, :1])) <= 1e-12
 
@@ -117,8 +131,7 @@ def test_mine_length_arithmetic(r, expected_lr, kernel, dil):
     # raw dilated length L_r - (K-1)*d already equals d: truncation is identity
     assert expected_lr - (kernel - 1) * dil == dil
     assert reference_units(np.zeros(336), r, params, c).shape == (8, expected_lr)
-    bank = _assemble_batch(Tensor(np.zeros((1, 336, 7))), params, c)
-    assert bank.shape == (1, 7, dil, 8)
+    assert _bank(np.zeros((1, 336, 7)), params, c).shape == (1, 7, dil, 8)
 
 
 def test_mine_phase_average_oracle():
@@ -136,7 +149,7 @@ def test_mine_phase_average_oracle():
                      [0.5, -1.0, 2.0, 0.0, 3.0, -2.0],
                      [9.0, 8.0, 7.0, 6.0, 5.0, 4.0]])
     x = np.tile(base, (1, 4)).T  # [24, 3], period 6
-    bank = _assemble_batch(Tensor(x[None]), params, c).data[0]  # [C, 6, D]
+    bank = _bank(x[None], params, c)[0]  # [C, 6, D]
     assert np.max(np.abs(bank - base[:, :, None])) <= 1e-12
 
 
@@ -160,7 +173,7 @@ def test_mine_truncation_keeps_last_positions():
 def test_assemble_single_pair_shape():
     c = cfg(lookback=48, channels=1, hidden=5, periods=(24,), resolutions=(1,))
     params = MPPNParams.init(c)
-    out = _assemble_batch(Tensor(np.random.default_rng(0).standard_normal((1, 48, 1))), params, c)
+    out = _bank(np.random.default_rng(0).standard_normal((1, 48, 1)), params, c)
     assert out.shape == (1, 1, 24, 5)
 
 
@@ -187,20 +200,26 @@ def test_assemble_shape_property_random_configs():
     for _ in range(25):
         c = _random_valid_config(rng)
         params = MPPNParams.init(c)
-        x = Tensor(rng.standard_normal((1, c.lookback, c.channels)))
-        out = _assemble_batch(x, params, c)
-        assert out.shape == (1, c.channels, pattern_dim(c), c.hidden)
+        x = rng.standard_normal((1, c.lookback, c.channels))
+        assert _bank(x, params, c).shape == (1, c.channels, pattern_dim(c), c.hidden)
+        a, b = compose_kernel(params, c)
+        assert a.shape == (c.channels, c.lookback, c.horizon)
+        assert b.shape == (c.channels, c.horizon)
 
 
 def test_assemble_channel_permutation_equivariance_bitexact():
+    # extraction weights are shared, so permuting the gate rows permutes
+    # the composed kernel's channels bit for bit
     rng = np.random.default_rng(5)
     c = cfg(lookback=24, channels=4, hidden=3, periods=(6, 8), resolutions=(1, 2))
     params = MPPNParams.init(c)
-    x = rng.standard_normal((24, 4))
+    params.embed.data[:] = rng.standard_normal(params.embed.shape)
     perm = np.array([2, 0, 3, 1])
-    direct = _assemble_batch(Tensor(x[None][:, :, perm]), params, c).data
-    permuted = _assemble_batch(Tensor(x[None]), params, c).data[:, perm]
-    assert np.array_equal(direct, permuted)
+    a, b = compose_kernel(params, c)
+    params.embed.data = params.embed.data[perm]
+    pa, pb = compose_kernel(params, c)
+    assert np.array_equal(pa.data, a.data[perm])
+    assert np.array_equal(pb.data, b.data[perm])
 
 
 def _randomize(params, rng):
@@ -210,8 +229,8 @@ def _randomize(params, rng):
 
 
 def test_assemble_matches_patch_then_mine_oracle_random_configs():
-    # the folded single-convolution path against the plain-numpy two-stage
-    # reference, window by window
+    # the bank as the composed kernel maps it against the plain-numpy
+    # two-stage reference, window by window
     rng = np.random.default_rng(17)
     seen = set()
     for trial in range(60):
@@ -220,8 +239,7 @@ def test_assemble_matches_patch_then_mine_oracle_random_configs():
         params = MPPNParams.init(c)
         _randomize(params, rng)
         xb = rng.standard_normal((2, c.lookback, c.channels))
-        with T.no_grad():
-            bank = _assemble_batch(Tensor(xb), params, c).data
+        bank = _bank(xb, params, c)
         for b in range(2):
             assert np.max(np.abs(bank[b] - reference_bank(xb[b], params, c))) <= 1e-12
         seen.add("overlap" if c.overlap else "plain")
@@ -257,6 +275,19 @@ def test_channel_adapt_gradient_wrt_logits():
         return T.mse_loss(channel_adapt(bank, logits), target)
 
     check_grads(loss, [logits, bank], tol=1e-5)
+
+
+def test_channel_adapt_gates_shared_slots_per_channel():
+    # one set of slot kernels [..., 1, P, D] against the [C, P] gate rows
+    rng = np.random.default_rng(3)
+    slots = rng.standard_normal((4, 1, 5, 2))
+    logits = rng.standard_normal((3, 5))
+    out = channel_adapt(Tensor(slots), Tensor(logits)).data
+    gate = 1.0 / (1.0 + np.exp(-logits))
+    assert out.shape == (4, 3, 5, 2)
+    assert np.max(np.abs(out - slots * gate[None, :, :, None])) <= 1e-15
+    with pytest.raises(ShapeError):
+        channel_adapt(Tensor(np.zeros((4, 2, 5, 2))), Tensor(logits))
 
 
 def test_channel_adapt_shape_mismatch():

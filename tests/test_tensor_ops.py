@@ -50,7 +50,7 @@ def test_conv1d_gradients_match_finite_differences(seed):
 
 
 @pytest.mark.parametrize("lin,k,stride,dilation", [
-    (12, 3, 1, 4),   # dilated kernel tiling the input exactly
+    (12, 3, 1, 4),   # dilated kernel whose taps tile the input exactly once
     (12, 3, 3, 1),   # kernel marching at its own width, through the gather
     (13, 3, 2, 2),   # strided and dilated, through the gather
     (9, 1, 1, 1),    # unit kernel, stride one
@@ -178,6 +178,47 @@ def test_linear_gradients(seed):
 def test_linear_inner_dim_error():
     with pytest.raises(ShapeError):
         T.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))), Tensor(np.zeros(5)))
+
+
+# ---------------------------------------------------------------------------
+# channel_affine
+
+def test_channel_affine_matches_per_channel_products(rng):
+    x, a, b = randn(rng, 4, 6, 3), randn(rng, 3, 6, 5), randn(rng, 3, 5)
+    out = T.channel_affine(Tensor(x), Tensor(a), Tensor(b)).data
+    assert out.shape == (4, 5, 3)
+    for c in range(3):
+        assert np.max(np.abs(out[:, :, c] - (x[:, :, c] @ a[c] + b[c]))) <= 1e-12
+
+
+def test_channel_affine_rows_do_not_depend_on_the_batch(rng):
+    a, b = Tensor(randn(rng, 7, 48, 12)), Tensor(randn(rng, 7, 12))
+    for n in (2, 5, 33):
+        xb = randn(rng, n, 48, 7)
+        batched = T.channel_affine(Tensor(xb), a, b).data
+        for i in range(n):
+            assert np.array_equal(batched[i], T.channel_affine(Tensor(xb[i:i + 1]), a, b).data[0])
+
+
+@pytest.mark.parametrize("seed", [12, 13, 14])
+def test_channel_affine_gradients(seed):
+    rng = np.random.default_rng(seed)
+    x = Tensor(randn(rng, 3, 5, 2), requires_grad=True)
+    a = Tensor(randn(rng, 2, 5, 4), requires_grad=True)
+    b = Tensor(randn(rng, 2, 4), requires_grad=True)
+    target = Tensor(randn(rng, 3, 4, 2))
+    check_grads(lambda: T.mse_loss(T.channel_affine(x, a, b), target), [x, a, b], tol=1e-5)
+
+
+@pytest.mark.parametrize("x,a,b", [
+    ((2, 5, 3), (3, 4, 6), (3, 6)),  # lookback disagrees
+    ((2, 5, 3), (2, 5, 6), (2, 6)),  # channels disagree
+    ((2, 5, 3), (3, 5, 6), (6,)),  # bias not per channel
+    ((5, 3), (3, 5, 6), (3, 6)),  # unbatched windows
+])
+def test_channel_affine_shape_errors(x, a, b):
+    with pytest.raises(ShapeError, match="channel_affine"):
+        T.channel_affine(Tensor(np.zeros(x)), Tensor(np.zeros(a)), Tensor(np.zeros(b)))
 
 
 # ---------------------------------------------------------------------------
