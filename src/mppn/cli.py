@@ -1,12 +1,16 @@
 """Command-line interface: analyze, train, eval, forecast, synth, gates, kernel.
 
 Reports go to stdout as JSON; file artifacts (checkpoints, CSVs, the
-kernel archive) go where flagged.  Exit codes: 0 ok, 2 configuration
+kernel archive) go where --out says.  Each subcommand declares only the
+flags its handler reads, so any other flag is rejected; --config (a
+run-config file) belongs to train alone, whose flags each override the
+run-config field of the same name.  Exit codes: 0 ok, 2 configuration
 error, 3 data error, 4 a training run that diverged.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -25,30 +29,27 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(",") if v.strip())
 
 
-def _common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="run seed")
-    parser.add_argument("--data", type=str, default=None, help="dataset CSV path")
-    parser.add_argument("--config", type=str, default=None, help="run-config file (key=value or JSON)")
-    parser.add_argument("--out", type=str, default=None, help="output path")
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="mppn", description=__doc__)
     p.add_argument("-v", "--verbose", action="store_true")
     sub = p.add_subparsers(dest="command", required=True)
 
     a = sub.add_parser("analyze", help="predictability report and detected periods")
-    _common(a)
-    a.add_argument("--q", type=str, default="10", help="bin count, or comma list to sweep")
+    a.add_argument("--data", type=str, default=None, help="dataset CSV path")
+    a.add_argument("--q", type=_int_list, default=(10,), help="bin count, or comma list to sweep")
     a.add_argument("--binning", choices=["equal-frequency", "equal-width"], default="equal-frequency")
     a.add_argument("--top-k", type=int, default=2)
     a.add_argument("--periods", type=_int_list, default=None, help="override, skips detection")
     a.add_argument("--split-scheme", choices=["ett", "standard"], default="standard")
-    a.add_argument("--no-date-column", action="store_true")
+    a.add_argument("--no-date-column", dest="date_column", action="store_false")
     a.add_argument("--fill-missing", action="store_true")
 
+    # every flag but --config and --out sets the RunConfig field of its dest
     t = sub.add_parser("train", help="fit a model and write a checkpoint")
-    _common(t)
+    t.add_argument("--config", type=str, default=None, help="run-config file (key=value or JSON)")
+    t.add_argument("--data", type=str, default=None, help="dataset CSV path")
+    t.add_argument("--seed", type=int, default=None, help="run seed")
+    t.add_argument("--out", type=str, default=None, help="checkpoint path")
     t.add_argument("--model", choices=training.MODEL_KINDS, default=None)
     t.add_argument("--split-scheme", choices=["ett", "standard"], default=None)
     t.add_argument("--lookback", type=int, default=None)
@@ -64,23 +65,25 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--max-epochs", type=int, default=None)
     t.add_argument("--patience", type=int, default=None)
     t.add_argument("--batch-size", type=int, default=None)
-    t.add_argument("--no-date-column", action="store_true", default=None)
+    t.add_argument("--no-date-column", dest="date_column", action="store_false", default=None)
     t.add_argument("--fill-missing", action="store_true", default=None)
 
     e = sub.add_parser("eval", help="metrics of a checkpoint on one split")
-    _common(e)
+    e.add_argument("--data", type=str, default=None, help="dataset CSV path")
     e.add_argument("--ckpt", type=str, required=True)
     e.add_argument("--split", choices=["train", "val", "test"], default="test")
     e.add_argument("--batch-size", type=int, default=None)
 
     f = sub.add_parser("forecast", help="predictions CSV for one origin")
-    _common(f)
+    f.add_argument("--data", type=str, default=None, help="dataset CSV path")
+    f.add_argument("--out", type=str, default=None, help="predictions CSV path")
     f.add_argument("--ckpt", type=str, required=True)
     f.add_argument("--origin", type=int, default=None)
     f.add_argument("--standardized", action="store_true")
 
     s = sub.add_parser("synth", help="generate a synthetic benchmark CSV")
-    _common(s)
+    s.add_argument("--seed", type=int, default=0, help="noise seed")
+    s.add_argument("--out", type=str, default=None, help="CSV path")
     s.add_argument("--spec", type=str, default=None,
                    help="JSON tone spec [[{amplitude,period,phase},..] per channel], or @file")
     s.add_argument("--trend", type=float, default=0.0)
@@ -89,41 +92,29 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--names", type=str, default=None, help="comma-separated channel names")
 
     g = sub.add_parser("gates", help="channel adaptation gates as CSV")
-    _common(g)
+    g.add_argument("--out", type=str, default=None, help="CSV path")
     g.add_argument("--ckpt", type=str, required=True)
 
     k = sub.add_parser("kernel", help="effective per-channel affine kernel as .npz")
-    _common(k)
+    k.add_argument("--out", type=str, default=None, help="archive path")
     k.add_argument("--ckpt", type=str, required=True)
 
     return p
 
 
 def _run_config(args) -> RunConfig:
+    """The --config file (or the defaults) with every given flag applied."""
     run = RunConfig.from_file(args.config) if args.config else RunConfig()
-    overrides = {
-        "model": args.model, "split_scheme": args.split_scheme, "lookback": args.lookback,
-        "horizon": args.horizon, "hidden": args.hidden, "resolutions": args.resolutions,
-        "periods": args.periods, "top_k": args.top_k, "overlap": args.overlap,
-        "moving_average": args.moving_average, "lr": args.lr, "weight_decay": args.weight_decay,
-        "max_epochs": args.max_epochs, "patience": args.patience, "batch_size": args.batch_size,
-        "seed": args.seed, "data": args.data, "fill_missing": args.fill_missing,
-    }
-    if args.no_date_column:
-        overrides["date_column"] = False
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(run, key, value)
-    run.__post_init__()
-    return run
+    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(run)}
+    return dataclasses.replace(run, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _cmd_analyze(args) -> int:
     if not args.data:
         raise ConfigError("analyze: --data is required")
     report = training.analyze(
-        args.data, list(_int_list(args.q)), args.binning, args.top_k,
-        args.periods, args.split_scheme, date_column=not args.no_date_column,
+        args.data, list(args.q), args.binning, args.top_k,
+        args.periods, args.split_scheme, date_column=args.date_column,
         fill_missing=args.fill_missing)
     print(json.dumps(report))
     return 0
@@ -168,8 +159,7 @@ def _cmd_synth(args) -> int:
         tones = synthmod.parse_tone_spec(json.loads(raw))
     else:
         tones = [[synthmod.ToneSpec(1.0, 24.0)]]
-    values = synthmod.generate(tones, args.trend, args.noise_sd, args.timesteps,
-                               args.seed if args.seed is not None else 0)
+    values = synthmod.generate(tones, args.trend, args.noise_sd, args.timesteps, args.seed)
     names = args.names.split(",") if args.names else None
     out = args.out or "synth.csv"
     synthmod.write_csv(out, values, names)

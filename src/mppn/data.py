@@ -257,13 +257,15 @@ class MetricsAccumulator:
     def add(self, pred, target) -> None:
         p = np.asarray(getattr(pred, "data", pred), dtype=np.float64)
         t = np.asarray(getattr(target, "data", target), dtype=np.float64)
+        if p.ndim != 3:
+            raise ShapeError(f"metrics: prediction must be [B, H, C], got shape {p.shape}")
         if p.shape != t.shape:
             raise ShapeError(f"metrics: prediction {p.shape} misaligned with target {t.shape}")
         diff = p - t
         self._sq += float(np.sum(diff * diff))
         self._ab += float(np.sum(np.abs(diff)))
         self._count += diff.size
-        self._windows += p.shape[0] if p.ndim == 3 else 1
+        self._windows += p.shape[0]
 
     def finalize(self) -> ForecastMetrics:
         if self._count == 0:

@@ -12,6 +12,9 @@ from .errors import ArgumentError
 from .rng import SplitMix64, derive
 
 _EPOCH = datetime(2016, 7, 1, 0, 0, 0)
+# most values one series may hold, checked before anything is allocated;
+# Traffic, the largest standard long-horizon benchmark, holds 17544 x 862
+_MAX_VALUES = 10 ** 8
 
 
 @dataclass
@@ -28,6 +31,10 @@ def generate(tones_per_channel: list[list[ToneSpec]], trend: float, noise_sd: fl
         raise ArgumentError(f"synth: need at least 8 timesteps, got {timesteps}")
     if not tones_per_channel:
         raise ArgumentError("synth: need at least one channel")
+    if timesteps * len(tones_per_channel) > _MAX_VALUES:
+        raise ArgumentError(
+            f"synth: {timesteps} timesteps x {len(tones_per_channel)} channels exceeds "
+            f"{_MAX_VALUES} values")
     for tones in tones_per_channel:
         for tone in tones:
             if not all(math.isfinite(v) for v in (tone.amplitude, tone.period, tone.phase)):

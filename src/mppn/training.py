@@ -41,7 +41,7 @@ MODEL_KINDS = ("mppn", "dlinear", "nlinear", "naive")
 
 # least value of each integer field; the seed may be any integer
 _INT_FIELD_MIN = {"lookback": 1, "horizon": 1, "hidden": 1, "top_k": 1, "moving_average": 1,
-                  "max_epochs": 0, "patience": 1, "batch_size": 1, "q": 2}
+                  "max_epochs": 0, "patience": 1, "batch_size": 1}
 
 
 def _is_int(value) -> bool:
@@ -76,8 +76,6 @@ class RunConfig:
     patience: int = 3
     batch_size: int = 32
     seed: int = 0
-    q: int = 10
-    binning: str = "equal-frequency"
     date_column: bool = True
     fill_missing: bool = False
 
@@ -86,7 +84,7 @@ class RunConfig:
         fails raises ConfigError."""
         if self.model not in MODEL_KINDS:
             raise ConfigError(f"unknown model kind '{self.model}', expected one of {MODEL_KINDS}")
-        for name in ("data", "split_scheme", "binning"):
+        for name in ("data", "split_scheme"):
             if not isinstance(getattr(self, name), str):
                 raise ConfigError(f"config: {name} must be a string, got {getattr(self, name)!r}")
         for name, least in _INT_FIELD_MIN.items():
@@ -432,16 +430,16 @@ def forecast(ckpt_path, data_path=None, origin: int | None = None, standardized:
 
 def analyze(data_path, q_values, binning: str, top_k: int, periods_override,
             split_scheme: str, date_column: bool = True, fill_missing: bool = False) -> dict:
-    """Predictability (raw series, optionally swept over Q) plus detected
-    or overridden periods (standardized training split)."""
-    q_list = list(q_values) if isinstance(q_values, (list, tuple)) else [int(q_values)]
-    if not q_list:
+    """Predictability of the raw series for each bin count in the list
+    q_values (a sweep when it holds more than one) plus detected or
+    overridden periods (standardized training split)."""
+    if not q_values:
         raise ConfigError("analyze: need at least one bin count Q")
     if periods_override and min(periods_override) < 2:
         raise ConfigError(f"analyze: periods must be >= 2, got {list(periods_override)}")
     ds = load_csv(data_path, strict=not fill_missing, date_column=date_column)
 
-    reports = [dataset_predictability(ds, q, binning).to_dict() for q in q_list]
+    reports = [dataset_predictability(ds, q, binning).to_dict() for q in q_values]
     predict_part = reports[0] if len(reports) == 1 else {"sweep": reports}
 
     if periods_override:

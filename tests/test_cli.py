@@ -1,11 +1,15 @@
 """Command-line surface: subcommands, JSON reports, exit codes."""
+import argparse
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from mppn import cli
 from mppn.cli import main
+from mppn.training import RunConfig
 
 
 def run_cli(capsys, *argv):
@@ -199,7 +203,8 @@ def _mppn_checkpoint(tone_csv, path, extras=None, config_text=None, poison=None)
 @pytest.mark.parametrize("command", ["eval", "forecast", "gates", "kernel"])
 def test_malformed_checkpoint_extras_are_data_errors(tone_csv, tmp_path, capsys, extras, command):
     ckpt = _mppn_checkpoint(tone_csv, tmp_path / "m.ckpt", extras={"channels": 2, **extras})
-    code, _, err = run_cli(capsys, command, "--ckpt", str(ckpt), "--out", str(tmp_path / "out"))
+    out_flag = ["--out", str(tmp_path / "out")] if command != "eval" else []
+    code, _, err = run_cli(capsys, command, "--ckpt", str(ckpt), *out_flag)
     assert code == 3
     assert "data error: checkpoint" in err
 
@@ -210,7 +215,8 @@ def test_malformed_checkpoint_extras_are_data_errors(tone_csv, tmp_path, capsys,
 def test_non_finite_checkpoint_tensor_is_data_error(tone_csv, tmp_path, capsys, value, command):
     ckpt = _mppn_checkpoint(tone_csv, tmp_path / "m.ckpt", poison=value)
     out_path = tmp_path / "out"
-    code, out, err = run_cli(capsys, command, "--ckpt", str(ckpt), "--out", str(out_path))
+    out_flag = ["--out", str(out_path)] if command != "eval" else []
+    code, out, err = run_cli(capsys, command, "--ckpt", str(ckpt), *out_flag)
     assert code == 3 and out == "" and not out_path.exists()
     assert err.startswith(f"data error: {ckpt}: tensor 'mine.24.3.weight' holds a non-finite")
     assert "Traceback" not in err
@@ -222,7 +228,8 @@ def test_non_finite_checkpoint_tensor_is_data_error(tone_csv, tmp_path, capsys, 
 def test_unparseable_checkpoint_config_is_data_error(tone_csv, tmp_path, capsys, config_text,
                                                      command):
     ckpt = _mppn_checkpoint(tone_csv, tmp_path / "m.ckpt", config_text=config_text)
-    code, out, err = run_cli(capsys, command, "--ckpt", str(ckpt), "--out", str(tmp_path / "o"))
+    out_flag = ["--out", str(tmp_path / "o")] if command != "eval" else []
+    code, out, err = run_cli(capsys, command, "--ckpt", str(ckpt), *out_flag)
     assert code == 3 and out == ""
     assert err.startswith("data error: checkpoint: config text does not parse")
     assert "Traceback" not in err
@@ -250,6 +257,14 @@ def test_synth_rejects_non_finite_values(tmp_path, capsys, recwarn, argv, why):
     assert code == 2 and out == "" and not out_path.exists()
     assert err.startswith("configuration error: synth: ") and why in err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_synth_rejects_a_series_beyond_the_value_bound(tmp_path, capsys):
+    out_path = tmp_path / "s.csv"
+    code, out, err = run_cli(capsys, "synth", "--out", str(out_path), "--timesteps", "100000000000")
+    assert code == 2 and out == "" and not out_path.exists()
+    assert err == ("configuration error: synth: 100000000000 timesteps x 1 channels exceeds "
+                   "100000000 values\n")
 
 
 @pytest.mark.parametrize("argv,why", [
@@ -410,7 +425,9 @@ def test_malformed_csv_is_data_error_for_every_command(linear_ckpt, tmp_path, ca
                                                        command):
     bad = tmp_path / f"{case}.csv"
     bad.write_bytes(MALFORMED_CSVS[case])
-    argv = [command, "--data", str(bad), "--out", str(tmp_path / "out")]
+    argv = [command, "--data", str(bad)]
+    if command in ("train", "forecast"):
+        argv += ["--out", str(tmp_path / "out")]
     if command in ("eval", "forecast"):
         argv += ["--ckpt", str(linear_ckpt)]
     code, out, err = run_cli(capsys, *argv)
@@ -422,7 +439,158 @@ def test_malformed_csv_is_data_error_for_every_command(linear_ckpt, tmp_path, ca
 def test_column_without_values_is_data_error_when_filling(tmp_path, capsys, command):
     bad = tmp_path / "dead.csv"
     bad.write_text("date,a,b\n2020,1,nan\n2021,2,\n", encoding="utf-8")
-    code, out, err = run_cli(capsys, command, "--data", str(bad), "--fill-missing",
-                             "--out", str(tmp_path / "out"))
+    out_flag = ["--out", str(tmp_path / "out")] if command == "train" else []
+    code, out, err = run_cli(capsys, command, "--data", str(bad), "--fill-missing", *out_flag)
     assert code == 3 and out == ""
     assert "column 'b' has no usable values" in err
+
+
+# ---------------------------------------------------------------------------
+# every flag a subcommand declares is read by its handler
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A namespace that notes the name of every attribute read from it."""
+
+    def __init__(self):
+        super().__init__()
+        self.__dict__["_reads"] = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+def _subparser(command):
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
+
+
+def _full_argv(command, tone_csv, tmp_path):
+    """An argv for ``command`` that sets every flag it declares."""
+    from mppn import training
+    dateless = tmp_path / "dateless.csv"  # headerless values, for --no-date-column
+    dateless.write_text("".join(line.split(",", 1)[1] for line in
+                                tone_csv.read_text(encoding="utf-8").splitlines(True)[1:]),
+                        encoding="utf-8")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("patience=2\n", encoding="utf-8")
+    nlinear = tmp_path / "nlinear.ckpt"
+    training.train(training.RunConfig(model="nlinear", data=str(tone_csv), lookback=48,
+                                      horizon=12, max_epochs=1), nlinear)
+    mppn = _mppn_checkpoint(tone_csv, tmp_path / "mppn.ckpt")
+    return {
+        "analyze": ["--data", str(dateless), "--q", "5,10", "--binning", "equal-width",
+                    "--top-k", "1", "--periods", "24", "--split-scheme", "ett",
+                    "--no-date-column", "--fill-missing"],
+        "train": ["--config", str(cfg), "--data", str(dateless), "--seed", "3",
+                  "--out", str(tmp_path / "m.ckpt"), "--model", "mppn", "--split-scheme", "ett",
+                  "--lookback", "48", "--horizon", "12", "--hidden", "4", "--resolutions", "1,3",
+                  "--periods", "24", "--top-k", "1", "--overlap", "--moving-average", "5",
+                  "--lr", "0.001", "--weight-decay", "0", "--max-epochs", "1", "--patience", "1",
+                  "--batch-size", "16", "--no-date-column", "--fill-missing"],
+        "eval": ["--data", str(tone_csv), "--ckpt", str(nlinear), "--split", "val",
+                 "--batch-size", "8"],
+        "forecast": ["--data", str(tone_csv), "--out", str(tmp_path / "pred.csv"),
+                     "--ckpt", str(nlinear), "--origin", "400", "--standardized"],
+        "synth": ["--seed", "1", "--out", str(tmp_path / "s.csv"), "--spec",
+                  '[[{"amplitude":1,"period":12}]]', "--trend", "0.01", "--noise-sd", "0.1",
+                  "--timesteps", "50", "--names", "a"],
+        "gates": ["--out", str(tmp_path / "gates.csv"), "--ckpt", str(mppn)],
+        "kernel": ["--out", str(tmp_path / "kernel.npz"), "--ckpt", str(nlinear)],
+    }[command]
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_handler_reads_every_flag_its_subcommand_declares(tone_csv, tmp_path, capsys, command):
+    declared = [a for a in _subparser(command)._actions if a.dest != "help"]
+    argv = _full_argv(command, tone_csv, tmp_path)
+    assert all(set(a.option_strings) & set(argv) for a in declared)
+    args = cli.build_parser().parse_args([command, *argv], namespace=_ReadRecorder())
+    args.__dict__["_reads"].clear()  # parsing itself reads attributes
+    assert cli._COMMANDS[command](args) == 0
+    assert {a.dest for a in declared} <= args.__dict__["_reads"]
+
+
+def test_every_run_config_field_has_exactly_one_train_flag():
+    dests = [a.dest for a in _subparser("train")._actions]
+    fields = [f.name for f in dataclasses.fields(RunConfig)]
+    assert all(dests.count(name) == 1 for name in fields)
+    assert set(dests) - set(fields) == {"help", "config", "out"}
+
+
+REMOVED_FLAGS = [("analyze", "--seed"), ("analyze", "--config"), ("analyze", "--out"),
+                 ("eval", "--seed"), ("eval", "--config"), ("eval", "--out"),
+                 ("forecast", "--seed"), ("forecast", "--config"),
+                 ("synth", "--data"), ("synth", "--config"),
+                 ("gates", "--seed"), ("gates", "--data"), ("gates", "--config"),
+                 ("kernel", "--seed"), ("kernel", "--data"), ("kernel", "--config")]
+
+
+@pytest.mark.parametrize("command,flag", REMOVED_FLAGS)
+def test_flag_a_subcommand_does_not_read_is_rejected(linear_ckpt, tmp_path, monkeypatch, capsys,
+                                                     command, flag):
+    monkeypatch.chdir(tmp_path)  # a default output path would land here
+    csv_path = str(linear_ckpt.parent / "clean.csv")
+    base = {"analyze": ["--data", csv_path], "eval": ["--ckpt", str(linear_ckpt)],
+            "forecast": ["--ckpt", str(linear_ckpt)], "synth": ["--timesteps", "20"],
+            "gates": ["--ckpt", str(linear_ckpt)], "kernel": ["--ckpt", str(linear_ckpt)]}
+    value = {"--seed": "1", "--data": csv_path, "--config": str(tmp_path / "run.cfg"),
+             "--out": str(tmp_path / "out")}[flag]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *base[command], flag, value])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert f"unrecognized arguments: {flag} " in out.err and "Traceback" not in out.err
+    assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# the retired run-config keys q and binning
+
+
+def test_checkpoint_with_retired_q_and_binning_lines_gives_identical_outputs(tone_csv, tmp_path,
+                                                                             capsys):
+    from mppn.training import config_blob
+    run = RunConfig(model="mppn", data=str(tone_csv), lookback=48, horizon=12, hidden=4,
+                    resolutions=(1, 3), periods=(24,))
+    blob = config_blob(run, {"channels": 2, "channel_names": ["v0", "v1"],
+                             "resolved_periods": [24]})
+    assert "\nseed=0\n" in blob
+    # the lines every checkpoint carried while RunConfig had these fields
+    with_retired = blob.replace("\nseed=0\n", '\nseed=0\nq=10\nbinning="equal-frequency"\n')
+    outputs = []
+    for name, text in (("plain", blob), ("retired", with_retired)):
+        ckpt = _mppn_checkpoint(tone_csv, tmp_path / f"{name}.ckpt", config_text=text)
+        code, metrics, _ = run_cli(capsys, "eval", "--ckpt", str(ckpt))
+        assert code == 0
+        files = {}
+        for command, suffix in (("forecast", "csv"), ("gates", "csv"), ("kernel", "npz")):
+            files[command] = tmp_path / f"{name}.{command}.{suffix}"
+            code, _, _ = run_cli(capsys, command, "--ckpt", str(ckpt), "--out", str(files[command]))
+            assert code == 0
+        with np.load(files["kernel"]) as archive:
+            kernel = {key: archive[key] for key in archive.files}
+        outputs.append((metrics, files["forecast"].read_bytes(), files["gates"].read_bytes(),
+                        kernel))
+    (metrics_a, forecast_a, gates_a, kernel_a), (metrics_b, forecast_b, gates_b, kernel_b) = outputs
+    assert metrics_a == metrics_b and forecast_a == forecast_b and gates_a == gates_b
+    # the archive's zip timestamps follow the clock, so compare what it holds
+    assert kernel_a.keys() == kernel_b.keys() == {"A", "b", "channel_names"}
+    for key in kernel_a:
+        assert kernel_a[key].dtype == kernel_b[key].dtype
+        assert kernel_a[key].tobytes() == kernel_b[key].tobytes()
+
+
+@pytest.mark.parametrize("line,key", [("q=10", "q"), ('binning="equal-frequency"', "binning")],
+                         ids=["q", "binning"])
+def test_retired_key_in_config_file_is_config_error(tone_csv, tmp_path, capsys, line, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f'model="nlinear"\nlookback=48\nhorizon=12\n{line}\n', encoding="utf-8")
+    ckpt = tmp_path / "m.ckpt"
+    code, out, err = run_cli(capsys, "train", "--config", str(cfg), "--data", str(tone_csv),
+                             "--out", str(ckpt))
+    assert code == 2 and out == "" and not ckpt.exists()
+    assert f"unknown config keys ['{key}']" in err and "Traceback" not in err

@@ -340,6 +340,13 @@ def test_metrics_misaligned_shapes():
         acc.add(np.zeros((2, 3, 1)), np.zeros((2, 4, 1)))
 
 
+@pytest.mark.parametrize("shape", [(6,), (2, 3), (1, 2, 3, 1)], ids=["rank-1", "rank-2", "rank-4"])
+def test_metrics_reject_prediction_rank_other_than_three(shape):
+    acc = MetricsAccumulator()
+    with pytest.raises(ShapeError, match=r"\[B, H, C\]"):
+        acc.add(np.zeros(shape), np.zeros(shape))
+
+
 def test_metrics_json_line_schema():
     m = ForecastMetrics(0.25, 0.4, 12)
     assert m.to_dict("test") == {"split": "test", "mse": 0.25, "mae": 0.4, "windows": 12}

@@ -58,7 +58,7 @@ def test_run_config_rejects_unknown_model():
 
 @pytest.mark.parametrize("field,value", [
     ("lookback", "abc"), ("lookback", 0), ("lookback", 48.0), ("horizon", True),
-    ("hidden", -1), ("batch_size", 0), ("patience", 0), ("max_epochs", -1), ("q", 1),
+    ("hidden", -1), ("batch_size", 0), ("patience", 0), ("max_epochs", -1), ("top_k", 0),
     ("seed", 1.5), ("lr", float("nan")), ("lr", float("inf")), ("lr", 0.0), ("lr", "fast"), ("lr", 10 ** 400),
     ("weight_decay", -1e-5), ("weight_decay", float("nan")), ("overlap", 1),
     ("resolutions", 3), ("resolutions", (1, 0)), ("periods", ("24",)), ("periods", (1,)),
@@ -180,6 +180,16 @@ def test_synth_rejects_bad_spec():
         generate([[ToneSpec(1.0, 0.0)]], 0.0, 0.0, 100, 0)
     with pytest.raises(ArgumentError):
         generate([[ToneSpec(1.0, 24.0)]], 0.0, 0.0, 4, 0)
+
+
+
+def test_synth_value_bound_counts_every_channel(monkeypatch):
+    from mppn import synth
+    from mppn.errors import ArgumentError
+    monkeypatch.setattr(synth, "_MAX_VALUES", 100)  # a bound small enough to allocate past
+    assert generate([[ToneSpec(1.0, 24.0)]], 0.0, 0.0, 100, 0).shape == (100, 1)
+    with pytest.raises(ArgumentError, match="50 timesteps x 3 channels exceeds 100 values"):
+        generate([[ToneSpec(1.0, 24.0)]] * 3, 0.0, 0.0, 50, 0)
 
 
 # ---------------------------------------------------------------------------
