@@ -26,7 +26,10 @@ from .training import RunConfig
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(",") if v.strip())
+    values = tuple(int(v) for v in text.split(",") if v.strip())
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -27,7 +27,6 @@ class PeriodSet:
     """Detected periods sorted by amplitude, strongest first."""
 
     items: list[tuple[int, int, float]]  # (period, frequency, amplitude)
-    k: int
 
     @property
     def periods(self) -> list[int]:
@@ -35,7 +34,7 @@ class PeriodSet:
 
     def to_dict(self) -> dict:
         return {
-            "k": self.k,
+            "k": len(self.items),
             "items": [
                 {"period": p, "frequency": f, "amplitude": a} for p, f, a in self.items
             ],
@@ -83,7 +82,7 @@ def topk_periods(spectrum: AmplitudeSpectrum, k: int) -> PeriodSet:
         items.append((period, f, float(amps[idx])))
         if len(items) == k:
             break
-    return PeriodSet(items, k)
+    return PeriodSet(items)
 
 
 def detect_periods(values, k: int) -> PeriodSet:

@@ -5,6 +5,14 @@ appends one node to the thread's tape; ``backward`` replays the tape once
 in reverse creation order, accumulating gradients additively, and then
 clears it.  Graphs are rebuilt on every forward pass, never cached.
 
+A slice's pullback returns its upstream block with the block's index, not
+a zero-filled array of the sliced tensor's shape.  ``backward`` writes in
+place only into gradient buffers it allocated during the call, so a
+tensor sliced many times gets one buffer that every block is added into.
+Any other gradient array may be shared (``add`` hands one array to both
+inputs, ``reshape`` and ``transpose`` hand out views, a leaf keeps its
+``.grad`` between calls) and is never written.
+
 The operator set is what the forecasters need: affine maps, the
 per-channel kernel every forecaster applies to its windows, sigmoid,
 concatenation, broadcasting multiply, slicing, transposition, reshape, and
@@ -136,12 +144,21 @@ def backward(loss: Tensor) -> None:
 
     Gradients accumulate additively across fan-out and across repeated
     backward calls; the tape is cleared afterwards.
+
+    A pullback returns each input's gradient either dense, at the input's
+    shape, or as ``(block, index)``: ``block`` at ``index``, zero
+    elsewhere.  A tensor's first dense gradient is stored as it is and its
+    first block gets a fresh zero buffer.  Later contributions are added
+    in place into a buffer this call allocated; a gradient it did not
+    allocate may alias another (see the module docstring), so it is summed
+    out of place once and the sum is then owned.
     """
     if loss.size != 1:
         raise ArgumentError(f"backward: loss must be scalar, got shape {loss.shape}")
     tape = _tape()
     seed = np.ones_like(loss.data)
     loss.grad = seed if loss.grad is None else loss.grad + seed
+    owned: set[int] = set()  # ids of tensors whose .grad this call allocated
     for node in reversed(tape):
         g = node.output.grad
         if g is None:
@@ -150,7 +167,22 @@ def backward(loss: Tensor) -> None:
         for t, gin in zip(node.inputs, grads):
             if gin is None or not t.requires_grad:
                 continue
-            t.grad = gin if t.grad is None else t.grad + gin
+            gin, idx = gin if isinstance(gin, tuple) else (gin, ...)
+            if id(t) in owned:
+                t.grad[idx] += gin
+            elif t.grad is None and idx is ...:
+                t.grad = gin
+            else:
+                if t.grad is None:
+                    buf = np.zeros(t.shape)
+                    buf[idx] = gin
+                elif idx is ...:
+                    buf = t.grad + gin
+                else:
+                    buf = t.grad.copy()
+                    buf[idx] += gin
+                t.grad = buf
+                owned.add(id(t))
     tape.clear()
 
 
@@ -256,7 +288,8 @@ def transpose(x: Tensor, axes: Sequence[int] | None = None) -> Tensor:
 
 
 def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    """Contiguous slice along one axis; backward scatters into zeros."""
+    """Contiguous slice along one axis; backward hands the upstream
+    gradient to ``backward`` as a block with its index."""
     x = _as_tensor(x)
     axis = axis % x.ndim
     if not (0 <= start < stop <= x.shape[axis]):
@@ -266,11 +299,7 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     sl = tuple(sl)
 
     def bw(g):
-        if not x.requires_grad:
-            return (None,)
-        gx = np.zeros(x.shape)
-        gx[sl] = g
-        return (gx,)
+        return ((g, sl),) if x.requires_grad else (None,)
 
     return _record("slice", (x,), np.ascontiguousarray(x.data[sl]), bw)
 

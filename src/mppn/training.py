@@ -153,9 +153,16 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
+        """A run-config file: unknown keys and an empty ``periods`` list
+        (leave the key out to detect periods) are configuration errors.
+        Checkpoints parse their config through ``from_text``, which still
+        accepts an empty list."""
         cfg, extras = cls.from_text(Path(path).read_text(encoding="utf-8"))
         if extras:
             raise ConfigError(f"{path}: unknown config keys {sorted(extras)}")
+        if cfg.periods == ():
+            raise ConfigError(f"{path}: periods must name at least one period; "
+                              "leave it out to detect periods")
         return cfg
 
 
@@ -432,12 +439,17 @@ def analyze(data_path, q_values, binning: str, top_k: int, periods_override,
             split_scheme: str, date_column: bool = True, fill_missing: bool = False) -> dict:
     """Predictability of the raw series for each bin count in the list
     q_values (a sweep when it holds more than one) plus detected or
-    overridden periods (standardized training split)."""
+    overridden periods (standardized training split).  An override
+    period must be at least 2 and at most the series length, the bounds
+    FFT detection keeps to."""
     if not q_values:
         raise ConfigError("analyze: need at least one bin count Q")
     if periods_override and min(periods_override) < 2:
         raise ConfigError(f"analyze: periods must be >= 2, got {list(periods_override)}")
     ds = load_csv(data_path, strict=not fill_missing, date_column=date_column)
+    if periods_override and max(periods_override) > ds.length:
+        raise ConfigError(f"analyze: period {max(periods_override)} is longer than the series "
+                          f"({ds.length} rows)")
 
     reports = [dataset_predictability(ds, q, binning).to_dict() for q in q_values]
     predict_part = reports[0] if len(reports) == 1 else {"sweep": reports}

@@ -1,8 +1,9 @@
 """Shared independent oracles for the test suite.
 
 These deliberately avoid the library's own code paths: finite differences
-for gradients, cubic-time substring search for match lengths, quadratic
-direct summation for the DFT, a cell-by-cell CSV loader, MPPN's pattern
+for gradients, the tape replayed with dense out-of-place gradient sums,
+cubic-time substring search for match lengths, quadratic direct summation
+for the DFT, a cell-by-cell CSV loader, MPPN's pattern
 bank built stage by stage (patch, then mine) with explicit loops and its
 forecast gated and projected from that bank, and a forecaster's affine
 kernel read off its forward map through basis windows.
@@ -14,6 +15,30 @@ import numpy as np
 from mppn import tensor as T
 from mppn.data import SeriesDataset
 from mppn.errors import DataError
+
+
+def reference_backward(loss):
+    """``tensor.backward`` by the dense rule: a pullback's ``(block, index)``
+    gradient is scattered into a zero array of its input's shape, and every
+    contribution is summed out of place, so no array is ever written after
+    it is stored.  Same tape order, so sums agree bit for bit with the
+    in-place accumulation."""
+    tape = T._tape()
+    seed = np.ones_like(loss.data)
+    loss.grad = seed if loss.grad is None else loss.grad + seed
+    for node in reversed(tape):
+        g = node.output.grad
+        if g is None:
+            continue
+        for t, gin in zip(node.inputs, node.backward(g)):
+            if gin is None or not t.requires_grad:
+                continue
+            if isinstance(gin, tuple):
+                block, idx = gin
+                gin = np.zeros(t.shape)
+                gin[idx] = block
+            t.grad = gin if t.grad is None else t.grad + gin
+    tape.clear()
 
 
 def fd_gradient(loss_fn, tensor, h=1e-6):

@@ -268,14 +268,83 @@ def test_synth_rejects_a_series_beyond_the_value_bound(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv,why", [
-    (["--q", ","], "at least one bin count"),
     (["--periods", "0"], "periods must be >= 2"),
     (["--periods", "24,1"], "periods must be >= 2"),
-], ids=["empty-q", "period-0", "period-1"])
+    (["--periods", "24,481"], "period 481 is longer than the series (480 rows)"),
+    (["--periods", "10000"], "period 10000 is longer than the series (480 rows)"),
+], ids=["period-0", "period-1", "period-481", "period-10000"])
 def test_analyze_rejects_empty_q_and_short_periods(tone_csv, capsys, argv, why):
     code, out, err = run_cli(capsys, "analyze", "--data", str(tone_csv), *argv)
     assert code == 2 and out == ""
     assert err.startswith("configuration error: analyze: ") and why in err
+
+
+def test_analyze_accepts_a_period_as_long_as_the_series(tone_csv, capsys):
+    code, out, _ = run_cli(capsys, "analyze", "--data", str(tone_csv), "--periods", "480")
+    assert code == 0
+    assert json.loads(out)["periods"] == {
+        "source": "override", "k": 1,
+        "items": [{"period": 480, "frequency": None, "amplitude": None}]}
+
+
+def test_analyze_library_call_rejects_empty_q(tone_csv):
+    from mppn.errors import ConfigError
+    from mppn.training import analyze
+    with pytest.raises(ConfigError, match="at least one bin count"):
+        analyze(tone_csv, [], "equal-frequency", 2, None, "standard")
+
+
+@pytest.mark.parametrize("command,flag", [("analyze", "--q"), ("analyze", "--periods"),
+                                          ("train", "--periods"), ("train", "--resolutions")],
+                         ids=["analyze-q", "analyze-periods", "train-periods",
+                              "train-resolutions"])
+@pytest.mark.parametrize("text", [",", " , ,"], ids=["comma", "blanks"])
+def test_empty_int_list_flag_is_usage_error(tone_csv, tmp_path, capsys, command, flag, text):
+    ckpt = tmp_path / "m.ckpt"
+    extra = ["--out", str(ckpt), "--max-epochs", "1"] if command == "train" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--data", str(tone_csv), *extra, flag, text])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == "" and not ckpt.exists()
+    assert out.err.startswith("usage: mppn " + command)
+    assert f"argument {flag}: expected comma-separated integers, got {text!r}" in out.err
+    assert "Traceback" not in out.err
+
+
+def test_empty_periods_in_config_file_is_config_error(tone_csv, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text('model="mppn"\nlookback=48\nhorizon=12\nperiods=[]\n', encoding="utf-8")
+    ckpt = tmp_path / "m.ckpt"
+    code, out, err = run_cli(capsys, "train", "--config", str(cfg), "--data", str(tone_csv),
+                             "--out", str(ckpt))
+    assert code == 2 and out == "" and not ckpt.exists()
+    assert err.startswith("configuration error: ") and "periods must name at least one" in err
+
+
+def test_checkpoint_config_with_empty_periods_still_loads(tone_csv, tmp_path, capsys):
+    # a checkpoint's config text goes through from_text, which keeps
+    # accepting an empty override list; the periods it runs are the extras'
+    from mppn.training import config_blob
+    extras = {"channels": 2, "channel_names": ["v0", "v1"], "resolved_periods": [24]}
+    reports = []
+    for periods in ((24,), ()):
+        run = RunConfig(model="mppn", data=str(tone_csv), lookback=48, horizon=12, hidden=4,
+                        resolutions=(1, 3), periods=periods)
+        ckpt = _mppn_checkpoint(tone_csv, tmp_path / f"m{len(periods)}.ckpt",
+                                config_text=config_blob(run, extras))
+        code, out, _ = run_cli(capsys, "eval", "--ckpt", str(ckpt))
+        assert code == 0
+        reports.append(out)
+    assert reports[0] == reports[1]
+
+
+def test_analyze_top_k_beyond_the_spectrum_reports_what_it_found(tone_csv, capsys):
+    code, out, _ = run_cli(capsys, "analyze", "--data", str(tone_csv), "--top-k", "1000")
+    assert code == 0
+    periods = json.loads(out)["periods"]
+    assert periods["source"] == "fft"
+    assert 1 <= len(periods["items"]) < 1000
+    assert periods["k"] == len(periods["items"])
 
 
 def test_quoted_variate_name_survives_forecast_and_gates(tmp_path, capsys):

@@ -112,5 +112,11 @@ def test_periods_are_distinct_and_at_least_two():
 
 def test_detected_period_set_shape_of_json():
     doc = detect_periods(tone(96, 4)[:, None], 2).to_dict()
-    assert doc["k"] == 2
+    assert doc["k"] == len(doc["items"]) == 2
     assert {"period", "frequency", "amplitude"} == set(doc["items"][0])
+
+
+def test_top_k_beyond_the_spectrum_reports_the_periods_found():
+    # T = 96 has 48 nonzero frequencies, and ceil(96 / f) repeats for f > 9
+    doc = detect_periods(tone(96, 4)[:, None], 1000).to_dict()
+    assert doc["k"] == len(doc["items"]) == len({i["period"] for i in doc["items"]}) < 48

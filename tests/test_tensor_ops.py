@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from helpers import check_grads
+from helpers import check_grads, reference_backward
 from mppn import tensor as T
 from mppn.errors import ArgumentError, ReceptiveFieldError, ShapeError
 from mppn.optim import Adam
@@ -359,6 +359,91 @@ def test_backward_rejects_non_scalar(rng):
     with pytest.raises(ArgumentError):
         T.backward(T.add(x, x))
     T.clear_tape()
+
+
+def _sliced_and_dense_loss(x, w, target, ranges, slices_first):
+    """u = x * w used through slices of axis 1 at ``ranges`` and once
+    densely.  Backward reaches u in reverse recording order, so with
+    ``slices_first`` the dense use is recorded first and its gradient
+    arrives last."""
+    u = T.mul(x, w)
+    terms = [T.mse_loss(T.slice_axis(u, 1, lo, hi), Tensor(target[:, lo:hi]))
+             for lo, hi in ranges]
+    dense = T.mse_loss(T.sigmoid(u), Tensor(target))
+    terms = [dense] + terms if slices_first else terms + [dense]
+    loss = terms[0]
+    for term in terms[1:]:
+        loss = T.add(loss, term)
+    return loss
+
+
+@pytest.mark.parametrize("slices_first", [False, True], ids=["dense-first", "slices-first"])
+@pytest.mark.parametrize("ranges", [((0, 3), (3, 5), (6, 8)), ((0, 5), (2, 8), (4, 6))],
+                         ids=["disjoint", "overlapping"])
+def test_backward_through_several_slices_and_a_dense_use(rng, ranges, slices_first):
+    x = Tensor(randn(rng, 3, 8), requires_grad=True)
+    w = Tensor(randn(rng, 3, 8), requires_grad=True)
+    target = randn(rng, 3, 8)
+    check_grads(lambda: _sliced_and_dense_loss(x, w, target, ranges, slices_first), [x, w],
+                tol=1e-6)
+    got = [x.grad, w.grad]
+    x.grad = w.grad = None
+    reference_backward(_sliced_and_dense_loss(x, w, target, ranges, slices_first))
+    assert [g.tobytes() for g in got] == [x.grad.tobytes(), w.grad.tobytes()]
+
+
+def test_backward_never_writes_a_gradient_it_handed_out(rng):
+    # add hands y's gradient to u twice and reshape hands a view of u's
+    # gradient to x; the slice of x, recorded first, reaches x last
+    x = Tensor(randn(rng, 3, 4), requires_grad=True)
+    c, d = randn(rng, 4, 3), randn(rng, 3, 2)
+    s = T.slice_axis(x, 1, 1, 3)
+    u = T.reshape(x, (4, 3))
+    y = T.add(u, u)
+    T.backward(T.add(T.sum_all(T.mul(y, Tensor(c))), T.sum_all(T.mul(s, Tensor(d)))))
+    np.testing.assert_array_equal(y.grad, c)
+    np.testing.assert_array_equal(u.grad, 2.0 * c)
+    np.testing.assert_array_equal(s.grad, d)
+    want = (2.0 * c).reshape(3, 4)
+    want[:, 1:3] += d
+    np.testing.assert_array_equal(x.grad, want)
+
+
+@pytest.mark.parametrize("sliced_first", [False, True], ids=["dense-first", "sliced-first"])
+def test_repeated_backward_accumulates_without_touching_earlier_gradients(rng, sliced_first):
+    x = Tensor(randn(rng, 3, 4), requires_grad=True)
+    c, d = randn(rng, 4, 3), randn(rng, 3, 2)
+
+    def loss():
+        # the node recorded last reaches x first
+        def use_slice():
+            return T.sum_all(T.mul(T.slice_axis(x, 1, 1, 3), Tensor(d)))
+
+        def use_view():
+            return T.sum_all(T.mul(T.reshape(x, (4, 3)), Tensor(c)))
+
+        first, second = (use_view, use_slice) if sliced_first else (use_slice, use_view)
+        return T.add(first(), second())
+
+    T.backward(loss())
+    once = x.grad.copy()
+    T.backward(loss())
+    assert np.max(np.abs(x.grad - 2.0 * once)) <= 1e-12
+    twice = x.grad
+    x.grad = None
+    reference_backward(loss())
+    reference_backward(loss())
+    assert twice.tobytes() == x.grad.tobytes()
+
+    # a leaf whose gradient is a view of an intermediate's from an earlier call
+    x.grad = None
+    u = T.reshape(x, (4, 3))
+    T.backward(T.sum_all(T.mul(u, Tensor(c))))
+    assert np.shares_memory(x.grad, u.grad)
+    kept = u.grad.copy()
+    T.backward(loss())
+    np.testing.assert_array_equal(u.grad, kept)
+    assert np.max(np.abs(x.grad - (c.reshape(3, 4) + once))) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
