@@ -26,23 +26,19 @@ _MAX_RANK = 16
 
 
 def save_checkpoint(path, config_text: str, tensors: list[tuple[str, np.ndarray]]) -> None:
-    buf = bytearray()
-    buf += MAGIC
-    buf += struct.pack("<I", VERSION)
+    """Write the container, streaming each payload from its array: no
+    copy of a payload or of the whole file is built in memory."""
     cfg = config_text.encode("utf-8")
-    buf += struct.pack("<Q", len(cfg))
-    buf += cfg
-    buf += struct.pack("<I", len(tensors))
-    for name, arr in tensors:
-        arr = np.asarray(arr, dtype=np.float64)
-        nb = name.encode("utf-8")
-        buf += struct.pack("<I", len(nb))
-        buf += nb
-        buf += struct.pack("<I", arr.ndim)
-        for dim in arr.shape:
-            buf += struct.pack("<Q", dim)
-        buf += arr.astype("<f8", copy=False).tobytes()
-    Path(path).write_bytes(bytes(buf))
+    with open(path, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<IQ", VERSION, len(cfg)) + cfg
+                 + struct.pack("<I", len(tensors)))
+        for name, arr in tensors:
+            # order="C" keeps a 0-d array 0-d, unlike ascontiguousarray
+            arr = np.asarray(arr, dtype="<f8", order="C")
+            nb = name.encode("utf-8")
+            fh.write(struct.pack("<I", len(nb)) + nb
+                     + struct.pack(f"<I{arr.ndim}Q", arr.ndim, *arr.shape))
+            fh.write(arr.data)
 
 
 class _Reader:

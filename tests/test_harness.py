@@ -108,6 +108,25 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         assert loaded[name].dtype == np.float64
 
 
+def test_checkpoint_bytes_follow_the_layout(tmp_path):
+    # a 0-d array keeps rank 0, a transposed view is written in C order and
+    # integers as float64, each payload streamed after its header
+    import struct
+    w = np.arange(6.0).reshape(2, 3).T
+    tensors = [("s", np.array(2.5)), ("w\u00e9", w), ("i", np.arange(3))]
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, "x=1\n", tensors)
+    want = b"MPPN" + struct.pack("<IQ", 1, 4) + b"x=1\n" + struct.pack("<I", 3)
+    want += struct.pack("<I", 1) + b"s" + struct.pack("<Id", 0, 2.5)
+    want += struct.pack("<I", 3) + "w\u00e9".encode() + struct.pack("<IQQ", 2, 3, 2)
+    want += np.ascontiguousarray(w).astype("<f8").tobytes()
+    want += struct.pack("<I", 1) + b"i" + struct.pack("<IQ", 1, 3)
+    want += np.arange(3.0).astype("<f8").tobytes()
+    assert path.read_bytes() == want
+    _, loaded = load_checkpoint(path)
+    assert loaded["s"].shape == () and np.array_equal(loaded["w\u00e9"], w)
+
+
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"NOPE" + b"\x00" * 16)

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from helpers import check_grads, reference_backward
+from mppn import optim
 from mppn import tensor as T
 from mppn.errors import ArgumentError, ReceptiveFieldError, ShapeError
 from mppn.optim import Adam
@@ -569,7 +570,8 @@ def test_adam_bit_deterministic(rng):
 def test_adam_in_place_step_matches_out_of_place_formula(weight_decay):
     lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
     gen = np.random.default_rng(21)
-    shapes = [(4, 3), (5,), (2, 3, 2)]
+    # the long one spans several Adam scratch blocks and ends mid-block
+    shapes = [(4, 3), (5,), (2, 3, 2), (2 * optim._BLOCK + 3,), ()]
     start = [gen.standard_normal(s) for s in shapes]
     grads = [[gen.standard_normal(s) for s in shapes] for _ in range(5)]
 
@@ -580,7 +582,7 @@ def test_adam_in_place_step_matches_out_of_place_formula(weight_decay):
     v = [np.zeros(s) for s in shapes]
     for t, step_grads in enumerate(grads, 1):
         for p, g in zip(params, step_grads):
-            p.grad = g.copy()
+            p.grad = g.copy(order="F")  # not C-contiguous when 2-d or more
         opt.step()
         for i, g in enumerate(step_grads):
             if weight_decay:
@@ -593,6 +595,15 @@ def test_adam_in_place_step_matches_out_of_place_formula(weight_decay):
         for p, g, r in zip(params, step_grads, ref):
             np.testing.assert_array_equal(p.data, r)
             np.testing.assert_array_equal(p.grad, g)  # the gradient is only read
+
+
+def test_adam_rejects_a_non_contiguous_parameter():
+    p = Tensor(np.zeros((3, 2)), requires_grad=True)
+    opt = Adam([p])
+    p.data = np.zeros((2, 3)).T
+    p.grad = np.zeros((3, 2))
+    with pytest.raises(ArgumentError, match="contiguous"):
+        opt.step()
 
 
 def test_adam_shape_mismatch_error():
