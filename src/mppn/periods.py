@@ -13,6 +13,8 @@ import numpy as np
 
 from .errors import ArgumentError, DataError
 
+MIN_SPECTRUM_ROWS = 4
+
 
 @dataclass
 class AmplitudeSpectrum:
@@ -53,8 +55,8 @@ def amplitude_spectrum(values) -> AmplitudeSpectrum:
     if x.ndim != 2:
         raise ArgumentError(f"amplitude_spectrum: expected [T, C], got shape {x.shape}")
     t = x.shape[0]
-    if t < 4:
-        raise ArgumentError(f"amplitude_spectrum: need T >= 4, got {t}")
+    if t < MIN_SPECTRUM_ROWS:
+        raise ArgumentError(f"amplitude_spectrum: need T >= {MIN_SPECTRUM_ROWS}, got {t}")
     if not np.isfinite(x).all():
         raise DataError("amplitude_spectrum: input contains non-finite values")
     centered = x - x.mean(axis=0, keepdims=True)

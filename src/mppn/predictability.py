@@ -9,9 +9,17 @@ beside it.
 
 The match length at position i is the length of the shortest substring
 starting at i that never occurs starting at any earlier position (earlier
-occurrences may overlap i).  Match lengths are computed exactly via a
-suffix array and a longest-previous-factor sweep, so the estimator scales
-to datasets with tens of thousands of steps.
+occurrences may overlap i): one more than the longest previous factor at i.
+It is computed exactly, in numpy with no Python loop over positions:
+
+1. the suffix array by prefix doubling, sorting one int64 key per round
+   and keeping each round's ranks;
+2. for every suffix-array rank, the nearest ranks on either side whose
+   text position is smaller, by binary lifting over a sparse min-table;
+3. the longest previous factor as the longer common prefix with those two
+   neighbors, each common prefix found by descending the stored ranks.
+
+Ranks, positions and table rows are int32, which bounds n below 2**31.
 """
 from __future__ import annotations
 
@@ -26,6 +34,7 @@ from .errors import ArgumentError, DataError
 log = logging.getLogger(__name__)
 
 FANO_RESIDUAL_TOL = 1e-10
+FANO_CLAMP_RTOL = 1e-12
 
 
 @dataclass
@@ -77,95 +86,115 @@ def discretize(series, q: int, mode: str = "equal-frequency") -> DiscreteSeries:
     return DiscreteSeries(symbols.astype(np.int64), q)
 
 
-def _suffix_array(s: np.ndarray) -> np.ndarray:
-    """Suffix array by prefix doubling on integer symbols."""
-    n = len(s)
-    rank = np.unique(s, return_inverse=True)[1].astype(np.int64)
-    k = 1
-    order = np.argsort(rank, kind="stable")
-    while rank[order[-1]] != n - 1 and k < n:
-        second = np.full(n, -1, dtype=np.int64)
-        second[: n - k] = rank[k:]
-        order = np.lexsort((second, rank))
-        boundary = (rank[order[1:]] != rank[order[:-1]]) | (second[order[1:]] != second[order[:-1]])
-        new_rank = np.zeros(n, dtype=np.int64)
-        new_rank[order[1:]] = np.cumsum(boundary)
-        rank = new_rank
-        k *= 2
-    return order
+def _suffix_array(s: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Suffix array by prefix doubling (Manber & Myers 1993), with the rank
+    array of every round but the last.
 
-
-def _lcp_array(s: np.ndarray, sa: np.ndarray) -> list[int]:
-    """Kasai: lcp[r] = common prefix length of suffixes sa[r-1] and sa[r].
-
-    The sweep runs over Python lists, and returns one: indexing a list is
-    several times cheaper than reading a numpy scalar.
+    Round k sorts the single int64 key rank[i] * (n+1) + rank[i+k] + 1,
+    where a suffix shorter than k+1 gets rank[i+k] = -1.  Ties among equal
+    keys may land in any order without changing the ranks, and the last
+    round's keys are all distinct, so the default (unstable) sort is enough.
+    The rank of suffix i in the round of width 2^l is equal to that of
+    suffix j != i only when their first 2^l symbols agree.  Every stored
+    rank array ends in a -1 sentinel standing for the empty suffix n.
     """
     n = len(s)
-    rank_arr = np.empty(n, dtype=np.int64)
-    rank_arr[sa] = np.arange(n)
-    text, order, rank = s.tolist(), sa.tolist(), rank_arr.tolist()
-    lcp = [0] * n
-    h = 0
-    for i in range(n):
-        r = rank[i]
-        if r == 0:
-            h = 0
-            continue
-        j = order[r - 1]
-        while i + h < n and j + h < n and text[i + h] == text[j + h]:
-            h += 1
-        lcp[r] = h
-        if h:
-            h -= 1
-    return lcp
+    lo = int(s.min())
+    if int(s.max()) - lo < n:
+        rank = (s - lo).astype(np.int32)
+    else:
+        rank = np.unique(s, return_inverse=True)[1].astype(np.int32)
+    levels = []
+    k = 1
+    while True:
+        levels.append(np.append(rank, np.int32(-1)))
+        key = rank.astype(np.int64) * (n + 1)
+        key[: n - k] += rank[k:] + 1
+        order = np.argsort(key)
+        sorted_key = key[order]
+        dense = np.zeros(n, dtype=np.int32)
+        np.cumsum(sorted_key[1:] != sorted_key[:-1], out=dense[1:])
+        if dense[-1] == n - 1:
+            return order.astype(np.int32), levels
+        rank = np.empty(n, dtype=np.int32)
+        rank[order] = dense
+        k *= 2
+
+
+def _pair_lcp(levels: list[np.ndarray], i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Common prefix length of suffixes i[m] and j[m], for all m at once.
+
+    Descends the doubling rounds from the widest: at width 2^l the match
+    extends by 2^l where the ranks of i+h and j+h agree.  Each pair must be
+    two distinct positions in [0, n]; n is the empty suffix.
+    """
+    h = np.zeros(len(i), dtype=np.int32)
+    for lvl in range(len(levels) - 1, -1, -1):
+        rank = levels[lvl]
+        h += (rank.take(i + h) == rank.take(j + h)) * np.int32(1 << lvl)
+    return h
+
+
+def _nearest_smaller(sa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For every rank r, the nearest ranks left and right of r whose text
+    position sa[.] is smaller than sa[r]; -1 and n where there is none.
+
+    Binary lifting over a sparse min-table (row l holds the minimum of
+    sa over each window of 2^l ranks): from the widest window down, r's
+    bound moves past a window whose minimum exceeds sa[r].  A window that
+    would cross the end of sa is clipped to it, which leaves the answer
+    unchanged: the clipped window either holds r itself, so the bound
+    stays, or adds only ranks already known to exceed sa[r], so the bound
+    may overshoot the end, and is clamped back on return.
+    """
+    n = len(sa)
+    table = [sa]
+    w = 1
+    while 2 * w <= n:
+        table.append(np.minimum(table[-1][:-w], table[-1][w:]))
+        w *= 2
+    left = np.arange(n)
+    right = np.arange(n)
+    for lvl in range(len(table) - 1, -1, -1):
+        row = table[lvl]
+        w = 1 << lvl
+        left -= (row.take(left - w, mode="clip") > sa) * w
+        right += (row.take(right + 1, mode="clip") > sa) * w
+    return np.maximum(left, 0) - 1, np.minimum(right, n - 1) + 1
 
 
 def _longest_previous_factor(s: np.ndarray) -> np.ndarray:
     """lpf[i] = longest prefix of s[i:] occurring at some start j < i.
 
-    Positions are peeled off a doubly linked list over suffix-array ranks in
-    decreasing text order, so the rank neighbors of a position are always
-    its best earlier-starting candidates.  Like ``_lcp_array``, the sweep
-    runs over Python lists.
+    Among the suffixes starting before i, the one sharing the longest
+    prefix with suffix i is its nearest neighbor on either side in
+    suffix-array order, so lpf = max(LCP(i, psv), LCP(i, nsv)) (Crochemore
+    & Ilie 2008).
     """
     n = len(s)
-    sa = _suffix_array(s)
-    # left_lcp[r] = current common-prefix length between list node r and its
-    # left neighbor; updated as nodes are removed.
-    left_lcp = _lcp_array(s, sa)
-    rank_arr = np.empty(n, dtype=np.int64)
-    rank_arr[sa] = np.arange(n)
-    rank = rank_arr.tolist()
-
-    prev = list(range(-1, n - 1))
-    nxt = list(range(1, n + 1))
-    lpf = [0] * n
-    for pos in range(n - 1, -1, -1):
-        r = rank[pos]
-        left = prev[r]
-        right = nxt[r]
-        with_left = left_lcp[r] if left >= 0 else 0
-        with_right = left_lcp[right] if right < n else 0
-        lpf[pos] = max(with_left, with_right)
-        # unlink r; the surviving pair's lcp is the min across the removed node
-        if right < n:
-            left_lcp[right] = min(with_left, with_right) if left >= 0 else 0
-            prev[right] = left
-        if left >= 0:
-            nxt[left] = right
-    return np.asarray(lpf, dtype=np.int64)
+    sa, levels = _suffix_array(s)
+    psv, nsv = _nearest_smaller(sa)
+    # a missing neighbor (-1 or n) reads as the empty suffix n
+    neighbor_pos = np.append(sa, np.int32(n))
+    h = _pair_lcp(levels, np.concatenate([sa, sa]), neighbor_pos[np.concatenate([psv, nsv])])
+    lpf = np.empty(n, dtype=np.int64)
+    lpf[sa] = np.maximum(h[:n], h[n:])
+    return lpf
 
 
 def lz_match_lengths(symbols: np.ndarray) -> np.ndarray:
     """Shortest-never-seen-before substring length at every position.
 
     The first position always scores 1; a position whose entire suffix has
-    occurred before scores suffix length + 1.
+    occurred before scores suffix length + 1.  Symbols may be any int64
+    values.  Ranks, the suffix array and the sparse-table rows are int32
+    and only the doubling sort key is int64, so n must stay below 2**31.
     """
     s = np.asarray(symbols, dtype=np.int64)
     if len(s) < 2:
         raise ArgumentError(f"lz_match_lengths: need n >= 2, got {len(s)}")
+    if len(s) >= 2**31:
+        raise ArgumentError(f"lz_match_lengths: need n < 2**31, got {len(s)}")
     return _longest_previous_factor(s) + 1
 
 
@@ -230,7 +259,9 @@ def fano_upper_bound(s_bits: float, n_distinct: int) -> float:
 
     Solves s = H(pi) + (1-pi) log2(N-1) for pi in [1/N, 1] by bisection;
     the right-hand side decreases monotonically from log2(N) to 0 on that
-    interval.  Out-of-range rates are clamped with a logged warning.
+    interval.  Out-of-range rates are clamped, with a logged warning unless
+    they are out of range by no more than rounding (FANO_CLAMP_RTOL of
+    log2 N).
     """
     if n_distinct < 1:
         raise ArgumentError(f"fano_upper_bound: N must be >= 1, got {n_distinct}")
@@ -238,7 +269,9 @@ def fano_upper_bound(s_bits: float, n_distinct: int) -> float:
         return 1.0
     s_max = math.log2(n_distinct)
     if s_bits < 0.0 or s_bits > s_max:
-        log.warning("fano_upper_bound: clamping S=%.6g into [0, %.6g]", s_bits, s_max)
+        # n log2 n / n can land an ulp above log2 n: clamp that silently
+        if max(-s_bits, s_bits - s_max) > FANO_CLAMP_RTOL * s_max:
+            log.warning("fano_upper_bound: clamping S=%.6g into [0, %.6g]", s_bits, s_max)
         s_bits = min(max(s_bits, 0.0), s_max)
     if s_bits <= 0.0:
         return 1.0
@@ -300,7 +333,7 @@ def dataset_predictability(dataset, q: int = 10, mode: str = "equal-frequency") 
     for c, name in enumerate(dataset.names):
         d = discretize(dataset.values[:, c], q, mode)
         s = lz_entropy_rate(d)
-        pi = fano_upper_bound(s, d.distinct)
-        entries.append(VariatePredictability(name, s, pi, d.distinct))
+        n_distinct = d.distinct
+        entries.append(VariatePredictability(name, s, fano_upper_bound(s, n_distinct), n_distinct))
     mean_pi = float(np.mean([v.pi_max for v in entries]))
     return PredictabilityReport(entries, mean_pi, q, mode)

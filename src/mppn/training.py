@@ -28,9 +28,9 @@ from . import tensor as T
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (ForecastMetrics, MetricsAccumulator, SeriesDataset, Standardizer,
                    chronological_split, iter_batches, load_csv, window_origins)
-from .errors import ConfigError, DivergenceError, FormatError
+from .errors import ConfigError, DataError, DivergenceError, FormatError
 from .optim import Adam
-from .periods import detect_periods
+from .periods import MIN_SPECTRUM_ROWS, detect_periods
 from .predictability import dataset_predictability
 from .rng import SplitMix64, derive
 from .tensor import Tensor
@@ -441,12 +441,22 @@ def analyze(data_path, q_values, binning: str, top_k: int, periods_override,
     q_values (a sweep when it holds more than one) plus detected or
     overridden periods (standardized training split).  An override
     period must be at least 2 and at most the series length, the bounds
-    FFT detection keeps to."""
+    FFT detection keeps to.  A series shorter than 2 rows, or, without an
+    override, one whose training split is shorter than MIN_SPECTRUM_ROWS,
+    is a DataError raised before any analysis runs."""
     if not q_values:
         raise ConfigError("analyze: need at least one bin count Q")
     if periods_override and min(periods_override) < 2:
         raise ConfigError(f"analyze: periods must be >= 2, got {list(periods_override)}")
     ds = load_csv(data_path, strict=not fill_missing, date_column=date_column)
+    if ds.length < 2:
+        raise DataError(f"analyze: the series has {ds.length} row(s); predictability needs "
+                        "at least 2")
+    split_ds = None if periods_override else chronological_split(ds, split_scheme)
+    if split_ds is not None and split_ds.train_end < MIN_SPECTRUM_ROWS:
+        raise DataError(f"analyze: the series has {ds.length} rows, so its training split has "
+                        f"{split_ds.train_end}; FFT period detection needs a training split of "
+                        f"at least {MIN_SPECTRUM_ROWS} rows (pass --periods to skip detection)")
     if periods_override and max(periods_override) > ds.length:
         raise ConfigError(f"analyze: period {max(periods_override)} is longer than the series "
                           f"({ds.length} rows)")
@@ -462,7 +472,6 @@ def analyze(data_path, q_values, binning: str, top_k: int, periods_override,
                       for p in periods_override],
         }
     else:
-        split_ds = chronological_split(ds, split_scheme)
         std = Standardizer.fit(split_ds.values[:split_ds.train_end], strict=False)
         pset = detect_periods(std.apply(split_ds.values[:split_ds.train_end]), top_k)
         period_part = {"source": "fft", **pset.to_dict()}

@@ -2,9 +2,10 @@
 
 These deliberately avoid the library's own code paths: finite differences
 for gradients, the tape replayed with dense out-of-place gradient sums,
-cubic-time substring search for match lengths, quadratic direct summation
-for the DFT, a cell-by-cell CSV loader, MPPN's pattern
-bank built stage by stage (patch, then mine) with explicit loops and its
+cubic-time substring search for match lengths and, for long series,
+Kasai's sweep and a linked-list sweep over a lexsort suffix array,
+quadratic direct summation for the DFT, a cell-by-cell CSV loader, MPPN's
+pattern bank built stage by stage (patch, then mine) with explicit loops and its
 forecast gated and projected from that bank, and a forecaster's affine
 kernel read off its forward map through basis windows.
 """
@@ -98,6 +99,95 @@ def brute_match_lengths(symbols):
                 lam.append(length)
                 break
     return np.asarray(lam, dtype=np.int64)
+
+
+def _suffix_array(s: np.ndarray) -> np.ndarray:
+    """Suffix array by prefix doubling on integer symbols."""
+    n = len(s)
+    rank = np.unique(s, return_inverse=True)[1].astype(np.int64)
+    k = 1
+    order = np.argsort(rank, kind="stable")
+    while rank[order[-1]] != n - 1 and k < n:
+        second = np.full(n, -1, dtype=np.int64)
+        second[: n - k] = rank[k:]
+        order = np.lexsort((second, rank))
+        boundary = (rank[order[1:]] != rank[order[:-1]]) | (second[order[1:]] != second[order[:-1]])
+        new_rank = np.zeros(n, dtype=np.int64)
+        new_rank[order[1:]] = np.cumsum(boundary)
+        rank = new_rank
+        k *= 2
+    return order
+
+
+def _lcp_array(s: np.ndarray, sa: np.ndarray) -> list[int]:
+    """Kasai: lcp[r] = common prefix length of suffixes sa[r-1] and sa[r].
+
+    The sweep runs over Python lists, and returns one: indexing a list is
+    several times cheaper than reading a numpy scalar.
+    """
+    n = len(s)
+    rank_arr = np.empty(n, dtype=np.int64)
+    rank_arr[sa] = np.arange(n)
+    text, order, rank = s.tolist(), sa.tolist(), rank_arr.tolist()
+    lcp = [0] * n
+    h = 0
+    for i in range(n):
+        r = rank[i]
+        if r == 0:
+            h = 0
+            continue
+        j = order[r - 1]
+        while i + h < n and j + h < n and text[i + h] == text[j + h]:
+            h += 1
+        lcp[r] = h
+        if h:
+            h -= 1
+    return lcp
+
+
+def _longest_previous_factor(s: np.ndarray) -> np.ndarray:
+    """lpf[i] = longest prefix of s[i:] occurring at some start j < i.
+
+    Positions are peeled off a doubly linked list over suffix-array ranks in
+    decreasing text order, so the rank neighbors of a position are always
+    its best earlier-starting candidates.  Like ``_lcp_array``, the sweep
+    runs over Python lists.
+    """
+    n = len(s)
+    sa = _suffix_array(s)
+    # left_lcp[r] = current common-prefix length between list node r and its
+    # left neighbor; updated as nodes are removed.
+    left_lcp = _lcp_array(s, sa)
+    rank_arr = np.empty(n, dtype=np.int64)
+    rank_arr[sa] = np.arange(n)
+    rank = rank_arr.tolist()
+
+    prev = list(range(-1, n - 1))
+    nxt = list(range(1, n + 1))
+    lpf = [0] * n
+    for pos in range(n - 1, -1, -1):
+        r = rank[pos]
+        left = prev[r]
+        right = nxt[r]
+        with_left = left_lcp[r] if left >= 0 else 0
+        with_right = left_lcp[right] if right < n else 0
+        lpf[pos] = max(with_left, with_right)
+        # unlink r; the surviving pair's lcp is the min across the removed node
+        if right < n:
+            left_lcp[right] = min(with_left, with_right) if left >= 0 else 0
+            prev[right] = left
+        if left >= 0:
+            nxt[left] = right
+    return np.asarray(lpf, dtype=np.int64)
+
+
+def reference_match_lengths(symbols):
+    """``lz_match_lengths`` by Kasai's LCP sweep and a linked-list sweep
+    over suffix-array ranks, both in Python loops.  It is near-linear, so
+    it reaches the n where every doubling round and sparse-table row of
+    the library's path comes into play."""
+    s = np.asarray(symbols, dtype=np.int64)
+    return _longest_previous_factor(s) + 1
 
 
 def direct_dft_amplitude(x):

@@ -443,6 +443,36 @@ def test_analyze_constant_dataset_fully_predictable(tmp_path, capsys):
     assert doc["predictability"]["mean_pi_max"] == 1.0
 
 
+@pytest.mark.parametrize("rows,needs", [
+    (1, "predictability needs at least 2"),
+    (3, "training split of at least 4 rows"),
+    (4, "training split of at least 4 rows"),
+])
+def test_analyze_too_short_series_is_data_error(tmp_path, capsys, rows, needs):
+    from mppn.synth import write_csv
+    path = tmp_path / "short.csv"
+    write_csv(path, np.arange(2.0 * rows).reshape(rows, 2))
+    code, out, err = run_cli(capsys, "analyze", "--data", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"data error: analyze: the series has {rows} row")
+    assert needs in err
+    assert "Traceback" not in err
+    if rows > 1:
+        assert "--periods" in err
+
+
+def test_analyze_short_series_with_period_override_reaches_predictability(tmp_path, capsys):
+    from mppn.synth import write_csv
+    path = tmp_path / "short.csv"
+    write_csv(path, np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 2.0]]))
+    code, out, err = run_cli(capsys, "analyze", "--data", str(path), "--periods", "2")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["periods"]["source"] == "override"
+    assert [v["N"] for v in doc["predictability"]["variates"]] == [2, 3]
+
+
 def test_console_entry_point():
     import os
     import subprocess

@@ -1,5 +1,6 @@
 """Discretizer, entropy-rate estimator, and accuracy-bound tests."""
 import itertools
+import logging
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_match_lengths
+from helpers import brute_match_lengths, reference_match_lengths
 from mppn.data import SeriesDataset
 from mppn.errors import ArgumentError, DataError
 from mppn.predictability import (DiscreteSeries, dataset_predictability, discretize,
@@ -89,11 +90,68 @@ def test_match_lengths_exhaustive_short_binary():
                                           err_msg=f"sequence {bits}")
 
 
-@given(st.lists(st.integers(0, 4), min_size=2, max_size=40))
-@settings(max_examples=150, deadline=None)
-def test_match_lengths_match_brute_on_random_sequences(seq):
-    s = np.asarray(seq)
+def _series_kinds():
+    constant = st.tuples(st.integers(-3, 3), st.integers(2, 40)).map(
+        lambda c: np.full(c[1], c[0]))
+    periodic = st.tuples(st.lists(st.integers(0, 3), min_size=1, max_size=6),
+                         st.integers(2, 40)).map(lambda c: np.resize(c[0], c[1]))
+    pair = st.lists(st.integers(-2, 2), min_size=2, max_size=2).map(np.asarray)
+    random = st.lists(st.integers(0, 4), min_size=2, max_size=40).map(np.asarray)
+    return st.one_of(constant, periodic, pair, random)
+
+
+@given(_series_kinds())
+@settings(max_examples=600, deadline=None)
+def test_match_lengths_match_brute_on_random_sequences(s):
     np.testing.assert_array_equal(lz_match_lengths(s), brute_match_lengths(s))
+
+
+@pytest.mark.parametrize("n", sorted({2**k + d for k in range(1, 15) for d in (-1, 0, 1)} - {1}))
+def test_match_lengths_match_reference_around_powers_of_two(n):
+    # n = 2^k +- 1 puts a doubling round and a sparse-table row right at
+    # the end of the series
+    for s in (SplitMix64(n).integers(3, n), np.zeros(n, dtype=np.int64)):
+        np.testing.assert_array_equal(lz_match_lengths(s), reference_match_lengths(s))
+
+
+@pytest.mark.parametrize("q", [2, 5, 10, 50])
+def test_match_lengths_match_reference_at_twenty_thousand(q):
+    s = SplitMix64(1000 + q).integers(q, 20000)
+    np.testing.assert_array_equal(lz_match_lengths(s), reference_match_lengths(s))
+
+
+def _tone_symbols(n):
+    t = np.arange(n, dtype=np.float64)
+    x = np.sin(2 * np.pi * t / 24) + 0.5 * np.sin(2 * np.pi * t / 168)
+    return discretize(x, 10).symbols
+
+
+@pytest.mark.parametrize("symbols", [
+    np.zeros(20000, dtype=np.int64),
+    np.resize([0, 1], 20000),
+    np.resize(SplitMix64(37).integers(4, 37), 20000),
+    _tone_symbols(17420),
+    np.append(_tone_symbols(5000), 9),
+], ids=["period1", "period2", "period37", "tones-24-168", "tones-then-new"])
+def test_match_lengths_match_reference_on_tilings(symbols):
+    # long repeats reach every doubling round
+    np.testing.assert_array_equal(lz_match_lengths(symbols), reference_match_lengths(symbols))
+
+
+@pytest.mark.parametrize("alphabet", [[-2**40, -5, 0, 7, 10**12], [-3, -2, -1], [0, 100]],
+                         ids=["sparse", "negative", "gap"])
+def test_match_lengths_ignore_symbol_values(alphabet):
+    idx = SplitMix64(5).integers(len(alphabet), 3000)
+    s = np.asarray(alphabet, dtype=np.int64)[idx]
+    lam = lz_match_lengths(s)
+    np.testing.assert_array_equal(lam, reference_match_lengths(s))
+    np.testing.assert_array_equal(lam, lz_match_lengths(idx))
+
+
+def test_match_lengths_reject_two_to_the_31_symbols():
+    # a zero-stride view: the guard must fire before anything that size exists
+    with pytest.raises(ArgumentError, match="2\\*\\*31"):
+        lz_match_lengths(np.broadcast_to(np.int64(0), (2**31,)))
 
 
 def test_entropy_rate_iid_uniform_eight_symbols():
@@ -193,6 +251,24 @@ def test_bound_residual_satisfies_equation():
 def test_bound_clamps_out_of_range(caplog):
     assert fano_upper_bound(99.0, 4) == pytest.approx(0.25)
     assert fano_upper_bound(-1.0, 4) == 1.0
+
+
+@pytest.mark.parametrize("n", [10, 48])
+def test_bound_clamps_rounding_excess_silently(n, caplog):
+    # n log2 n / n rounds an ulp above log2 n at these n
+    s = lz_entropy_rate(DiscreteSeries(np.arange(n), n))
+    assert s > math.log2(n)
+    with caplog.at_level(logging.WARNING, logger="mppn.predictability"):
+        assert fano_upper_bound(s, n) == 1.0 / n
+    assert not caplog.records
+
+
+@pytest.mark.parametrize("s", [math.log2(6) + 0.1, -0.1])
+def test_bound_warns_when_clamping_a_real_excess(s, caplog):
+    with caplog.at_level(logging.WARNING, logger="mppn.predictability"):
+        fano_upper_bound(s, 6)
+    assert [r.levelno for r in caplog.records] == [logging.WARNING]
+    assert "clamping" in caplog.records[0].getMessage()
 
 
 # ---------------------------------------------------------------------------
