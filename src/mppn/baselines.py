@@ -11,14 +11,13 @@ applying it.  The kernel is the same for every channel.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .errors import ArgumentError, ShapeError
-from .rng import SplitMix64, derive
+from .rng import seeded_parameters
 from .tensor import Tensor
 
 
@@ -57,12 +56,19 @@ class NLinearParams:
     weight: Tensor  # [L, H]
     bias: Tensor  # [H]
 
+    @staticmethod
+    def shapes(lookback: int, horizon: int) -> dict[str, tuple[int, ...]]:
+        return {"weight": (lookback, horizon), "bias": (horizon,)}
+
     @classmethod
     def init(cls, lookback: int, horizon: int, seed: int = 0) -> "NLinearParams":
-        rng = SplitMix64(derive(seed, "nlinear-init"))
-        bound = 1.0 / math.sqrt(lookback)
-        return cls(Tensor(rng.uniform(-bound, bound, (lookback, horizon)), requires_grad=True),
-                   Tensor(np.zeros(horizon), requires_grad=True))
+        return cls.from_arrays(seeded_parameters(cls.shapes(lookback, horizon), seed,
+                                                 "nlinear-init"))
+
+    @classmethod
+    def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "NLinearParams":
+        return cls(Tensor(arrays["weight"], requires_grad=True),
+                   Tensor(arrays["bias"], requires_grad=True))
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         return [("weight", self.weight), ("bias", self.bias)]
@@ -99,13 +105,20 @@ class DLinearParams:
     seasonal_bias: Tensor  # [H]
     window: int = 25  # moving-average width, odd
 
+    @staticmethod
+    def shapes(lookback: int, horizon: int) -> dict[str, tuple[int, ...]]:
+        return {"trend.weight": (lookback, horizon), "trend.bias": (horizon,),
+                "seasonal.weight": (lookback, horizon), "seasonal.bias": (horizon,)}
+
     @classmethod
     def init(cls, lookback: int, horizon: int, seed: int = 0, window: int = 25) -> "DLinearParams":
-        rng = SplitMix64(derive(seed, "dlinear-init"))
-        bound = 1.0 / math.sqrt(lookback)
-        mk = lambda: Tensor(rng.uniform(-bound, bound, (lookback, horizon)), requires_grad=True)
-        zeros = lambda: Tensor(np.zeros(horizon), requires_grad=True)
-        return cls(mk(), zeros(), mk(), zeros(), window)
+        return cls.from_arrays(seeded_parameters(cls.shapes(lookback, horizon), seed,
+                                                 "dlinear-init"), window)
+
+    @classmethod
+    def from_arrays(cls, arrays: dict[str, np.ndarray], window: int = 25) -> "DLinearParams":
+        names = ("trend.weight", "trend.bias", "seasonal.weight", "seasonal.bias")
+        return cls(*(Tensor(arrays[name], requires_grad=True) for name in names), window)
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         return [("trend.weight", self.trend_weight), ("trend.bias", self.trend_bias),

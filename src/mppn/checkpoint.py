@@ -47,14 +47,18 @@ class _Reader:
         self.off = 0
         self.label = label
 
-    def take(self, n: int, what: str) -> bytes:
+    def skip(self, n: int, what: str) -> int:
+        """Step past the next n bytes; returns the offset they start at."""
         if self.off + n > len(self.blob):
             raise FormatError(
                 f"{self.label}: truncated while reading {what} at byte {self.off} "
                 f"(need {n}, have {len(self.blob) - self.off})")
-        out = self.blob[self.off:self.off + n]
         self.off += n
-        return out
+        return self.off - n
+
+    def take(self, n: int, what: str) -> bytes:
+        start = self.skip(n, what)
+        return self.blob[start:self.off]
 
     def u32(self, what: str) -> int:
         return struct.unpack("<I", self.take(4, what))[0]
@@ -92,8 +96,10 @@ def load_checkpoint(path) -> tuple[str, dict[str, np.ndarray]]:
         numel = 1
         for d in dims:
             numel *= d
-        payload = r.take(numel * 8, f"payload of '{name}'")
-        arr = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(dims)
+        start = r.skip(numel * 8, f"payload of '{name}'")
+        # a view of the file's bytes, then the one copy the tensor keeps
+        arr = np.frombuffer(blob, dtype="<f8", count=numel, offset=start).astype(np.float64)
+        arr = arr.reshape(dims)
         if not np.isfinite(arr).all():
             raise FormatError(f"{path}: tensor '{name}' holds a non-finite value "
                               f"in its payload ending at byte {r.off}")

@@ -17,22 +17,24 @@ runs: compose_kernel folds each patch kernel into its mining kernels,
 projects the folded taps through the output layer, gates them and places
 them on the samples they read, giving (A [C, L, H], b [C, H]) from the
 same parameters the staged network has, so checkpoints are unchanged.
-forward_batch applies that kernel to a batch of windows [B, L, C].  The
-pattern bank is never materialised here; the test suite's plain-numpy
-reference_bank and reference_forward run the network stage by stage and
-are the oracles of the composition.
+It does this in plain numpy and records one tape node with two outputs,
+whose pullback, derived by hand, maps (dA, db) to every parameter's
+gradient.  forward_batch applies that kernel to a batch of windows
+[B, L, C].  The pattern bank is never materialised here; the test
+suite's plain-numpy reference_bank and reference_forward run the network
+stage by stage, and reference_compose_kernel composes the kernel op by op
+on the tape: they are the oracles of the composition and its gradients.
 """
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ShapeError
-from .rng import SplitMix64, derive
+from .rng import seeded_parameters
 from .tensor import Tensor
 
 log = logging.getLogger(__name__)
@@ -99,6 +101,22 @@ def pattern_dim(config: MPPNConfig) -> int:
     return sum(p // r for p, r in config.retained_pairs)
 
 
+def parameter_shapes(config: MPPNConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter, in named_parameters order."""
+    d, p_dim = config.hidden, pattern_dim(config)
+    shapes = {}
+    for r in config.used_resolutions:
+        shapes[f"patch.{r}.weight"] = (d, 1, r)
+        shapes[f"patch.{r}.bias"] = (d,)
+    for p, r in config.retained_pairs:
+        shapes[f"mine.{p}.{r}.weight"] = (d, d, config.lookback // p)
+        shapes[f"mine.{p}.{r}.bias"] = (d,)
+    shapes["embed"] = (config.channels, p_dim)
+    shapes["out.weight"] = (p_dim * d, config.horizon)
+    shapes["out.bias"] = (config.horizon,)
+    return shapes
+
+
 @dataclass
 class MPPNParams:
     """All learnable arrays of one model instance."""
@@ -113,25 +131,21 @@ class MPPNParams:
     def init(cls, config: MPPNConfig) -> "MPPNParams":
         """Seeded init: weights uniform +-1/sqrt(fan_in), biases and gate
         logits zero (gate starts at 0.5)."""
-        rng = SplitMix64(derive(config.seed, "mppn-init"))
-        d = config.hidden
-        patch = {}
-        for r in config.used_resolutions:
-            bound = 1.0 / math.sqrt(1 * r)
-            patch[r] = (Tensor(rng.uniform(-bound, bound, (d, 1, r)), requires_grad=True),
-                        Tensor(np.zeros(d), requires_grad=True))
-        mine = {}
-        for p, r in config.retained_pairs:
-            k = config.lookback // p
-            bound = 1.0 / math.sqrt(d * k)
-            mine[(p, r)] = (Tensor(rng.uniform(-bound, bound, (d, d, k)), requires_grad=True),
-                            Tensor(np.zeros(d), requires_grad=True))
-        p_dim = pattern_dim(config)
-        embed = Tensor(np.zeros((config.channels, p_dim)), requires_grad=True)
-        bound = 1.0 / math.sqrt(p_dim * d)
-        out_w = Tensor(rng.uniform(-bound, bound, (p_dim * d, config.horizon)), requires_grad=True)
-        out_b = Tensor(np.zeros(config.horizon), requires_grad=True)
-        return cls(patch, mine, embed, out_w, out_b)
+        return cls.from_arrays(config, seeded_parameters(parameter_shapes(config), config.seed,
+                                                         "mppn-init"))
+
+    @classmethod
+    def from_arrays(cls, config: MPPNConfig, arrays: dict[str, np.ndarray]) -> "MPPNParams":
+        """Parameters holding ``arrays``, keyed as named_parameters names
+        them and shaped as parameter_shapes gives."""
+        def tensor(name):
+            return Tensor(arrays[name], requires_grad=True)
+
+        return cls({r: (tensor(f"patch.{r}.weight"), tensor(f"patch.{r}.bias"))
+                    for r in config.used_resolutions},
+                   {(p, r): (tensor(f"mine.{p}.{r}.weight"), tensor(f"mine.{p}.{r}.bias"))
+                    for p, r in config.retained_pairs},
+                   tensor("embed"), tensor("out.weight"), tensor("out.bias"))
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         out = []
@@ -150,77 +164,105 @@ class MPPNParams:
         return [t for _, t in self.named_parameters()]
 
 
-def _fold_kernel(period: int, r: int, params: MPPNParams,
-                 config: MPPNConfig) -> tuple[Tensor, Tensor]:
-    """Compose patch kernel r with mining kernel (period, r) into one
-    dilated kernel over raw samples: ([K, r, D], [D]).
-
-    w'[k, j, o] = sum_i mine[o, i, k] * patch[i, j]
-    b'[o] = mine_bias[o] + sum_{i, k} mine[o, i, k] * patch_bias[i]
-    """
-    d, k = config.hidden, config.lookback // period
-    wp, bp = params.patch[r]
-    wm, bm = params.mine[(period, r)]
-    wm_t = T.transpose(wm, (0, 2, 1))  # [D, K, D]: (o, k, i)
-    w = T.linear(wm_t, T.reshape(wp, (d, r)), Tensor(np.zeros(r)))  # [D, K, r]
-    bp_tiled = T.reshape(T.concat([bp] * k, axis=0), (1, k * d))  # bp[i] at k*D + i
-    b = T.linear(bp_tiled, T.transpose(T.reshape(wm_t, (d, k * d))), bm)  # [1, D]
-    return T.transpose(w, (1, 2, 0)), T.reshape(b, (d,))
-
-
-def _rows_at(block: Tensor, start: int, length: int) -> Tensor:
-    """[C, n, H] -> [C, length, H]: the block at rows [start, start + n),
-    zeros elsewhere."""
-    c, n, h = block.shape
-    parts = [Tensor(np.zeros((c, start, h)))] if start else []
-    parts.append(block)
-    if start + n < length:
-        parts.append(Tensor(np.zeros((c, length - start - n, h))))
-    return T.concat(parts, axis=1) if len(parts) > 1 else block
-
-
 def compose_kernel(params: MPPNParams, config: MPPNConfig) -> tuple[Tensor, Tensor]:
     """The model's map as one affine kernel per channel: (A [C, L, H],
-    b [C, H]) with forecast[:, c] = window[:, c] @ A[c] + b[c].
+    b [C, H]) with forecast[:, c] = window[:, c] @ A[c] + b[c], recorded
+    as one tape node whose pullback is derived by hand.
 
     The gate is a sigmoid of a parameter, not of the window, so the whole
-    network is affine in its input.  For each pair, slot t's mining output
-    feature o reads raw sample j of unit t + k*(period//r) through tap k of
-    the folded kernel and reaches the horizon through its out_weight rows,
-    so one linear composes the pair's taps M[k, j, t, h] = sum_o w'[k, j, o]
-    * W_out[t, o, h].  Each channel's gate row scales its slots, and the
-    taps land on the samples they read at the tail of the window: disjoint
-    r-sample blocks without overlap (a reshape), r shifted runs of
-    consecutive samples with overlap (r slices summed).  The folded biases
-    reach b through the same out_weight rows and the same gates.
+    network is affine in its input.  For each pair, the patch kernel folds
+    into the mining kernel, w'[k, j, o] = sum_i mine[o, i, k] * patch[i, j]
+    and b'[o] = mine_bias[o] + sum_{i, k} mine[o, i, k] * patch_bias[i].
+    Slot t's mining output feature o reads raw sample j of unit t + k*s
+    (s = period//r) through tap k and reaches the horizon through its
+    out_weight rows W[t, o, h], so one product per slot composes the
+    pair's taps M[t, k, j, h] = sum_o w'[k, j, o] * W[t, o, h], and with
+    b' as one more row of w' its slot bias.  Each channel's gate g[c, t]
+    scales its slots, and the taps land on the samples they read at the
+    tail of the window (see _placements).
+
+    The pullback runs the same steps backwards: each placement's gradient
+    is a view of dA, dM[t, k, j, h] = sum_c g[c, t] * dA[c, ...] and
+    dg[c, t] = sum M * dA[c, ...], then dW = w'^T dM and dw' = sum_t
+    dM[t] W[t]^T, and the fold's pullback reaches mine.* and patch.*.
+    Every contraction is a matmul, a tensordot or an einsum without path
+    search, so each run does the same sums in the same order.
     """
     c, length, h, d = config.channels, config.lookback, config.horizon, config.hidden
-    out_w = T.reshape(params.out_weight, (pattern_dim(config), d, h))
-    kernel, slot_bias, off = None, [], 0
+    data = {name: t.data for name, t in params.named_parameters()}
+    gate = export_gates(params)  # [C, P]
+    out_w = data["out.weight"].reshape(pattern_dim(config), d, h)
+    kernel = np.zeros((c, length, h))
+    slot_bias = np.empty((pattern_dim(config), h))
+    saved, off = [], 0
     for p, r in config.retained_pairs:
         k, s = length // p, p // r
-        span = k * s  # units a mining scan reads
-        w, b = _fold_kernel(p, r, params, config)
-        w_slots = T.reshape(T.transpose(T.slice_axis(out_w, 0, off, off + s), (1, 0, 2)),
-                            (d, s * h))  # [D, S*H]
-        zero = Tensor(np.zeros(s * h))
-        slot_bias.append(T.reshape(T.linear(T.reshape(b, (1, d)), w_slots, zero), (s, h)))
-        taps = T.reshape(T.linear(T.reshape(w, (k * r, d)), w_slots, zero), (k * r, 1, s, h))
-        gated = T.reshape(channel_adapt(taps, T.slice_axis(params.embed, 1, off, off + s)),
-                          (k, r, c, s, h))
-        if config.overlap:  # unit u = t + k*s spans samples L - r + 1 - span + u + [0, r)
-            runs = T.reshape(T.transpose(gated, (2, 1, 0, 3, 4)), (c, r, span, h))
-            start = length - r + 1 - span
-            parts = [_rows_at(T.reshape(T.slice_axis(runs, 1, j, j + 1), (c, span, h)),
-                              start + j, length) for j in range(r)]
-        else:  # unit u spans samples L - span*r + u*r + [0, r)
-            blocks = T.reshape(T.transpose(gated, (2, 0, 3, 1, 4)), (c, span * r, h))
-            parts = [_rows_at(blocks, length - span * r, length)]
-        for part in parts:
-            kernel = part if kernel is None else T.add(kernel, part)
+        wm, bm = data[f"mine.{p}.{r}.weight"], data[f"mine.{p}.{r}.bias"]  # [D, D, K], [D]
+        wp, bp = data[f"patch.{r}.weight"].reshape(d, r), data[f"patch.{r}.bias"]
+        w_fold = np.tensordot(wp, wm, axes=([0], [1])).transpose(2, 0, 1)  # [K, r, D]
+        fold = np.concatenate([w_fold.reshape(k * r, d), (bm + wm.sum(axis=2) @ bp)[None]])
+        prod = np.matmul(fold, out_w[off:off + s])  # [S, K*r + 1, H]
+        slot_bias[off:off + s] = prod[:, -1]
+        taps = prod[:, :-1].reshape(s, k, r, h)
+        for rows, idx in _placements(kernel, k, r, s, config.overlap):
+            rows += np.einsum("ct,tkjh->cktjh", gate[:, off:off + s], taps[idx])
+        saved.append((fold, taps))
         off += s
-    bias = T.linear(T.sigmoid(params.embed), T.concat(slot_bias, axis=0), params.out_bias)
-    return kernel, bias
+    bias = gate @ slot_bias + data["out.bias"]
+
+    def pullback(d_kernel, d_bias):
+        grads = {f"patch.{r}.{part}": np.zeros(data[f"patch.{r}.{part}"].shape)
+                 for r in config.used_resolutions for part in ("weight", "bias")}
+        d_gate = d_bias @ slot_bias.T  # [C, P]
+        d_slot_bias = gate.T @ d_bias  # [P, H]
+        d_out_w = np.empty_like(out_w)
+        off = 0
+        for (p, r), (fold, taps) in zip(config.retained_pairs, saved):
+            k, s = length // p, p // r
+            wm, wp, bp = (data[f"mine.{p}.{r}.weight"], data[f"patch.{r}.weight"].reshape(d, r),
+                          data[f"patch.{r}.bias"])
+            g = gate[:, off:off + s]
+            d_prod = np.empty((s, k * r + 1, h))
+            d_taps = d_prod[:, :-1].reshape(s, k, r, h)
+            for rows, idx in _placements(d_kernel, k, r, s, config.overlap):
+                np.einsum("ct,cktjh->tkjh", g, rows, out=d_taps[idx])
+                d_gate[:, off:off + s] += np.einsum("tkjh,cktjh->ct", taps[idx], rows)
+            d_prod[:, -1] = d_slot_bias[off:off + s]
+            np.matmul(fold.T, d_prod, out=d_out_w[off:off + s])
+            d_fold = np.matmul(d_prod, out_w[off:off + s].transpose(0, 2, 1)).sum(axis=0)
+            d_w_fold, d_b_fold = d_fold[:-1].reshape(k, r, d), d_fold[-1]  # (k, j, o), (o)
+            grads[f"patch.{r}.weight"][:, 0] += np.tensordot(wm, d_w_fold, axes=([0, 2], [2, 0]))
+            grads[f"patch.{r}.bias"] += d_b_fold @ wm.sum(axis=2)
+            grads[f"mine.{p}.{r}.weight"] = (
+                np.tensordot(d_w_fold, wp, axes=([1], [1])).transpose(1, 2, 0)
+                + np.multiply.outer(d_b_fold, bp)[:, :, None])
+            grads[f"mine.{p}.{r}.bias"] = d_b_fold
+            off += s
+        grads["embed"] = d_gate * gate * (1.0 - gate)
+        grads["out.weight"] = d_out_w.reshape(data["out.weight"].shape)
+        grads["out.bias"] = d_bias.sum(axis=0)
+        return tuple(grads[name] for name in data)
+
+    return T.custom_op("compose_kernel", params.tensors(), (kernel, bias), pullback)
+
+
+def _placements(a: np.ndarray, k: int, r: int, s: int,
+                overlap: bool) -> list[tuple[np.ndarray, tuple]]:
+    """Where a pair's taps [S, K, r, H] land in a kernel-shaped array
+    [C, L, H]: (view of ``a`` [C, K, S, n, H], index of the n taps it
+    takes).
+
+    Unit u = t + k*s covers samples L - K*S*r + u*r + [0, r) without
+    overlap: one view takes all r taps.  With overlap it covers
+    L - r + 1 - K*S + u + [0, r): view j takes tap j.
+    """
+    c, length, h = a.shape
+    span = k * s
+    if overlap:
+        start = length - r + 1 - span
+        return [(a[:, start + j:start + j + span].reshape(c, k, s, 1, h), np.s_[:, :, j:j + 1])
+                for j in range(r)]
+    return [(a[:, length - span * r:].reshape(c, k, s, r, h), np.s_[:])]
 
 
 def channel_adapt(bank: Tensor, embed: Tensor) -> Tensor:

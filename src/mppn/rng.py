@@ -8,6 +8,7 @@ tags, never by sharing one generator across concerns.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -89,3 +90,24 @@ class SplitMix64:
             j = int(draws[n - 1 - i] % np.uint64(i + 1))
             out[i], out[j] = out[j], out[i]
         return out
+
+
+def seeded_parameters(shapes: dict[str, tuple[int, ...]], seed: int,
+                      tag: str) -> dict[str, np.ndarray]:
+    """Initial values of a model's parameters, drawn from the stream
+    ``derive(seed, tag)`` in the order of ``shapes`` (name -> shape).
+
+    A parameter named ``*weight`` is uniform in +-1/sqrt(fan_in), its
+    fan-in being the rows of an [in, out] matrix or in*k of an
+    [out, in, k] kernel; every other parameter (biases, gate logits)
+    starts at zero and draws nothing.
+    """
+    rng = SplitMix64(derive(seed, tag))
+    arrays = {}
+    for name, shape in shapes.items():
+        if name.endswith("weight"):
+            bound = 1.0 / math.sqrt(shape[0] if len(shape) == 2 else math.prod(shape[1:]))
+            arrays[name] = rng.uniform(-bound, bound, shape)
+        else:
+            arrays[name] = np.zeros(shape)
+    return arrays

@@ -5,6 +5,11 @@ appends one node to the thread's tape; ``backward`` replays the tape once
 in reverse creation order, accumulating gradients additively, and then
 clears it.  Graphs are rebuilt on every forward pass, never cached.
 
+A node may have several outputs.  ``custom_op`` records one computed
+outside this module, with a hand-written pullback that takes one gradient
+per output (zeros for an output the loss does not reach): the pattern of
+a custom autograd function.  MPPN's kernel composition is such a node.
+
 A slice's pullback returns its upstream block with the block's index, not
 a zero-filled array of the sliced tensor's shape.  ``backward`` writes in
 place only into gradient buffers it allocated during the call, so a
@@ -15,9 +20,10 @@ inputs, ``reshape`` and ``transpose`` hand out views, a leaf keeps its
 
 The operator set is what the forecasters need: affine maps, the
 per-channel kernel every forecaster applies to its windows, sigmoid,
-concatenation, broadcasting multiply, slicing, transposition, reshape, and
-mean-squared-error loss.  Strided and dilated 1-d convolution and edge
-padding remain as general ops, though no forecaster composes through them.
+concatenation, reshape, addition and subtraction, and mean-squared-error
+loss.  Broadcasting multiply, slicing, transposition, strided and dilated
+1-d convolution and edge padding remain as general ops that no forecaster
+composes through.
 """
 from __future__ import annotations
 
@@ -103,15 +109,16 @@ class Tensor:
 
 
 class TapeNode:
-    """One recorded operation: inputs, output, and a pullback closure."""
+    """One recorded operation: inputs, outputs, and a pullback closure
+    taking one gradient per output and returning one per input."""
 
-    __slots__ = ("op", "inputs", "output", "backward")
+    __slots__ = ("op", "inputs", "outputs", "backward")
 
-    def __init__(self, op: str, inputs: tuple[Tensor, ...], output: Tensor,
-                 backward: Callable[[np.ndarray], tuple]):
+    def __init__(self, op: str, inputs: tuple[Tensor, ...], outputs: tuple[Tensor, ...],
+                 backward: Callable[..., tuple]):
         self.op = op
         self.inputs = inputs
-        self.output = output
+        self.outputs = outputs
         self.backward = backward
 
 
@@ -119,13 +126,28 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _record(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
-            backward: Callable[[np.ndarray], tuple]) -> Tensor:
+def _record(op: str, inputs: tuple[Tensor, ...], out_data, backward: Callable[..., tuple]):
+    """Wrap ``out_data`` (one array, or a tuple of arrays for an op with
+    several outputs) in tensors and, if any input requires grad, append
+    the node.  Returns one tensor, or a tuple of them."""
     requires = _grad_enabled() and any(t.requires_grad for t in inputs)
-    out = Tensor(out_data, requires_grad=requires)
+    many = isinstance(out_data, tuple)
+    outs = tuple(Tensor(d, requires_grad=requires) for d in (out_data if many else (out_data,)))
     if requires:
-        _tape().append(TapeNode(op, inputs, out, backward))
-    return out
+        _tape().append(TapeNode(op, inputs, outs, backward))
+    return outs if many else outs[0]
+
+
+def custom_op(op: str, inputs: Sequence[Tensor], outputs: tuple[np.ndarray, ...],
+              pullback: Callable[..., tuple]) -> tuple[Tensor, ...]:
+    """Record an operation whose forward and pullback are computed outside
+    this module, as one tape node with several outputs.
+
+    ``outputs`` are the forward's arrays.  ``pullback`` takes one gradient
+    per output, at the output's shape (zeros for an output the loss does
+    not reach), and returns one dense gradient per input, or None.
+    """
+    return _record(op, tuple(inputs), tuple(outputs), pullback)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -143,7 +165,9 @@ def backward(loss: Tensor) -> None:
     """Populate gradients of everything reachable from a scalar loss.
 
     Gradients accumulate additively across fan-out and across repeated
-    backward calls; the tape is cleared afterwards.
+    backward calls; the tape is cleared afterwards.  A node runs if any of
+    its outputs received a gradient; its pullback gets one gradient per
+    output, zeros for an output that received none.
 
     A pullback returns each input's gradient either dense, at the input's
     shape, or as ``(block, index)``: ``block`` at ``index``, zero
@@ -160,10 +184,11 @@ def backward(loss: Tensor) -> None:
     loss.grad = seed if loss.grad is None else loss.grad + seed
     owned: set[int] = set()  # ids of tensors whose .grad this call allocated
     for node in reversed(tape):
-        g = node.output.grad
-        if g is None:
+        gs = [t.grad for t in node.outputs]
+        if all(g is None for g in gs):
             continue
-        grads = node.backward(g)
+        grads = node.backward(*(np.zeros(t.shape) if g is None else g
+                                for t, g in zip(node.outputs, gs)))
         for t, gin in zip(node.inputs, grads):
             if gin is None or not t.requires_grad:
                 continue

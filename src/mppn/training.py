@@ -7,9 +7,9 @@ channel count and names) so evaluation can rebuild the exact model.
 
 Every forecaster is affine in its input window, channel by channel, and
 composes that map from its weights as one kernel (A [C, L, H], b [C, H])
-on the tape.  Training, forecast and kernel export run through it; scoring
-a split (evaluate, and the per-epoch validation of train) composes it once
-and applies it to every chunk of windows.
+that the tape differentiates.  Training, forecast and kernel export run
+through it; scoring a split (evaluate, and the per-epoch validation of
+train) composes it once and applies it to every chunk of windows.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from .errors import ConfigError, DataError, DivergenceError, FormatError
 from .optim import Adam
 from .periods import MIN_SPECTRUM_ROWS, detect_periods
 from .predictability import dataset_predictability
-from .rng import SplitMix64, derive
+from .rng import SplitMix64, derive, seeded_parameters
 from .tensor import Tensor
 
 log = logging.getLogger(__name__)
@@ -194,27 +194,41 @@ class Forecaster:
         return T.channel_affine(xb, *self.kernel())
 
 
-def build_forecaster(run: RunConfig, channels: int, resolved_periods: tuple[int, ...]) -> Forecaster:
+def _forecaster(run: RunConfig, channels: int, resolved_periods: tuple[int, ...],
+                arrays_for: Callable[[dict], dict]) -> Forecaster:
+    """The forecaster of the run's kind, its parameters built from
+    ``arrays_for(shapes)``: shapes maps every parameter's name to its
+    shape, in named_parameters order, and the result maps each name to
+    its array."""
     if run.model == "mppn":
         cfg = model.MPPNConfig(
             lookback=run.lookback, horizon=run.horizon, channels=channels, hidden=run.hidden,
             resolutions=run.resolutions, periods=resolved_periods, overlap=run.overlap,
             seed=run.seed)
-        params = model.MPPNParams.init(cfg)
+        params = model.MPPNParams.from_arrays(cfg, arrays_for(model.parameter_shapes(cfg)))
         return Forecaster("mppn", params, lambda: model.compose_kernel(params, cfg))
     if run.model == "nlinear":
-        params = baselines.NLinearParams.init(run.lookback, run.horizon, run.seed)
+        shapes = baselines.NLinearParams.shapes(run.lookback, run.horizon)
+        params = baselines.NLinearParams.from_arrays(arrays_for(shapes))
         return Forecaster("nlinear", params, lambda: baselines.nlinear_kernel(params, channels))
     if run.model == "dlinear":
-        params = baselines.DLinearParams.init(run.lookback, run.horizon, run.seed,
-                                              run.moving_average)
+        shapes = baselines.DLinearParams.shapes(run.lookback, run.horizon)
+        params = baselines.DLinearParams.from_arrays(arrays_for(shapes), run.moving_average)
         return Forecaster("dlinear", params, lambda: baselines.dlinear_kernel(params, channels))
+    arrays_for({})
     return Forecaster("naive", None,
                       lambda: baselines.naive_kernel(run.lookback, run.horizon, channels))
 
 
+def build_forecaster(run: RunConfig, channels: int, resolved_periods: tuple[int, ...]) -> Forecaster:
+    """A forecaster with seeded initial parameters."""
+    return _forecaster(run, channels, resolved_periods,
+                       lambda shapes: seeded_parameters(shapes, run.seed, f"{run.model}-init"))
+
+
 def restore_forecaster(run: RunConfig, extras: dict, tensors: dict[str, np.ndarray]) -> Forecaster:
-    """Rebuild a forecaster from checkpoint contents, bit-exact."""
+    """Rebuild a forecaster from checkpoint contents, bit-exact: each
+    parameter holds its checkpoint array, and nothing is drawn."""
     channels = extras.get("channels")
     if not _is_int(channels) or channels < 1:
         raise FormatError(f"checkpoint: 'channels' must be a positive integer, got {channels!r}")
@@ -229,17 +243,18 @@ def restore_forecaster(run: RunConfig, extras: dict, tensors: dict[str, np.ndarr
         raise FormatError(
             f"checkpoint: 'resolved_periods' must be a list of integers >= 2"
             f"{', non-empty for mppn' if run.model == 'mppn' else ''}, got {periods!r}")
-    fc = build_forecaster(run, channels, tuple(periods))
-    named = dict(fc.named_parameters())
-    if set(named) != set(tensors):
-        raise FormatError(
-            f"checkpoint tensors {sorted(tensors)} do not match model parameters {sorted(named)}")
-    for name, arr in tensors.items():
-        if named[name].shape != arr.shape:
+
+    def checked(shapes: dict) -> dict:
+        if set(shapes) != set(tensors):
             raise FormatError(
-                f"checkpoint tensor '{name}' has shape {arr.shape}, expected {named[name].shape}")
-        named[name].data = np.ascontiguousarray(arr)
-    return fc
+                f"checkpoint tensors {sorted(tensors)} do not match model parameters {sorted(shapes)}")
+        for name, arr in tensors.items():
+            if shapes[name] != arr.shape:
+                raise FormatError(
+                    f"checkpoint tensor '{name}' has shape {arr.shape}, expected {shapes[name]}")
+        return tensors
+
+    return _forecaster(run, channels, tuple(periods), checked)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ cubic-time substring search for match lengths and, for long series,
 Kasai's sweep and a linked-list sweep over a lexsort suffix array,
 quadratic direct summation for the DFT, a cell-by-cell CSV loader, MPPN's
 pattern bank built stage by stage (patch, then mine) with explicit loops and its
-forecast gated and projected from that bank, and a forecaster's affine
-kernel read off its forward map through basis windows.
+forecast gated and projected from that bank, MPPN's kernel composed op by
+op on the tape, and a forecaster's affine kernel read off its forward map
+through basis windows.
 """
 import csv
 
@@ -16,6 +17,8 @@ import numpy as np
 from mppn import tensor as T
 from mppn.data import SeriesDataset
 from mppn.errors import DataError
+from mppn.model import pattern_dim
+from mppn.tensor import Tensor
 
 
 def reference_backward(loss):
@@ -28,10 +31,11 @@ def reference_backward(loss):
     seed = np.ones_like(loss.data)
     loss.grad = seed if loss.grad is None else loss.grad + seed
     for node in reversed(tape):
-        g = node.output.grad
-        if g is None:
+        gs = [t.grad for t in node.outputs]
+        if all(g is None for g in gs):
             continue
-        for t, gin in zip(node.inputs, node.backward(g)):
+        gs = [np.zeros(t.shape) if g is None else g for t, g in zip(node.outputs, gs)]
+        for t, gin in zip(node.inputs, node.backward(*gs)):
             if gin is None or not t.requires_grad:
                 continue
             if isinstance(gin, tuple):
@@ -326,6 +330,68 @@ def reference_forward(x, params, config):
     gate = 1.0 / (1.0 + np.exp(-params.embed.data))
     flat = (bank * gate[:, :, None]).reshape(bank.shape[0], -1)
     return (flat @ params.out_weight.data + params.out_bias.data).T
+
+
+def _fold_kernel(period, r, params, config):
+    """Patch kernel r composed with mining kernel (period, r) on the tape:
+    ([K, r, D], [D]) with w'[k, j, o] = sum_i mine[o, i, k] * patch[i, j]
+    and b'[o] = mine_bias[o] + sum_{i, k} mine[o, i, k] * patch_bias[i]."""
+    d, k = config.hidden, config.lookback // period
+    wp, bp = params.patch[r]
+    wm, bm = params.mine[(period, r)]
+    wm_t = T.transpose(wm, (0, 2, 1))  # [D, K, D]: (o, k, i)
+    w = T.linear(wm_t, T.reshape(wp, (d, r)), Tensor(np.zeros(r)))  # [D, K, r]
+    bp_tiled = T.reshape(T.concat([bp] * k, axis=0), (1, k * d))  # bp[i] at k*D + i
+    b = T.linear(bp_tiled, T.transpose(T.reshape(wm_t, (d, k * d))), bm)  # [1, D]
+    return T.transpose(w, (1, 2, 0)), T.reshape(b, (d,))
+
+
+def _rows_at(block, start, length):
+    """[C, n, H] -> [C, length, H]: the block at rows [start, start + n),
+    zeros elsewhere."""
+    c, n, h = block.shape
+    parts = [Tensor(np.zeros((c, start, h)))] if start else []
+    parts.append(block)
+    if start + n < length:
+        parts.append(Tensor(np.zeros((c, length - start - n, h))))
+    return T.concat(parts, axis=1) if len(parts) > 1 else block
+
+
+def reference_compose_kernel(params, config):
+    """``model.compose_kernel`` op by op on the tape: (A [C, L, H],
+    b [C, H]) from transposes, reshapes, slices, linears, a broadcasting
+    gate multiply, zero-padded concats and adds, each with the tape's
+    generic pullback.  Per pair, M[k, j, t, h] = sum_o w'[k, j, o] *
+    W_out[t, o, h] is gated per channel and placed on the samples it
+    reads: disjoint r-sample blocks without overlap, r shifted runs with
+    overlap."""
+    c, length, h, d = config.channels, config.lookback, config.horizon, config.hidden
+    out_w = T.reshape(params.out_weight, (pattern_dim(config), d, h))
+    kernel, slot_bias, off = None, [], 0
+    for p, r in config.retained_pairs:
+        k, s = length // p, p // r
+        span = k * s  # units a mining scan reads
+        w, b = _fold_kernel(p, r, params, config)
+        w_slots = T.reshape(T.transpose(T.slice_axis(out_w, 0, off, off + s), (1, 0, 2)),
+                            (d, s * h))  # [D, S*H]
+        zero = Tensor(np.zeros(s * h))
+        slot_bias.append(T.reshape(T.linear(T.reshape(b, (1, d)), w_slots, zero), (s, h)))
+        taps = T.reshape(T.linear(T.reshape(w, (k * r, d)), w_slots, zero), (k * r, 1, s, h))
+        gate = T.reshape(T.sigmoid(T.slice_axis(params.embed, 1, off, off + s)), (c, s, 1))
+        gated = T.reshape(T.mul(taps, gate), (k, r, c, s, h))
+        if config.overlap:  # unit u = t + k*s spans samples L - r + 1 - span + u + [0, r)
+            runs = T.reshape(T.transpose(gated, (2, 1, 0, 3, 4)), (c, r, span, h))
+            start = length - r + 1 - span
+            parts = [_rows_at(T.reshape(T.slice_axis(runs, 1, j, j + 1), (c, span, h)),
+                              start + j, length) for j in range(r)]
+        else:  # unit u spans samples L - span*r + u*r + [0, r)
+            blocks = T.reshape(T.transpose(gated, (2, 0, 3, 1, 4)), (c, span * r, h))
+            parts = [_rows_at(blocks, length - span * r, length)]
+        for part in parts:
+            kernel = part if kernel is None else T.add(kernel, part)
+        off += s
+    bias = T.linear(T.sigmoid(params.embed), T.concat(slot_bias, axis=0), params.out_bias)
+    return kernel, bias
 
 
 # the probe forecast must match A.probe + b to this share of the summed

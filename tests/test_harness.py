@@ -4,12 +4,15 @@ import json
 import numpy as np
 import pytest
 
+from mppn import training
 from mppn.checkpoint import load_checkpoint, save_checkpoint
 from mppn.data import load_csv
 from mppn.errors import ConfigError, DivergenceError, FormatError
 from mppn.periods import detect_periods
+from mppn.rng import SplitMix64
 from mppn.synth import ToneSpec, generate, write_csv
-from mppn.training import (EarlyStopper, RunConfig, config_blob, evaluate, forecast, train)
+from mppn.training import (MODEL_KINDS, EarlyStopper, RunConfig, build_forecaster, config_blob,
+                           evaluate, forecast, restore_forecaster, train)
 
 
 def tone_csv(path, timesteps=400, channels=2, period=24.0, noise=0.05, seed=3):
@@ -125,6 +128,27 @@ def test_checkpoint_bytes_follow_the_layout(tmp_path):
     assert path.read_bytes() == want
     _, loaded = load_checkpoint(path)
     assert loaded["s"].shape == () and np.array_equal(loaded["w\u00e9"], w)
+
+
+def test_checkpoint_payload_errors_name_their_byte_offsets(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, "x=1\n", [("a", np.ones(2)), ("w", np.ones((2, 3)))])
+    blob = path.read_bytes()
+    _, loaded = load_checkpoint(path)
+    assert loaded["w"].flags.writeable and loaded["w"].flags.c_contiguous
+    cut = tmp_path / "cut.ckpt"
+    cut.write_bytes(blob[:-8])
+    with pytest.raises(FormatError) as err:
+        load_checkpoint(cut)
+    assert str(err.value) == (f"{cut}: truncated while reading payload of 'w' at byte "
+                              f"{len(blob) - 48} (need 48, have 40)")
+    start = blob.index(np.ones(2).tobytes())
+    bad = tmp_path / "nan.ckpt"
+    bad.write_bytes(blob[:start + 8] + np.array([np.nan]).tobytes() + blob[start + 16:])
+    with pytest.raises(FormatError) as err:
+        load_checkpoint(bad)
+    assert str(err.value) == (f"{bad}: tensor 'a' holds a non-finite value in its payload "
+                              f"ending at byte {start + 16}")
 
 
 def test_checkpoint_bad_magic(tmp_path):
@@ -374,6 +398,77 @@ def test_restore_rejects_bad_channel_count(extras):
     tensors = {n: t.data for n, t in fc.named_parameters()}
     with pytest.raises(FormatError, match="channels"):
         restore_forecaster(run, {"resolved_periods": [24], **extras}, tensors)
+
+
+def test_restore_names_mismatched_tensors_and_shapes():
+    run = small_run("unused.csv", periods=(24,))
+    fc = build_forecaster(run, channels=2, resolved_periods=(24,))
+    tensors = {n: t.data for n, t in fc.named_parameters()}
+    extras = {"channels": 2, "channel_names": ["v0", "v1"], "resolved_periods": [24]}
+    missing = {n: a for n, a in tensors.items() if n != "embed"}
+    with pytest.raises(FormatError) as err:
+        restore_forecaster(run, extras, missing)
+    assert str(err.value) == (f"checkpoint tensors {sorted(missing)} do not match model "
+                              f"parameters {sorted(tensors)}")
+    with pytest.raises(FormatError) as err:
+        restore_forecaster(run, extras, {**tensors, "out.bias": np.zeros(3)})
+    assert str(err.value) == "checkpoint tensor 'out.bias' has shape (3,), expected (12,)"
+
+
+@pytest.mark.parametrize("kind", ["mppn", "dlinear", "nlinear"])
+def test_build_forecaster_draws_the_params_classes_init(kind):
+    # build_forecaster and each params class's init draw the same stream
+    from mppn.baselines import DLinearParams, NLinearParams
+    from mppn.model import MPPNConfig, MPPNParams
+    run = small_run("unused.csv", model=kind, periods=(24,) if kind == "mppn" else None,
+                    moving_average=7)
+    fc = build_forecaster(run, 2, (24,) if kind == "mppn" else ())
+    if kind == "mppn":
+        want = MPPNParams.init(MPPNConfig(lookback=48, horizon=12, channels=2, hidden=6,
+                                          resolutions=(1, 3), periods=(24,), seed=11))
+    elif kind == "dlinear":
+        want = DLinearParams.init(48, 12, seed=11, window=7)
+    else:
+        want = NLinearParams.init(48, 12, seed=11)
+    got = fc.named_parameters()
+    assert [n for n, _ in got] == [n for n, _ in want.named_parameters()]
+    for (name, a), (_, b) in zip(got, want.named_parameters()):
+        assert a.data.tobytes() == b.data.tobytes(), name
+
+
+def _restore_by_overwriting_a_seeded_init(run, extras, tensors):
+    """restore_forecaster as it once was: build a seeded forecaster, then
+    overwrite each parameter with its checkpoint array."""
+    fc = build_forecaster(run, extras["channels"], tuple(extras["resolved_periods"]))
+    for name, t in fc.named_parameters():
+        t.data = np.ascontiguousarray(tensors[name])
+    return fc
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_restore_draws_no_random_numbers(tmp_path, monkeypatch, kind):
+    # every parameter comes straight from the checkpoint, and the metrics
+    # equal, bit for bit, those of a restore that draws the init first
+    path = tone_csv(tmp_path / "tone.csv")
+    periods = (24,) if kind == "mppn" else ()
+    run = small_run(path, model=kind, periods=periods or None)
+    fc = build_forecaster(run, 2, periods)
+    rng = np.random.default_rng(18)
+    for _, t in fc.named_parameters():
+        t.data = rng.standard_normal(t.shape)
+    extras = {"channels": 2, "channel_names": ["v0", "v1"], "resolved_periods": list(periods)}
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, config_blob(run, extras), [(n, t.data) for n, t in fc.named_parameters()])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("restoring a checkpoint drew random numbers")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(SplitMix64, "uniform", refuse)
+        got = evaluate(ckpt)
+    monkeypatch.setattr(training, "restore_forecaster", _restore_by_overwriting_a_seeded_init)
+    want = evaluate(ckpt)
+    assert (got.mse, got.mae, got.windows) == (want.mse, want.mae, want.windows)
 
 
 def test_overlap_mode_trains_and_differs(tmp_path):

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_backward, reference_forward, reference_kernel
+from helpers import (check_grads, reference_backward, reference_compose_kernel, reference_forward,
+                     reference_kernel)
 from mppn import tensor as T
 from mppn.data import MetricsAccumulator, iter_batches
 from mppn.model import MPPNConfig, compose_kernel
@@ -157,6 +158,78 @@ def test_backward_gradients_are_byte_identical_to_dense_reference(geom, seed):
     want = _mppn_gradients(fc, x, y, reference_backward)
     for name, g in got.items():
         assert g.shape == want[name].shape and g.tobytes() == want[name].tobytes(), name
+
+
+def _compose_gradients(compose, fc, cfg, reach, seed):
+    """Kernel, bias and every parameter's gradient of the squared error of
+    A and b against random targets; ``reach`` names the outputs the loss
+    reads, so the op's pullback also runs with a zero gradient for one."""
+    for _, t in fc.named_parameters():
+        t.grad = None
+    T.clear_tape()
+    a, b = compose(fc.params, cfg)
+    rng = np.random.default_rng(seed)
+    terms = [T.mse_loss(out, Tensor(rng.standard_normal(out.shape)))
+             for name, out in (("kernel", a), ("bias", b)) if name in reach]
+    T.backward(terms[0] if len(terms) == 1 else T.add(*terms))
+    return a.data, b.data, {name: t.grad for name, t in fc.named_parameters()}
+
+
+def _rel_err(got, want):
+    return float(np.max(np.abs(got - want))) / max(1.0, float(np.max(np.abs(want))))
+
+
+@given(geometries(), st.sampled_from([("kernel", "bias"), ("kernel",), ("bias",)]),
+       st.integers(0, 2**32 - 1))
+@example({**_PINNED, "overlap": False}, ("kernel", "bias"), 9)
+@example({**_PINNED, "overlap": True}, ("kernel", "bias"), 10)
+@example({**_PINNED, "overlap": True}, ("bias",), 11)
+@example({**_ETTH1, "overlap": False}, ("kernel", "bias"), 12)
+@example({**_ETTH1, "overlap": True}, ("kernel", "bias"), 13)
+@settings(max_examples=80, deadline=None)
+def test_compose_kernel_and_its_pullback_match_the_tape_composition(geom, reach, seed):
+    # the one-node op against the op-by-op tape oracle: overlap on and off,
+    # dropped pairs and L % r != 0 (the pinned geometry), either output alone
+    assume(usable(geom))
+    fc = random_forecaster("mppn", geom, seed)
+    cfg = mppn_config(geom)
+    a, b, got = _compose_gradients(compose_kernel, fc, cfg, reach, seed + 1)
+    want_a, want_b, want = _compose_gradients(reference_compose_kernel, fc, cfg, reach, seed + 1)
+    assert _rel_err(a, want_a) <= 1e-12 and _rel_err(b, want_b) <= 1e-12
+    for name, g in got.items():
+        if want[name] is None:  # no path from the loss: the op hands back zeros
+            assert not np.any(g), name
+        else:
+            assert g.shape == want[name].shape and _rel_err(g, want[name]) <= 1e-12, name
+
+
+@pytest.mark.parametrize("overlap", [False, True])
+def test_compose_kernel_gradients_match_finite_differences(overlap):
+    geom = {**_PINNED, "overlap": overlap}
+    fc = random_forecaster("mppn", geom, 14)
+    cfg = mppn_config(geom)
+    rng = np.random.default_rng(15)
+    ta = Tensor(rng.standard_normal((cfg.channels, cfg.lookback, cfg.horizon)))
+    tb = Tensor(rng.standard_normal((cfg.channels, cfg.horizon)))
+
+    def loss():
+        a, b = compose_kernel(fc.params, cfg)
+        return T.add(T.mse_loss(a, ta), T.mse_loss(b, tb))
+
+    check_grads(loss, [t for _, t in fc.named_parameters()], tol=1e-7)
+
+
+def test_mppn_step_records_a_handful_of_tape_nodes():
+    # compose, apply, loss: the kernel's composition is one node
+    fc = random_forecaster("mppn", {**_ETTH1, "overlap": True}, 16)
+    rng = np.random.default_rng(17)
+    T.clear_tape()
+    loss = T.mse_loss(fc.forward_batch(Tensor(rng.standard_normal((2, 336, 7)))),
+                      Tensor(rng.standard_normal((2, 96, 7))))
+    ops = [node.op for node in T._tape()]
+    T.backward(loss)
+    assert len(ops) <= 5, ops
+    assert ops.count("compose_kernel") == 1
 
 
 def test_pinned_geometry_drops_pairs_and_pads():

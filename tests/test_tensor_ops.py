@@ -362,6 +362,50 @@ def test_backward_rejects_non_scalar(rng):
     T.clear_tape()
 
 
+def _sum_and_product(x, w):
+    """One custom node with two outputs, x + w and x * w, and its
+    hand-written pullback."""
+    def pullback(g_sum, g_prod):
+        assert g_sum.shape == g_prod.shape == x.shape  # zeros for an output not reached
+        return g_sum + g_prod * w.data, g_sum + g_prod * x.data
+
+    return T.custom_op("sum_and_product", (x, w), (x.data + w.data, x.data * w.data), pullback)
+
+
+@pytest.mark.parametrize("reach", [("sum", "product"), ("sum",), ("product",)])
+def test_custom_op_with_two_outputs(rng, reach):
+    # each output alone and both: an output the loss does not read hands
+    # the pullback zeros; finite differences and the dense rule agree
+    x = Tensor(randn(rng, 2, 3), requires_grad=True)
+    w = Tensor(randn(rng, 2, 3), requires_grad=True)
+    c = {"sum": randn(rng, 2, 3), "product": randn(rng, 2, 3)}
+
+    def loss():
+        outs = dict(zip(("sum", "product"), _sum_and_product(x, w)))
+        terms = [T.mse_loss(outs[name], Tensor(c[name])) for name in reach]
+        return terms[0] if len(terms) == 1 else T.add(*terms)
+
+    check_grads(loss, [x, w], tol=1e-7)
+    got = [x.grad, w.grad]
+    x.grad = w.grad = None
+    reference_backward(loss())
+    assert [g.tobytes() for g in got] == [x.grad.tobytes(), w.grad.tobytes()]
+
+
+def test_custom_op_records_one_node_and_nothing_under_no_grad(rng):
+    x = Tensor(randn(rng, 3), requires_grad=True)
+    w = Tensor(randn(rng, 3))
+    T.clear_tape()
+    s, p = _sum_and_product(x, w)
+    assert [node.op for node in T._tape()] == ["sum_and_product"]
+    assert s.requires_grad and p.requires_grad
+    T.clear_tape()
+    with T.no_grad():
+        s, p = _sum_and_product(x, w)
+    assert T._tape() == [] and not s.requires_grad
+    np.testing.assert_array_equal(p.data, x.data * w.data)
+
+
 def _sliced_and_dense_loss(x, w, target, ranges, slices_first):
     """u = x * w used through slices of axis 1 at ``ranges`` and once
     densely.  Backward reaches u in reverse recording order, so with
