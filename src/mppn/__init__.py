@@ -6,8 +6,8 @@ and a deterministic training harness, all on a from-scratch float64
 autodiff core.
 """
 
-from .baselines import (DLinearParams, NLinearParams, dlinear_forward,
-                        moving_average_decompose, naive_last, nlinear_forward)
+from .baselines import (DLinearParams, NLinearParams, dlinear_forward, moving_average_decompose,
+                        nlinear_forward)
 from .data import ForecastMetrics, SeriesDataset, Standardizer, chronological_split, load_csv
 from .model import (MPPNConfig, MPPNParams, channel_adapt, compose_kernel, export_gates,
                     forward_batch, pattern_dim)
@@ -27,6 +27,6 @@ __all__ = [
     "channel_adapt", "chronological_split", "compose_kernel", "dataset_predictability",
     "detect_periods", "discretize", "dlinear_forward", "evaluate", "export_gates",
     "fano_upper_bound", "forward_batch", "load_csv", "lz_entropy_rate", "lz_match_lengths",
-    "moving_average_decompose", "naive_last", "nlinear_forward", "no_grad", "pattern_dim",
+    "moving_average_decompose", "nlinear_forward", "no_grad", "pattern_dim",
     "topk_periods", "train",
 ]

@@ -44,13 +44,6 @@ def naive_kernel(lookback: int, horizon: int, channels: int) -> tuple[Tensor, Te
     return Tensor(a), Tensor(np.zeros((channels, horizon)))
 
 
-def naive_last(x, horizon: int) -> Tensor:
-    """[B, L, C] -> [B, H, C]: repeat each window's most recent observation
-    for every horizon step."""
-    x = _batch(x, "naive_last")
-    return T.channel_affine(x, *naive_kernel(x.shape[1], horizon, x.shape[2]))
-
-
 @dataclass
 class NLinearParams:
     weight: Tensor  # [L, H]

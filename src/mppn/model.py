@@ -119,13 +119,13 @@ def parameter_shapes(config: MPPNConfig) -> dict[str, tuple[int, ...]]:
 
 @dataclass
 class MPPNParams:
-    """All learnable arrays of one model instance."""
+    """All learnable arrays of one model instance, by name, in
+    parameter_shapes order: patch.{r}.weight [D, 1, r] and .bias [D] per
+    used resolution, mine.{p}.{r}.weight [D, D, K] and .bias [D] per
+    retained pair, embed [C, P] (gate logits), out.weight [P*D, H] and
+    out.bias [H]."""
 
-    patch: dict[int, tuple[Tensor, Tensor]]  # r -> (weight [D,1,r], bias [D])
-    mine: dict[tuple[int, int], tuple[Tensor, Tensor]]  # (period, r) -> ([D,D,K], [D])
-    embed: Tensor  # [C, P] gate logits
-    out_weight: Tensor  # [P*D, H]
-    out_bias: Tensor  # [H]
+    tensors: dict[str, Tensor]
 
     @classmethod
     def init(cls, config: MPPNConfig) -> "MPPNParams":
@@ -136,32 +136,13 @@ class MPPNParams:
 
     @classmethod
     def from_arrays(cls, config: MPPNConfig, arrays: dict[str, np.ndarray]) -> "MPPNParams":
-        """Parameters holding ``arrays``, keyed as named_parameters names
-        them and shaped as parameter_shapes gives."""
-        def tensor(name):
-            return Tensor(arrays[name], requires_grad=True)
-
-        return cls({r: (tensor(f"patch.{r}.weight"), tensor(f"patch.{r}.bias"))
-                    for r in config.used_resolutions},
-                   {(p, r): (tensor(f"mine.{p}.{r}.weight"), tensor(f"mine.{p}.{r}.bias"))
-                    for p, r in config.retained_pairs},
-                   tensor("embed"), tensor("out.weight"), tensor("out.bias"))
+        """Parameters holding ``arrays``, keyed and shaped as
+        parameter_shapes gives."""
+        return cls({name: Tensor(arrays[name], requires_grad=True)
+                    for name in parameter_shapes(config)})
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out = []
-        for r, (w, b) in self.patch.items():
-            out.append((f"patch.{r}.weight", w))
-            out.append((f"patch.{r}.bias", b))
-        for (p, r), (w, b) in self.mine.items():
-            out.append((f"mine.{p}.{r}.weight", w))
-            out.append((f"mine.{p}.{r}.bias", b))
-        out.append(("embed", self.embed))
-        out.append(("out.weight", self.out_weight))
-        out.append(("out.bias", self.out_bias))
-        return out
-
-    def tensors(self) -> list[Tensor]:
-        return [t for _, t in self.named_parameters()]
+        return list(self.tensors.items())
 
 
 def compose_kernel(params: MPPNParams, config: MPPNConfig) -> tuple[Tensor, Tensor]:
@@ -175,7 +156,7 @@ def compose_kernel(params: MPPNParams, config: MPPNConfig) -> tuple[Tensor, Tens
     and b'[o] = mine_bias[o] + sum_{i, k} mine[o, i, k] * patch_bias[i].
     Slot t's mining output feature o reads raw sample j of unit t + k*s
     (s = period//r) through tap k and reaches the horizon through its
-    out_weight rows W[t, o, h], so one product per slot composes the
+    out.weight rows W[t, o, h], so one product per slot composes the
     pair's taps M[t, k, j, h] = sum_o w'[k, j, o] * W[t, o, h], and with
     b' as one more row of w' its slot bias.  Each channel's gate g[c, t]
     scales its slots, and the taps land on the samples they read at the
@@ -189,7 +170,7 @@ def compose_kernel(params: MPPNParams, config: MPPNConfig) -> tuple[Tensor, Tens
     search, so each run does the same sums in the same order.
     """
     c, length, h, d = config.channels, config.lookback, config.horizon, config.hidden
-    data = {name: t.data for name, t in params.named_parameters()}
+    data = {name: t.data for name, t in params.tensors.items()}
     gate = export_gates(params)  # [C, P]
     out_w = data["out.weight"].reshape(pattern_dim(config), d, h)
     kernel = np.zeros((c, length, h))
@@ -243,7 +224,7 @@ def compose_kernel(params: MPPNParams, config: MPPNConfig) -> tuple[Tensor, Tens
         grads["out.bias"] = d_bias.sum(axis=0)
         return tuple(grads[name] for name in data)
 
-    return T.custom_op("compose_kernel", params.tensors(), (kernel, bias), pullback)
+    return T.custom_op("compose_kernel", tuple(params.tensors.values()), (kernel, bias), pullback)
 
 
 def _placements(a: np.ndarray, k: int, r: int, s: int,
@@ -291,4 +272,4 @@ def forward_batch(xb: Tensor, params: MPPNParams, config: MPPNConfig) -> Tensor:
 def export_gates(params: MPPNParams) -> np.ndarray:
     """Sigmoid of the gate logits as a plain [C, P] matrix in (0, 1)."""
     with T.no_grad():
-        return T.sigmoid(params.embed).data
+        return T.sigmoid(params.tensors["embed"]).data

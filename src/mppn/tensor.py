@@ -10,13 +10,9 @@ outside this module, with a hand-written pullback that takes one gradient
 per output (zeros for an output the loss does not reach): the pattern of
 a custom autograd function.  MPPN's kernel composition is such a node.
 
-A slice's pullback returns its upstream block with the block's index, not
-a zero-filled array of the sliced tensor's shape.  ``backward`` writes in
-place only into gradient buffers it allocated during the call, so a
-tensor sliced many times gets one buffer that every block is added into.
-Any other gradient array may be shared (``add`` hands one array to both
-inputs, ``reshape`` and ``transpose`` hand out views, a leaf keeps its
-``.grad`` between calls) and is never written.
+A gradient array may be shared (``add`` hands one array to both inputs,
+``reshape`` and ``transpose`` hand out views, a leaf keeps its ``.grad``
+between calls), so ``backward`` never writes one: it sums out of place.
 
 The operator set is what the forecasters need: affine maps, the
 per-channel kernel every forecaster applies to its windows, sigmoid,
@@ -87,9 +83,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def item(self) -> float:
-        return float(self.data)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -167,22 +160,14 @@ def backward(loss: Tensor) -> None:
     Gradients accumulate additively across fan-out and across repeated
     backward calls; the tape is cleared afterwards.  A node runs if any of
     its outputs received a gradient; its pullback gets one gradient per
-    output, zeros for an output that received none.
-
-    A pullback returns each input's gradient either dense, at the input's
-    shape, or as ``(block, index)``: ``block`` at ``index``, zero
-    elsewhere.  A tensor's first dense gradient is stored as it is and its
-    first block gets a fresh zero buffer.  Later contributions are added
-    in place into a buffer this call allocated; a gradient it did not
-    allocate may alias another (see the module docstring), so it is summed
-    out of place once and the sum is then owned.
+    output, zeros for an output that received none, and returns one dense
+    gradient per input, at the input's shape, or None.
     """
     if loss.size != 1:
         raise ArgumentError(f"backward: loss must be scalar, got shape {loss.shape}")
     tape = _tape()
     seed = np.ones_like(loss.data)
     loss.grad = seed if loss.grad is None else loss.grad + seed
-    owned: set[int] = set()  # ids of tensors whose .grad this call allocated
     for node in reversed(tape):
         gs = [t.grad for t in node.outputs]
         if all(g is None for g in gs):
@@ -190,24 +175,8 @@ def backward(loss: Tensor) -> None:
         grads = node.backward(*(np.zeros(t.shape) if g is None else g
                                 for t, g in zip(node.outputs, gs)))
         for t, gin in zip(node.inputs, grads):
-            if gin is None or not t.requires_grad:
-                continue
-            gin, idx = gin if isinstance(gin, tuple) else (gin, ...)
-            if id(t) in owned:
-                t.grad[idx] += gin
-            elif t.grad is None and idx is ...:
-                t.grad = gin
-            else:
-                if t.grad is None:
-                    buf = np.zeros(t.shape)
-                    buf[idx] = gin
-                elif idx is ...:
-                    buf = t.grad + gin
-                else:
-                    buf = t.grad.copy()
-                    buf[idx] += gin
-                t.grad = buf
-                owned.add(id(t))
+            if gin is not None and t.requires_grad:
+                t.grad = gin if t.grad is None else t.grad + gin
     tape.clear()
 
 
@@ -313,8 +282,8 @@ def transpose(x: Tensor, axes: Sequence[int] | None = None) -> Tensor:
 
 
 def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    """Contiguous slice along one axis; backward hands the upstream
-    gradient to ``backward`` as a block with its index."""
+    """Contiguous slice along one axis; backward places the upstream
+    gradient in a zero array of the input's shape."""
     x = _as_tensor(x)
     axis = axis % x.ndim
     if not (0 <= start < stop <= x.shape[axis]):
@@ -324,7 +293,11 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     sl = tuple(sl)
 
     def bw(g):
-        return ((g, sl),) if x.requires_grad else (None,)
+        if not x.requires_grad:
+            return (None,)
+        gx = np.zeros(x.shape)
+        gx[sl] = g
+        return (gx,)
 
     return _record("slice", (x,), np.ascontiguousarray(x.data[sl]), bw)
 

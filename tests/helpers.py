@@ -1,14 +1,13 @@
 """Shared independent oracles for the test suite.
 
 These deliberately avoid the library's own code paths: finite differences
-for gradients, the tape replayed with dense out-of-place gradient sums,
-cubic-time substring search for match lengths and, for long series,
-Kasai's sweep and a linked-list sweep over a lexsort suffix array,
+for gradients, cubic-time substring search for match lengths and, for long
+series, Kasai's sweep and a linked-list sweep over a lexsort suffix array,
 quadratic direct summation for the DFT, a cell-by-cell CSV loader, MPPN's
-pattern bank built stage by stage (patch, then mine) with explicit loops and its
-forecast gated and projected from that bank, MPPN's kernel composed op by
-op on the tape, and a forecaster's affine kernel read off its forward map
-through basis windows.
+pattern bank built stage by stage (patch, then mine) with explicit loops
+and its forecast gated and projected from that bank, MPPN's kernel composed
+op by op on the tape, and a forecaster's affine kernel read off its forward
+map through basis windows.
 """
 import csv
 
@@ -19,31 +18,6 @@ from mppn.data import SeriesDataset
 from mppn.errors import DataError
 from mppn.model import pattern_dim
 from mppn.tensor import Tensor
-
-
-def reference_backward(loss):
-    """``tensor.backward`` by the dense rule: a pullback's ``(block, index)``
-    gradient is scattered into a zero array of its input's shape, and every
-    contribution is summed out of place, so no array is ever written after
-    it is stored.  Same tape order, so sums agree bit for bit with the
-    in-place accumulation."""
-    tape = T._tape()
-    seed = np.ones_like(loss.data)
-    loss.grad = seed if loss.grad is None else loss.grad + seed
-    for node in reversed(tape):
-        gs = [t.grad for t in node.outputs]
-        if all(g is None for g in gs):
-            continue
-        gs = [np.zeros(t.shape) if g is None else g for t, g in zip(node.outputs, gs)]
-        for t, gin in zip(node.inputs, node.backward(*gs)):
-            if gin is None or not t.requires_grad:
-                continue
-            if isinstance(gin, tuple):
-                block, idx = gin
-                gin = np.zeros(t.shape)
-                gin[idx] = block
-            t.grad = gin if t.grad is None else t.grad + gin
-    tape.clear()
 
 
 def fd_gradient(loss_fn, tensor, h=1e-6):
@@ -277,8 +251,8 @@ def reference_units(x, r, params, config):
     """
     x = np.asarray(x, dtype=np.float64)
     length = config.lookback
-    w = params.patch[r][0].data[:, 0, :]  # [D, r]
-    b = params.patch[r][1].data
+    w = params.tensors[f"patch.{r}.weight"].data[:, 0, :]  # [D, r]
+    b = params.tensors[f"patch.{r}.bias"].data
     keep = -(-length // r)
     if config.overlap:
         starts = range(length - r + 1 - keep, length - r + 1)
@@ -298,7 +272,8 @@ def reference_mine(units, period, r, params, config):
     """[D, n] -> [D, period//r]: a dilated scan of the units (kernel
     L//period taps, dilation period//r) of which the trailing period//r
     positions are kept."""
-    w, b = (t.data for t in params.mine[(period, r)])  # [D, D, K], [D]
+    w = params.tensors[f"mine.{period}.{r}.weight"].data  # [D, D, K]
+    b = params.tensors[f"mine.{period}.{r}.bias"].data
     taps, dil = config.lookback // period, period // r
     n = units.shape[1]
     scan = n - (taps - 1) * dil
@@ -327,9 +302,9 @@ def reference_forward(x, params, config):
     """[L, C] -> [H, C]: MPPN's forecast of one window from reference_bank,
     scaled by the sigmoid gates and projected by the output layer."""
     bank = reference_bank(x, params, config)  # [C, P, D]
-    gate = 1.0 / (1.0 + np.exp(-params.embed.data))
+    gate = 1.0 / (1.0 + np.exp(-params.tensors["embed"].data))
     flat = (bank * gate[:, :, None]).reshape(bank.shape[0], -1)
-    return (flat @ params.out_weight.data + params.out_bias.data).T
+    return (flat @ params.tensors["out.weight"].data + params.tensors["out.bias"].data).T
 
 
 def _fold_kernel(period, r, params, config):
@@ -337,8 +312,8 @@ def _fold_kernel(period, r, params, config):
     ([K, r, D], [D]) with w'[k, j, o] = sum_i mine[o, i, k] * patch[i, j]
     and b'[o] = mine_bias[o] + sum_{i, k} mine[o, i, k] * patch_bias[i]."""
     d, k = config.hidden, config.lookback // period
-    wp, bp = params.patch[r]
-    wm, bm = params.mine[(period, r)]
+    wp, bp = params.tensors[f"patch.{r}.weight"], params.tensors[f"patch.{r}.bias"]
+    wm, bm = params.tensors[f"mine.{period}.{r}.weight"], params.tensors[f"mine.{period}.{r}.bias"]
     wm_t = T.transpose(wm, (0, 2, 1))  # [D, K, D]: (o, k, i)
     w = T.linear(wm_t, T.reshape(wp, (d, r)), Tensor(np.zeros(r)))  # [D, K, r]
     bp_tiled = T.reshape(T.concat([bp] * k, axis=0), (1, k * d))  # bp[i] at k*D + i
@@ -366,7 +341,8 @@ def reference_compose_kernel(params, config):
     reads: disjoint r-sample blocks without overlap, r shifted runs with
     overlap."""
     c, length, h, d = config.channels, config.lookback, config.horizon, config.hidden
-    out_w = T.reshape(params.out_weight, (pattern_dim(config), d, h))
+    embed = params.tensors["embed"]
+    out_w = T.reshape(params.tensors["out.weight"], (pattern_dim(config), d, h))
     kernel, slot_bias, off = None, [], 0
     for p, r in config.retained_pairs:
         k, s = length // p, p // r
@@ -377,7 +353,7 @@ def reference_compose_kernel(params, config):
         zero = Tensor(np.zeros(s * h))
         slot_bias.append(T.reshape(T.linear(T.reshape(b, (1, d)), w_slots, zero), (s, h)))
         taps = T.reshape(T.linear(T.reshape(w, (k * r, d)), w_slots, zero), (k * r, 1, s, h))
-        gate = T.reshape(T.sigmoid(T.slice_axis(params.embed, 1, off, off + s)), (c, s, 1))
+        gate = T.reshape(T.sigmoid(T.slice_axis(embed, 1, off, off + s)), (c, s, 1))
         gated = T.reshape(T.mul(taps, gate), (k, r, c, s, h))
         if config.overlap:  # unit u = t + k*s spans samples L - r + 1 - span + u + [0, r)
             runs = T.reshape(T.transpose(gated, (2, 1, 0, 3, 4)), (c, r, span, h))
@@ -390,7 +366,7 @@ def reference_compose_kernel(params, config):
         for part in parts:
             kernel = part if kernel is None else T.add(kernel, part)
         off += s
-    bias = T.linear(T.sigmoid(params.embed), T.concat(slot_bias, axis=0), params.out_bias)
+    bias = T.linear(T.sigmoid(embed), T.concat(slot_bias, axis=0), params.tensors["out.bias"])
     return kernel, bias
 
 

@@ -316,18 +316,18 @@ def test_a7_shape_and_structure():
     config = MPPNConfig(lookback=24, horizon=5, channels=4, hidden=4,
                         resolutions=(1, 2), periods=(6, 8), seed=2)
     params = MPPNParams.init(config)
-    params.embed.data[:] = rng.standard_normal(params.embed.shape)
+    params.tensors["embed"].data[:] = rng.standard_normal(params.tensors["embed"].shape)
     x = rng.standard_normal((24, 4))
     perm = np.array([3, 1, 0, 2])
     permuted = MPPNParams.init(config)
     for (_, a), (_, b) in zip(permuted.named_parameters(), params.named_parameters()):
         a.data = b.data.copy()
-    permuted.embed.data = params.embed.data[perm]
+    permuted.tensors["embed"].data = params.tensors["embed"].data[perm]
     assert np.array_equal(forward_batch(Tensor(x[None][:, :, perm]), permuted, config).data,
                           forward_batch(Tensor(x[None]), params, config).data[:, :, perm])
 
     # zero gate logits scale the bank by exactly one half
-    params.embed.data[:] = 0.0
+    params.tensors["embed"].data[:] = 0.0
     gates = export_gates(params)
     assert np.array_equal(gates, np.full(gates.shape, 0.5))
     report("A7", "PASS", "200 random configs: slot count and [H, C] shape; "

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from helpers import check_grads
 from mppn import tensor as T
 from mppn.baselines import (DLinearParams, NLinearParams, dlinear_forward, dlinear_kernel,
-                            moving_average_decompose, moving_average_matrix, naive_last,
+                            moving_average_decompose, moving_average_matrix, naive_kernel,
                             nlinear_forward, nlinear_kernel)
 from mppn.errors import ArgumentError, ShapeError
 from mppn.tensor import Tensor
@@ -18,13 +18,13 @@ from mppn.tensor import Tensor
 
 def test_naive_repeats_last_row():
     x = np.array([[0.0, 9.0], [1.0, 2.0]])
-    out = naive_last(Tensor(x[None]), 3)
+    out = T.channel_affine(Tensor(x[None]), *naive_kernel(2, 3, 2))
     np.testing.assert_array_equal(out.data, [[[1.0, 2.0]] * 3])
 
 
 def test_naive_perfect_on_constant_target():
     x = np.array([[5.0], [5.0], [5.0]])
-    out = naive_last(Tensor(x[None]), 4)
+    out = T.channel_affine(Tensor(x[None]), *naive_kernel(3, 4, 1))
     target = np.full((1, 4, 1), 5.0)
     assert float(np.mean((out.data - target) ** 2)) == 0.0
 
@@ -39,7 +39,8 @@ def test_naive_tone_mse_matches_closed_form():
     origins = np.arange(lookback, lookback + period)
     sq = []
     for t0 in origins:
-        pred = naive_last(Tensor(x[None, t0 - lookback:t0, None]), horizon).data[0]
+        window = Tensor(x[None, t0 - lookback:t0, None])
+        pred = T.channel_affine(window, *naive_kernel(lookback, horizon, 1)).data[0]
         target = x[t0:t0 + horizon, None]
         sq.append(np.mean((pred - target) ** 2))
     direct = float(np.mean(sq))
@@ -97,7 +98,8 @@ def test_nlinear_zero_weights_reduce_to_naive():
     x = np.random.default_rng(1).standard_normal((1, 8, 3))
     params = NLinearParams(Tensor(np.zeros((8, 5))), Tensor(np.zeros(5)))
     out = nlinear_forward(Tensor(x), params)
-    np.testing.assert_array_equal(out.data, naive_last(Tensor(x), 5).data)
+    naive = T.channel_affine(Tensor(x), *naive_kernel(8, 5, 3))
+    np.testing.assert_array_equal(out.data, naive.data)
 
 
 @given(st.integers(0, 2**10 - 1), st.integers(-16, 16))
@@ -207,7 +209,7 @@ def test_dlinear_batch_matches_single():
 
 @pytest.mark.parametrize("shape", [(10, 2), (10,), (1, 1, 10, 2)])
 @pytest.mark.parametrize("forecast", [
-    lambda x: naive_last(x, 3),
+    lambda x: T.channel_affine(x, *naive_kernel(10, 3, 2)),
     lambda x: nlinear_forward(x, NLinearParams.init(10, 3)),
     lambda x: dlinear_forward(x, DLinearParams.init(10, 3, window=5)),
     lambda x: moving_average_decompose(x, 5),

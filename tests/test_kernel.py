@@ -4,8 +4,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (check_grads, reference_backward, reference_compose_kernel, reference_forward,
-                     reference_kernel)
+from helpers import check_grads, reference_compose_kernel, reference_forward, reference_kernel
 from mppn import tensor as T
 from mppn.data import MetricsAccumulator, iter_batches
 from mppn.model import MPPNConfig, compose_kernel
@@ -129,35 +128,8 @@ def test_compose_kernel_matches_reference_forward(geom, seed):
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
 
 
-def _mppn_gradients(fc, x, y, backward):
-    for _, t in fc.named_parameters():
-        t.grad = None
-    backward(T.mse_loss(fc.forward_batch(Tensor(x)), Tensor(y)))
-    return {name: t.grad for name, t in fc.named_parameters()}
-
-
 _ETTH1 = dict(lookback=336, horizon=96, channels=7, hidden=48, resolutions=(1, 3, 4, 6),
               periods=(24, 168), moving_average=25, batch_size=2)
-
-
-@given(geometries(), st.integers(0, 2**32 - 1))
-@example({**_PINNED, "overlap": False}, 5)
-@example({**_PINNED, "overlap": True}, 6)
-@example({**_ETTH1, "overlap": False}, 7)
-@example({**_ETTH1, "overlap": True}, 8)
-@settings(max_examples=60, deadline=None)
-def test_backward_gradients_are_byte_identical_to_dense_reference(geom, seed):
-    # slice gradients accumulated in place against zero-filled copies
-    # summed out of place: overlap on and off, dropped pairs, L % r != 0
-    assume(usable(geom))
-    fc = random_forecaster("mppn", geom, seed)
-    rng = np.random.default_rng(seed + 1)
-    x = rng.standard_normal((geom["batch_size"], geom["lookback"], geom["channels"]))
-    y = rng.standard_normal((geom["batch_size"], geom["horizon"], geom["channels"]))
-    got = _mppn_gradients(fc, x, y, T.backward)
-    want = _mppn_gradients(fc, x, y, reference_backward)
-    for name, g in got.items():
-        assert g.shape == want[name].shape and g.tobytes() == want[name].tobytes(), name
 
 
 def _compose_gradients(compose, fc, cfg, reach, seed):

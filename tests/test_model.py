@@ -9,7 +9,7 @@ from mppn import tensor as T
 from mppn.data import load_csv, write_csv
 from mppn.errors import ConfigError, ShapeError
 from mppn.model import (MPPNConfig, MPPNParams, channel_adapt, compose_kernel, export_gates,
-                        forward_batch, pattern_dim)
+                        forward_batch, parameter_shapes, pattern_dim)
 from mppn.tensor import Tensor
 
 TINY = dict(lookback=24, horizon=4, channels=2, hidden=3, resolutions=(1, 2), periods=(6,))
@@ -28,8 +28,9 @@ def _bank(xb, params, config):
     forecasts half the flattened bank; doubling is exact."""
     p_dim, d = pattern_dim(config), config.hidden
     probe = MPPNConfig(**{**config.__dict__, "horizon": p_dim * d})
-    readout = MPPNParams(params.patch, params.mine, Tensor(np.zeros((config.channels, p_dim))),
-                         Tensor(np.eye(p_dim * d)), Tensor(np.zeros(p_dim * d)))
+    readout = MPPNParams({**params.tensors, "embed": Tensor(np.zeros((config.channels, p_dim))),
+                          "out.weight": Tensor(np.eye(p_dim * d)),
+                          "out.bias": Tensor(np.zeros(p_dim * d))})
     with T.no_grad():
         out = forward_batch(Tensor(xb), readout, probe).data  # [B, P*D, C]
     return 2.0 * out.transpose(0, 2, 1).reshape(len(xb), config.channels, p_dim, d)
@@ -77,6 +78,30 @@ def test_config_drops_only_invalid_pairs():
 
 
 # ---------------------------------------------------------------------------
+# parameters
+
+@pytest.mark.parametrize("overrides", [{}, {"overlap": True},
+                                       {"periods": (6, 30), "resolutions": (1, 2, 8)}],
+                         ids=["plain", "overlap", "dropped-pairs"])
+def test_parameters_follow_parameter_shapes_and_round_trip(overrides):
+    # checkpoint bytes and Adam's state order follow named_parameters; a
+    # dropped pair, and a resolution only dropped pairs use, have no arrays
+    c = cfg(**overrides)
+    shapes = parameter_shapes(c)
+    params = MPPNParams.init(c)
+    assert [name for name, _ in params.named_parameters()] == list(shapes)
+    assert all(t.shape == shapes[name] for name, t in params.named_parameters())
+    rng = np.random.default_rng(0)
+    arrays = {name: rng.standard_normal(shape) for name, shape in reversed(shapes.items())}
+    restored = MPPNParams.from_arrays(c, arrays)
+    assert [name for name, _ in restored.named_parameters()] == list(shapes)
+    for name, t in restored.named_parameters():
+        assert t.requires_grad and t.data.tobytes() == arrays[name].tobytes(), name
+    if "periods" in overrides:
+        assert "patch.8.weight" not in shapes and not any(".30." in name for name in shapes)
+
+
+# ---------------------------------------------------------------------------
 # patching: the reference's patch stage, which the library folds away, is
 # checked on the reference itself; what reaches the bank is checked there
 
@@ -94,7 +119,7 @@ def test_patch_resolution_one_is_padding_free():
     params = MPPNParams.init(c)
     x = np.linspace(-1, 1, 24)
     out = reference_units(x, 1, params, c)
-    w, b = params.patch[1]
+    w, b = params.tensors["patch.1.weight"], params.tensors["patch.1.bias"]
     expected = np.outer(w.data[:, 0, 0], x) + b.data[:, None]
     assert np.max(np.abs(out - expected)) <= 1e-15
 
@@ -139,12 +164,14 @@ def test_mine_phase_average_oracle():
     # with identity patches each channel's bank holds its last period
     c = cfg(lookback=24, channels=3, resolutions=(1,), periods=(6,), hidden=3)
     params = MPPNParams.init(c)
-    params.patch[1] = (Tensor(np.ones((3, 1, 1))), Tensor(np.zeros(3)))
+    params.tensors["patch.1.weight"] = Tensor(np.ones((3, 1, 1)))
+    params.tensors["patch.1.bias"] = Tensor(np.zeros(3))
     k = 24 // 6
     w = np.zeros((3, 3, k))
     for o in range(3):
         w[o, o, :] = 1.0 / k
-    params.mine[(6, 1)] = (Tensor(w), Tensor(np.zeros(3)))
+    params.tensors["mine.6.1.weight"] = Tensor(w)
+    params.tensors["mine.6.1.bias"] = Tensor(np.zeros(3))
     base = np.array([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
                      [0.5, -1.0, 2.0, 0.0, 3.0, -2.0],
                      [9.0, 8.0, 7.0, 6.0, 5.0, 4.0]])
@@ -161,8 +188,8 @@ def test_mine_truncation_keeps_last_positions():
     k, d = 30 // 7, 7 // 1
     xr = np.arange(2 * 30, dtype=float).reshape(2, 30)
     out = reference_mine(xr, 7, 1, params, c)
-    raw = T.conv1d(Tensor(xr[None]), params.mine[(7, 1)][0], params.mine[(7, 1)][1],
-                   stride=1, dilation=d).data[0]
+    w, b = params.tensors["mine.7.1.weight"], params.tensors["mine.7.1.bias"]
+    raw = T.conv1d(Tensor(xr[None]), w, b, stride=1, dilation=d).data[0]
     assert raw.shape[-1] == 30 - (k - 1) * d > d
     assert np.max(np.abs(out - raw[:, -d:])) <= 1e-12
 
@@ -213,10 +240,10 @@ def test_assemble_channel_permutation_equivariance_bitexact():
     rng = np.random.default_rng(5)
     c = cfg(lookback=24, channels=4, hidden=3, periods=(6, 8), resolutions=(1, 2))
     params = MPPNParams.init(c)
-    params.embed.data[:] = rng.standard_normal(params.embed.shape)
+    params.tensors["embed"].data[:] = rng.standard_normal(params.tensors["embed"].shape)
     perm = np.array([2, 0, 3, 1])
     a, b = compose_kernel(params, c)
-    params.embed.data = params.embed.data[perm]
+    params.tensors["embed"].data = params.tensors["embed"].data[perm]
     pa, pb = compose_kernel(params, c)
     assert np.array_equal(pa.data, a.data[perm])
     assert np.array_equal(pb.data, b.data[perm])
@@ -310,8 +337,8 @@ def test_forward_output_shape_property():
 def test_forward_zero_output_layer_gives_zero():
     c = cfg()
     params = MPPNParams.init(c)
-    params.out_weight.data[:] = 0.0
-    params.out_bias.data[:] = 0.0
+    params.tensors["out.weight"].data[:] = 0.0
+    params.tensors["out.bias"].data[:] = 0.0
     out = forward_batch(Tensor(np.random.default_rng(3).standard_normal((1, 24, 2))), params, c)
     np.testing.assert_array_equal(out.data, np.zeros((1, 4, 2)))
 
@@ -376,14 +403,14 @@ def test_forward_channel_permutation_with_gate_rows():
     rng = np.random.default_rng(8)
     c = cfg(channels=3)
     params = MPPNParams.init(c)
-    params.embed.data[:] = rng.standard_normal(params.embed.shape)
+    params.tensors["embed"].data[:] = rng.standard_normal(params.tensors["embed"].shape)
     x = rng.standard_normal((24, 3))
     perm = np.array([1, 2, 0])
 
     permuted_params = MPPNParams.init(c)
     for (_, a), (_, b) in zip(permuted_params.named_parameters(), params.named_parameters()):
         a.data = b.data.copy()
-    permuted_params.embed.data = params.embed.data[perm]
+    permuted_params.tensors["embed"].data = params.tensors["embed"].data[perm]
 
     direct = forward_batch(Tensor(x[None][:, :, perm]), permuted_params, c).data
     reference = forward_batch(Tensor(x[None]), params, c).data[:, :, perm]
@@ -401,7 +428,7 @@ def test_export_gates_untrained_is_half():
 
 def test_export_gates_in_unit_interval():
     params = MPPNParams.init(cfg())
-    params.embed.data[:] = np.random.default_rng(9).standard_normal(params.embed.shape) * 10
+    params.tensors["embed"].data[:] = np.random.default_rng(9).standard_normal(params.tensors["embed"].shape) * 10
     gates = export_gates(params)
     assert np.all((gates > 0.0) & (gates < 1.0))
 
@@ -410,7 +437,7 @@ def test_gates_csv_round_trip(tmp_path):
     # the gates CSV layout, written by the shared CSV writer and read back
     # both as CSV rows and by load_csv with the channel column as its dates
     params = MPPNParams.init(cfg(channels=3))
-    params.embed.data[:] = np.random.default_rng(10).standard_normal(params.embed.shape)
+    params.tensors["embed"].data[:] = np.random.default_rng(10).standard_normal(params.tensors["embed"].shape)
     gates = export_gates(params)
     path = tmp_path / "gates.csv"
     names = ["alpha", "beta,gamma", 'delta "d"']
