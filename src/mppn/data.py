@@ -78,6 +78,56 @@ def write_csv(path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+# The quote, carriage return and NUL are the characters csv.reader treats
+# specially in an unquoted file; numpy's float parser strips the four
+# separators \x1c-\x1f as white space where ``float`` rejects them.
+_NOT_PLAIN = ('"', "\r", "\0", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _plain_table(path, date_column: bool) -> SeriesDataset | None:
+    """A plain file's dataset, parsed by numpy's ``loadtxt``, or None when
+    ``load_csv``'s csv path must read the file.
+
+    A file is plain when it is UTF-8 without any ``_NOT_PLAIN`` character
+    (so each non-empty line is one row of comma-separated cells), has at
+    least one body line and no line longer than the csv field limit, has a
+    valid header, and every cell is a finite value on a row of the header's
+    width.  Anything else returns None, never raising, warning or logging,
+    so the csv path alone reports every fault.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError):
+        return None
+    if any(ch in text for ch in _NOT_PLAIN):
+        return None
+    # split("\n"), not splitlines(), which also breaks at \x1c, \x85, \u2028
+    lines = [line for line in text.split("\n") if line]
+    rows = lines[1:] if date_column else lines
+    if not rows or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    if date_column:
+        names = [name.strip() for name in lines[0].split(",")[1:]]
+        if not names or not all(names) or len(set(names)) < len(names):
+            return None
+        split = [line.partition(",") for line in rows]
+        timestamps = [part[0] for part in split]
+        rows = [part[2] for part in split]
+    else:
+        names = [f"v{i}" for i in range(lines[0].count(",") + 1)]
+        timestamps = None
+    if "" in rows:  # loadtxt skips an empty line, and warns when it sees no data
+        return None
+    try:
+        values = np.loadtxt(rows, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape != (len(rows), len(names)) or not np.isfinite(values).all():
+        return None
+    return SeriesDataset(names, values, timestamps)
+
+
 def load_csv(path, strict: bool = True, date_column: bool = True) -> SeriesDataset:
     """Parse a benchmark CSV into a [T, C] float matrix.
 
@@ -88,7 +138,17 @@ def load_csv(path, strict: bool = True, date_column: bool = True) -> SeriesDatas
     aborts with its row and column; otherwise such cells are forward-filled
     (leading gaps take the first later value) and the fill count is logged.
     Every failure raises ``DataError``, which the CLI reports with exit 3.
+
+    Two paths give the same result.  A plain file (no quote, carriage
+    return, NUL or U+001C-U+001F character, a valid header, and only
+    finite cells on rows of the header's width; see ``_plain_table``) is
+    parsed by numpy's ``loadtxt``.  Every other file, and so every fault,
+    forward fill and log line, goes through ``csv.reader`` and a ``float``
+    per cell.
     """
+    plain = _plain_table(path, date_column)
+    if plain is not None:
+        return plain
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)

@@ -16,11 +16,16 @@ _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    # finalizer of splitmix64, vectorized over uint64 arrays
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+_BLOCK = 65536  # values per block of a draw
+
+
+def _mix(z: np.ndarray) -> None:
+    # finalizer of splitmix64, in place over a uint64 array
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
 
 
 def _mix_int(z: int) -> int:
@@ -52,18 +57,29 @@ class SplitMix64:
         self._state = np.uint64(seed & _MASK)
 
     def _raw(self, n: int) -> np.ndarray:
-        steps = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
-        block = self._state + steps  # uint64 arithmetic wraps
-        self._state = block[-1] if n else self._state
-        return _mix(block)
+        """The next n outputs, filled in blocks so the temporaries stay
+        block-sized however large the draw."""
+        out = np.empty(n, dtype=np.uint64)
+        steps = np.arange(1, min(n, _BLOCK) + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        for lo in range(0, n, _BLOCK):
+            block = out[lo:lo + _BLOCK]
+            np.add(self._state, steps[:len(block)], out=block)  # uint64 arithmetic wraps
+            self._state = block[-1]
+            _mix(block)
+        return out
 
     def uniform01(self, n: int) -> np.ndarray:
         """n doubles uniform in [0, 1)."""
-        return (self._raw(n) >> np.uint64(11)) * 2.0**-53
+        bits = self._raw(n)
+        bits >>= np.uint64(11)
+        return bits * 2.0**-53
 
     def uniform(self, low: float, high: float, shape: tuple[int, ...]) -> np.ndarray:
         n = int(np.prod(shape)) if shape else 1
-        return (low + self.uniform01(n) * (high - low)).reshape(shape)
+        values = self.uniform01(n)
+        values *= high - low
+        values += low
+        return values.reshape(shape)
 
     def normal(self, shape: tuple[int, ...], sd: float = 1.0) -> np.ndarray:
         """Box-Muller gaussians with the requested standard deviation."""

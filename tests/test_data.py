@@ -1,15 +1,19 @@
 """CSV ingestion, splits, standardization, windowing, and metrics."""
+import csv
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_load_csv
+from mppn import synth
 from mppn.data import (ForecastMetrics, MetricsAccumulator, SeriesDataset, Standardizer,
                        chronological_split, gather_windows, iter_batches, load_csv,
                        window_origins)
 from mppn.errors import ArgumentError, ConfigError, DataError, ShapeError
-from mppn.rng import SplitMix64
+from mppn.rng import _GAMMA, _MASK, SplitMix64
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -76,6 +80,19 @@ def test_load_csv_non_finite_or_unparseable_cell_is_rejected(tmp_path, text):
     np.testing.assert_array_equal(load_csv(path, strict=False).values[:, 0], [1.0, 1.0])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text, strict, message", [
+    ("date,a\n1,2,3\n2,4,5\n", True, "row 1 has 2 cells, expected 1"),
+    ("date,a\n1,\n2,\n", True, "row 1, column 'a': unparseable cell ''"),
+    ("date,a\n1,\n2,\n", False, "column 'a' has no usable values"),
+    ("date,a\n1\n", True, "row 1 has 0 cells, expected 1"),
+])
+def test_load_csv_rows_all_of_one_wrong_width_or_empty_are_data_errors(tmp_path, text, strict,
+                                                                        message):
+    with pytest.raises(DataError, match=message):
+        load_csv(write(tmp_path, text), strict=strict)
+
+
 def test_load_csv_invalid_utf8_names_the_file(tmp_path):
     path = tmp_path / "bytes.csv"
     path.write_bytes(b"date,a\n2020,1\n2021,\xff\n")
@@ -84,9 +101,10 @@ def test_load_csv_invalid_utf8_names_the_file(tmp_path):
 
 
 def test_load_csv_reader_error_names_file_and_line(tmp_path):
-    path = write(tmp_path, "date,a\n2020,1\n2021," + "9" * 200_000 + "\n")
-    with pytest.raises(DataError, match=r"data\.csv: line 3: field larger than field limit"):
-        load_csv(path)
+    for row in ("2021," + "9" * 200_000, "2" * 200_000 + ",1"):
+        path = write(tmp_path, "date,a\n2020,1\n" + row + "\n")
+        with pytest.raises(DataError, match=r"data\.csv: line 3: field larger than field limit"):
+            load_csv(path)
 
 
 @pytest.mark.parametrize("header, message", [
@@ -105,12 +123,12 @@ def test_load_csv_rejects_duplicate_or_blank_names(tmp_path, header, message):
 FINITE_TEXTS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.integers(-10**6, 10**6).map(str),
-    st.sampled_from(["1_000", "+.5", "1.", "-0", "1e-400", "\n4\n", "١٢"]),
+    st.sampled_from(["1_000", "+.5", "1.", "-0", "1e-400", "\n4\n", "١٢", "\xa07", "１２"]),
 )
 CELL_TEXTS = st.one_of(
     FINITE_TEXTS,
     st.sampled_from(["", "nan", "-NaN", "inf", "-Infinity", "1e400", "-1e400", "abc", "_1",
-                     "0x10", "1,5", '3"', "1e", "--1"]),
+                     "0x10", "1,5", '3"', "1e", "--1", "\x1c7", "7\x1f", "\x007", "#1", "1#"]),
 )
 BAD_TEXTS = st.sampled_from(["", "nan", "inf", "1e400", "x"])
 VARIATE_NAMES = ["a", "b", " c ", "OT", "x y", "p,q", 'say "hi"', "été"]
@@ -158,6 +176,7 @@ def _load_outcome(loader, path, strict, date_column):
     return "ok", ds.values.shape, ds.values.tobytes(), ds.names, ds.timestamps
 
 
+@pytest.mark.filterwarnings("error")
 @given(csv_documents())
 @settings(max_examples=300, deadline=None)
 def test_load_csv_matches_cell_by_cell_reference(tmp_path_factory, document):
@@ -167,6 +186,55 @@ def test_load_csv_matches_cell_by_cell_reference(tmp_path_factory, document):
     for strict in (True, False):
         assert (_load_outcome(load_csv, path, strict, date_column)
                 == _load_outcome(reference_load_csv, path, strict, date_column))
+
+
+@pytest.mark.filterwarnings("error")
+def test_load_csv_matches_reference_around_every_edge_character(tmp_path):
+    # every white space, control and non-ASCII digit character (862 under
+    # Unicode 14): where numpy's float parser and ``float`` could disagree
+    edge = [chr(c) for c in range(sys.maxunicode + 1)
+            if chr(c).isspace() or c < 0x20 or 0x7F <= c <= 0xA0
+            or (c >= 0x80 and chr(c).isdigit())]
+    path = tmp_path / "edge.csv"
+    for ch in edge:
+        for cell in (ch + "7", "7" + ch):
+            for date_column, text in ((True, f"date,a\n1,1\n2,{cell}\n"), (False, f"1\n{cell}\n")):
+                path.write_text(text, encoding="utf-8", newline="")
+                for strict in (True, False):
+                    assert (_load_outcome(load_csv, path, strict, date_column)
+                            == _load_outcome(reference_load_csv, path, strict, date_column)), \
+                        (hex(ord(ch)), cell, date_column, strict)
+
+
+def test_load_csv_reads_plain_files_without_csv_reader_and_others_with_it(tmp_path, monkeypatch):
+    plain = tmp_path / "plain.csv"
+    synth.write_csv(plain, SplitMix64(7).normal((40, 3)), ["a", "b", "c"])
+    text = plain.read_text(encoding="utf-8")
+    expected = _load_outcome(reference_load_csv, plain, True, True)
+    crlf = write(tmp_path, text.replace("\n", "\r\n"), "crlf.csv")
+    header, first, rest = text.split("\n", 2)
+    stamp, _, cells = first.partition(",")
+    quoted = write(tmp_path, f'{header}\n"{stamp}",{cells}\n{rest}', "quoted.csv")
+
+    real_reader = csv.reader
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("csv.reader called on a plain file")
+
+    monkeypatch.setattr(csv, "reader", refuse)
+    assert _load_outcome(load_csv, plain, True, True) == expected
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real_reader(*args, **kwargs)
+
+    monkeypatch.setattr(csv, "reader", counted)
+    for twin in (crlf, quoted):
+        calls.clear()
+        assert _load_outcome(load_csv, twin, True, True) == expected
+        assert len(calls) == 1
 
 
 def test_load_etth1_shape_when_available():
@@ -247,6 +315,24 @@ def test_shuffle_is_deterministic_per_seed():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, SplitMix64(43).permutation(500))
     assert np.array_equal(np.sort(a), np.arange(500))
+
+
+def _one_shot_raw(state: int, n: int) -> np.ndarray:
+    """splitmix64 outputs n at once: state + k*gamma for k = 1..n, mixed."""
+    z = np.uint64(state) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+@pytest.mark.parametrize("n", [0, 1, 65535, 65536, 65537, 3 * 65536 + 7])
+def test_raw_draw_in_blocks_matches_one_shot_formula(n):
+    for seed in (12345, _MASK - 3):  # the second wraps within the first block
+        rng = SplitMix64(seed)
+        out = rng._raw(n)
+        assert out.dtype == np.uint64 and out.shape == (n,)
+        assert out.tobytes() == _one_shot_raw(seed, n).tobytes()
+        assert int(rng._state) == (seed + n * _GAMMA) & _MASK
 
 
 def test_iter_batches_covers_origins_in_order():
