@@ -392,21 +392,40 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return _record("linear", (x, weight, bias), out, bw)
 
 
+# Rows per BLAS product in channel_affine's forward; fixed, so that every
+# product has one shape whatever the batch size.
+_ROWS = 16
+
+
 def channel_affine(x: Tensor, a: Tensor, b: Tensor) -> Tensor:
     """Per-channel affine map of a batch of windows:
     ``out[n, h, c] = sum_l x[n, l, c] * a[c, l, h] + b[c, h]``, mapping
     ``[B, L, C]`` through ``a [C, L, H]`` and ``b [C, H]`` to ``[B, H, C]``.
 
-    The forward contraction is an einsum rather than a BLAS product, so
-    every output sums its L terms in the same order whatever the batch
-    size: a window's forecast is bit-identical alone or in a batch.
+    The forward copies the windows, ``_ROWS`` at a time, into a zero-padded
+    ``[C, _ROWS, L]`` block and multiplies it through BLAS, so every
+    product has the shape ``[_ROWS, L] @ [L, H]`` whatever the batch size.
+    BLAS picks its kernels and summation order by a product's shape, not
+    by the values in its other rows: with the shape fixed, a window's
+    forecast is bit-identical alone or at any position in any batch.
     """
     x, a, b = _as_tensor(x), _as_tensor(a), _as_tensor(b)
     if (x.ndim != 3 or a.ndim != 3 or a.shape[:2] != (x.shape[2], x.shape[1])
             or b.shape != (a.shape[0], a.shape[2])):
         raise ShapeError(f"channel_affine: windows {x.shape} do not match kernel {a.shape} "
                          f"and bias {b.shape}; expected [B, L, C], [C, L, H], [C, H]")
-    out = np.einsum("blc,clh->bhc", x.data, a.data) + b.data.T
+    n, lookback, channels = x.shape
+    block = np.empty((channels, _ROWS, lookback))
+    rows = np.empty((channels, _ROWS, a.shape[2]))
+    out = np.empty((n, a.shape[2], channels))
+    windows = x.data.transpose(2, 0, 1)  # [C, B, L]
+    for start in range(0, n, _ROWS):
+        m = min(_ROWS, n - start)
+        block[:, :m] = windows[:, start:start + m]
+        block[:, m:] = 0.0
+        np.matmul(block, a.data, out=rows)
+        out[start:start + m] = rows[:, :m].transpose(1, 2, 0)
+    out += b.data.T
 
     def bw(g):
         gt = g.transpose(2, 0, 1)  # [C, B, H]

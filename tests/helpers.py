@@ -7,7 +7,8 @@ quadratic direct summation for the DFT, a cell-by-cell CSV loader, MPPN's
 pattern bank built stage by stage (patch, then mine) with explicit loops
 and its forecast gated and projected from that bank, MPPN's kernel composed
 op by op on the tape, and a forecaster's affine kernel read off its forward
-map through basis windows.
+map through basis windows, and the per-channel kernel applied by one
+einsum over the whole batch.
 """
 import csv
 
@@ -399,3 +400,31 @@ def reference_kernel(forward, lookback, channels):
     assert err <= AFFINE_RTOL * float(np.max(scale)), (
         f"not affine per channel: the probe's forecast differs from its kernel's by {err:.3e}")
     return a, b
+
+
+def reference_channel_affine(x, a, b):
+    """``channel_affine``'s forward as one einsum over the whole batch:
+    out[n, h, c] = sum_l x[n, l, c] * a[c, l, h] + b[c, h]."""
+    return np.einsum("blc,clh->bhc", x, a) + b.T
+
+
+def assert_channel_affine_rows_batch_invariant(rng, channels, lookback, horizon,
+                                               batch_sizes, windows=3):
+    """Each of ``windows`` random windows, put at the first, a middle and
+    the last position of a batch of every size in ``batch_sizes`` among
+    other random windows, must get the bits it gets alone."""
+    a = Tensor(rng.standard_normal((channels, lookback, horizon)))
+    b = Tensor(rng.standard_normal((channels, horizon)))
+    empty = T.channel_affine(Tensor(np.zeros((0, lookback, channels))), a, b).data
+    assert empty.shape == (0, horizon, channels)
+    for _ in range(windows):
+        window = rng.standard_normal((lookback, channels))
+        alone = T.channel_affine(Tensor(window[None]), a, b).data[0]
+        for n in batch_sizes:
+            for pos in sorted({0, n // 2, n - 1}):
+                batch = rng.standard_normal((n, lookback, channels))
+                batch[pos] = window
+                got = T.channel_affine(Tensor(batch), a, b).data[pos]
+                assert np.array_equal(got, alone), (
+                    f"window at {pos} of {n} differs from itself alone at "
+                    f"C={channels}, L={lookback}, H={horizon}")

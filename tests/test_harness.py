@@ -360,6 +360,34 @@ def test_forecast_matches_in_memory_forward(tmp_path):
     assert not np.array_equal(pred_raw, pred_std)
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_forecast_matches_its_row_in_the_chunked_evaluate(tmp_path, monkeypatch, kind):
+    path = tone_csv(tmp_path / "tone.csv")
+    ckpt = tmp_path / "m.ckpt"
+    train(small_run(path, model=kind, max_epochs=1), ckpt)
+    chunks, preds = [], []
+    batches = training.iter_batches
+
+    def recording_batches(*args):
+        for inp, tgt, chunk in batches(*args):
+            chunks.append(chunk)
+            yield inp, tgt, chunk
+
+    class Recorder(training.MetricsAccumulator):
+        def add(self, pred, target):
+            preds.append(pred.data.copy())
+            super().add(pred, target)
+
+    monkeypatch.setattr(training, "iter_batches", recording_batches)
+    monkeypatch.setattr(training, "MetricsAccumulator", Recorder)
+    evaluate(ckpt, split="test")
+    assert len(chunks) >= 3 and len(chunks[-1]) < len(chunks[0])
+    # a chunk's first row, a middle row, and rows of the last, partial chunk
+    for k, row in [(1, 0), (1, len(chunks[1]) // 2), (0, 5), (-1, 0), (-1, len(chunks[-1]) - 1)]:
+        pred, _, _ = forecast(ckpt, origin=int(chunks[k][row]), standardized=True)
+        assert np.array_equal(pred, preds[k][row]), (kind, k, row)
+
+
 def test_forecast_origin_validation(tmp_path):
     path = tone_csv(tmp_path / "tone.csv")
     ckpt = tmp_path / "m.ckpt"

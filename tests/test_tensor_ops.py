@@ -1,8 +1,18 @@
 """Forward values and gradients of the autodiff operator set."""
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import check_grads
+from helpers import (assert_channel_affine_rows_batch_invariant, check_grads,
+                     reference_channel_affine)
 from mppn import optim
 from mppn import tensor as T
 from mppn.errors import ArgumentError, ReceptiveFieldError, ShapeError
@@ -192,13 +202,59 @@ def test_channel_affine_matches_per_channel_products(rng):
         assert np.max(np.abs(out[:, :, c] - (x[:, :, c] @ a[c] + b[c]))) <= 1e-12
 
 
+# (C, L, H): a small model, ETTh1 geometry, and one, two or all three of
+# C, L and H at 1
+AFFINE_GEOMETRIES = [(7, 48, 12), (7, 336, 96), (1, 20, 5), (3, 1, 4), (3, 20, 1), (1, 1, 1)]
+# sizes around the forward's block edges
+AFFINE_BATCHES = (2, 5, T._ROWS - 1, T._ROWS, T._ROWS + 1, 2 * T._ROWS + 5)
+
+
 def test_channel_affine_rows_do_not_depend_on_the_batch(rng):
-    a, b = Tensor(randn(rng, 7, 48, 12)), Tensor(randn(rng, 7, 12))
-    for n in (2, 5, 33):
-        xb = randn(rng, n, 48, 7)
-        batched = T.channel_affine(Tensor(xb), a, b).data
-        for i in range(n):
-            assert np.array_equal(batched[i], T.channel_affine(Tensor(xb[i:i + 1]), a, b).data[0])
+    for geometry in AFFINE_GEOMETRIES:
+        assert_channel_affine_rows_batch_invariant(rng, *geometry, AFFINE_BATCHES)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_channel_affine_rows_do_not_depend_on_the_batch_at_blas_threads(threads):
+    # the thread count is read when numpy loads BLAS, so the check runs in
+    # a fresh interpreter whose environment sets it
+    script = textwrap.dedent("""
+        import json, sys
+        assert "numpy" not in sys.modules
+        import numpy as np
+        from helpers import assert_channel_affine_rows_batch_invariant
+        for geometry in json.loads(sys.argv[1]):
+            assert_channel_affine_rows_batch_invariant(
+                np.random.default_rng(7), *geometry, json.loads(sys.argv[2]))
+        """)
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
+               MKL_NUM_THREADS=str(threads), PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(AFFINE_GEOMETRIES),
+                           json.dumps(AFFINE_BATCHES)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+
+
+@settings(max_examples=80, deadline=None)
+@given(batch=st.sampled_from([0, 1, T._ROWS - 1, T._ROWS, T._ROWS + 1, 2 * T._ROWS + 5]),
+       channels=st.integers(1, 4), lookback=st.integers(1, 40), horizon=st.integers(1, 12),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(batch=T._ROWS + 1, channels=1, lookback=1, horizon=1, seed=0)
+@example(batch=3, channels=1, lookback=9, horizon=4, seed=1)
+@example(batch=3, channels=2, lookback=1, horizon=4, seed=2)
+@example(batch=3, channels=2, lookback=9, horizon=1, seed=3)
+def test_channel_affine_matches_reference_einsum(batch, channels, lookback, horizon, seed):
+    rng = np.random.default_rng(seed)
+    x = randn(rng, batch, lookback, channels)
+    a, b = randn(rng, channels, lookback, horizon), randn(rng, channels, horizon)
+    got = T.channel_affine(Tensor(x), Tensor(a), Tensor(b)).data
+    want = reference_channel_affine(x, a, b)
+    assert got.shape == want.shape == (batch, horizon, channels)
+    # within 1e-12 of the summed terms' magnitude
+    scale = reference_channel_affine(np.abs(x), np.abs(a), np.abs(b))
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
 @pytest.mark.parametrize("seed", [12, 13, 14])
