@@ -402,12 +402,15 @@ def channel_affine(x: Tensor, a: Tensor, b: Tensor) -> Tensor:
     ``out[n, h, c] = sum_l x[n, l, c] * a[c, l, h] + b[c, h]``, mapping
     ``[B, L, C]`` through ``a [C, L, H]`` and ``b [C, H]`` to ``[B, H, C]``.
 
-    The forward copies the windows, ``_ROWS`` at a time, into a zero-padded
-    ``[C, _ROWS, L]`` block and multiplies it through BLAS, so every
-    product has the shape ``[_ROWS, L] @ [L, H]`` whatever the batch size.
-    BLAS picks its kernels and summation order by a product's shape, not
-    by the values in its other rows: with the shape fixed, a window's
-    forecast is bit-identical alone or at any position in any batch.
+    The forward zero-pads the batch to a multiple of ``_ROWS`` windows and
+    multiplies it through BLAS as ``[C, k, _ROWS, L] @ [C, 1, L, H]``, so
+    every product has the shape ``[_ROWS, L] @ [L, H]`` whatever the batch
+    size.  OpenBLAS picks its kernels and summation order by a product's
+    shape, not by the values in its other rows: with the shape fixed, a
+    window's forecast is bit-identical alone or at any position in any
+    batch.  That was measured with OpenBLAS at 1 and 2 threads; another
+    BLAS (MKL outside its reproducible mode may vary with alignment) is
+    checked by ``test_channel_affine_rows_do_not_depend_on_the_batch``.
     """
     x, a, b = _as_tensor(x), _as_tensor(a), _as_tensor(b)
     if (x.ndim != 3 or a.ndim != 3 or a.shape[:2] != (x.shape[2], x.shape[1])
@@ -415,17 +418,13 @@ def channel_affine(x: Tensor, a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"channel_affine: windows {x.shape} do not match kernel {a.shape} "
                          f"and bias {b.shape}; expected [B, L, C], [C, L, H], [C, H]")
     n, lookback, channels = x.shape
-    block = np.empty((channels, _ROWS, lookback))
-    rows = np.empty((channels, _ROWS, a.shape[2]))
+    blocks = -(-n // _ROWS)
+    padded = np.zeros((channels, blocks * _ROWS, lookback))
+    padded[:, :n] = x.data.transpose(2, 0, 1)
+    rows = np.matmul(padded.reshape(channels, blocks, _ROWS, lookback), a.data[:, None])
+    rows = rows.reshape(channels, blocks * _ROWS, a.shape[2])[:, :n]
     out = np.empty((n, a.shape[2], channels))
-    windows = x.data.transpose(2, 0, 1)  # [C, B, L]
-    for start in range(0, n, _ROWS):
-        m = min(_ROWS, n - start)
-        block[:, :m] = windows[:, start:start + m]
-        block[:, m:] = 0.0
-        np.matmul(block, a.data, out=rows)
-        out[start:start + m] = rows[:, :m].transpose(1, 2, 0)
-    out += b.data.T
+    np.add(rows.transpose(1, 2, 0), b.data.T, out=out)
 
     def bw(g):
         gt = g.transpose(2, 0, 1)  # [C, B, H]

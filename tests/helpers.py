@@ -408,23 +408,22 @@ def reference_channel_affine(x, a, b):
     return np.einsum("blc,clh->bhc", x, a) + b.T
 
 
-def assert_channel_affine_rows_batch_invariant(rng, channels, lookback, horizon,
-                                               batch_sizes, windows=3):
-    """Each of ``windows`` random windows, put at the first, a middle and
-    the last position of a batch of every size in ``batch_sizes`` among
-    other random windows, must get the bits it gets alone."""
+def assert_channel_affine_rows_batch_invariant(rng, channels, lookback, horizon, batch_sizes):
+    """Every row of a batch of every size in ``batch_sizes`` must get the
+    bits its window gets alone.  The batches draw their windows from one
+    random pool in a fresh random order each, so every position of every
+    batch is checked and a window recurs at other positions among other
+    windows; an empty batch must give ``[0, H, C]``."""
     a = Tensor(rng.standard_normal((channels, lookback, horizon)))
     b = Tensor(rng.standard_normal((channels, horizon)))
     empty = T.channel_affine(Tensor(np.zeros((0, lookback, channels))), a, b).data
     assert empty.shape == (0, horizon, channels)
-    for _ in range(windows):
-        window = rng.standard_normal((lookback, channels))
-        alone = T.channel_affine(Tensor(window[None]), a, b).data[0]
-        for n in batch_sizes:
-            for pos in sorted({0, n // 2, n - 1}):
-                batch = rng.standard_normal((n, lookback, channels))
-                batch[pos] = window
-                got = T.channel_affine(Tensor(batch), a, b).data[pos]
-                assert np.array_equal(got, alone), (
-                    f"window at {pos} of {n} differs from itself alone at "
-                    f"C={channels}, L={lookback}, H={horizon}")
+    pool = rng.standard_normal((max(batch_sizes) + 3, lookback, channels))
+    alone = [T.channel_affine(Tensor(window[None]), a, b).data[0] for window in pool]
+    for n in batch_sizes:
+        picks = rng.permutation(len(pool))[:n]
+        got = T.channel_affine(Tensor(pool[picks]), a, b).data
+        for pos, k in enumerate(picks):
+            assert np.array_equal(got[pos], alone[k]), (
+                f"row {pos} of {n} differs from its window alone at "
+                f"C={channels}, L={lookback}, H={horizon}")
