@@ -196,7 +196,8 @@ def compose_kernel(params: MPPNParams, config: MPPNConfig) -> tuple[Tensor, Tens
                  for r in config.used_resolutions for part in ("weight", "bias")}
         d_gate = d_bias @ slot_bias.T  # [C, P]
         d_slot_bias = gate.T @ d_bias  # [P, H]
-        d_out_w = np.empty_like(out_w)
+        d_out_weight = T.grad_buffer(params.tensors["out.weight"])  # every element is written below
+        d_out_w = d_out_weight.reshape(out_w.shape)  # a view
         off = 0
         for (p, r), (fold, taps) in zip(config.retained_pairs, saved):
             k, s = length // p, p // r
@@ -220,7 +221,7 @@ def compose_kernel(params: MPPNParams, config: MPPNConfig) -> tuple[Tensor, Tens
             grads[f"mine.{p}.{r}.bias"] = d_b_fold
             off += s
         grads["embed"] = d_gate * gate * (1.0 - gate)
-        grads["out.weight"] = d_out_w.reshape(data["out.weight"].shape)
+        grads["out.weight"] = d_out_weight
         grads["out.bias"] = d_bias.sum(axis=0)
         return tuple(grads[name] for name in data)
 

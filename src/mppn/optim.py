@@ -1,25 +1,90 @@
-"""Adam optimizer with bias correction and coupled L2 weight decay."""
+"""Adam optimizer with bias correction and coupled L2 weight decay.
+
+The update is elementwise, so a step cuts the parameters' concatenated
+elements into _THREADS contiguous ranges, cutting inside a parameter
+where needed, and updates them at once: the calling thread takes the last
+range and a worker thread each other one.  numpy releases the GIL inside
+each ufunc, so the ranges run on separate cores.  Every element goes
+through the same operations in the same order whichever range holds it,
+so a step gives the same bits as on one thread.
+
+The worker is started by the first Adam whose parameters split, and is
+shared by every Adam in the process; a process that builds no Adam
+starts none.
+"""
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
 from .errors import ArgumentError
 from .tensor import Tensor
 
-# Elements per scratch block of Adam.step: 64 KiB per block, small enough
-# that the update's working set stays in cache and that no step allocates
-# an array the size of a large parameter.
-_BLOCK = 8192
+# Elements per scratch block: 512 KiB per block.  The Python overhead of
+# each ufunc call holds the GIL; at 8,192 it did so often enough that two
+# threads took longer than one.
+_BLOCK = 65536
+
+# Threads sharing a step: the calling thread and _THREADS - 1 workers.  A
+# constant, not os.cpu_count(), so a step's work does not depend on where
+# it runs.
+_THREADS = 2
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _workers():
+    """The process's Adam workers, started on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(_THREADS - 1, thread_name_prefix="mppn-adam")
+            _pool.submit(int).result()  # start a worker thread now, not in a step
+        return _pool
+
+
+def _split(sizes: list[int], parts: int) -> list[list[tuple[int, int, int]]]:
+    """Cut the concatenation of arrays of ``sizes`` elements into ``parts``
+    contiguous ranges of near-equal length, each a list of (array index,
+    lo, hi) pieces."""
+    total = sum(sizes)
+    cuts = [total * k // parts for k in range(parts + 1)]
+    ranges = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        pieces, start = [], 0
+        for i, n in enumerate(sizes):
+            a, b = max(lo - start, 0), min(hi - start, n)
+            if a < b:
+                pieces.append((i, a, b))
+            start += n
+        ranges.append(pieces)
+    return ranges
 
 
 class Adam:
     """Classic Adam; weight decay is folded into the gradient before the
     moment updates (coupled L2, not decoupled).
+
+    No two parameters may share memory: each element is updated once, by
+    one thread.
     """
 
     def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8, weight_decay: float = 1e-5):
         self.params: list[Tensor] = list(params)
+        for j, q in enumerate(self.params):
+            for i, p in enumerate(self.params[:j]):
+                if p is q or np.shares_memory(p.data, q.data):
+                    raise ArgumentError(f"adam: parameters {i} and {j} share memory")
+        self._ranges = _split([p.size for p in self.params], _THREADS)
+        if any(self._ranges[:-1]):
+            # started before the moments are allocated: the thread's state,
+            # if malloc'd above large arrays on the heap, keeps the heap from
+            # shrinking when they are freed (8 MB more peak RSS on the bench)
+            _workers()
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
@@ -28,32 +93,54 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
+        # two scratch blocks per range, so the ranges never share one
+        self._scratch = [(np.empty(n), np.empty(n)) for n in
+                         (min(_BLOCK, sum(hi - lo for _, lo, hi in r)) for r in self._ranges)]
 
     def step(self) -> None:
         """One update of every parameter, in place.
 
-        Each parameter is updated _BLOCK elements at a time through two
-        scratch blocks, so a step allocates no array the size of a
-        parameter and its working set stays in cache.  ``p.grad`` is only
-        read, since it may alias another tensor's gradient.  The operation
-        order is the textbook formula's, elementwise, so results are
-        bit-identical to it.
+        Every parameter is checked before any is touched, so a step that
+        raises changes nothing.  Each range is updated _BLOCK elements at a
+        time through its own two scratch blocks, so a step allocates no
+        array the size of a parameter and its working set stays in cache.
+        ``p.grad`` is only read, since it may alias another tensor's
+        gradient.  The operation order is the textbook formula's,
+        elementwise, so results are bit-identical to it.
         """
-        self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
-        scratch_a, scratch_b = np.empty(_BLOCK), np.empty(_BLOCK)
         for i, p in enumerate(self.params):
             if p.grad is None:
                 raise ArgumentError(f"adam: parameter {i} has no gradient")
             if p.grad.shape != p.data.shape:
                 raise ArgumentError(
                     f"adam: gradient shape {p.grad.shape} != parameter shape {p.data.shape}")
+            if p.data.shape != self.m[i].shape:
+                raise ArgumentError(
+                    f"adam: parameter {i} has shape {p.data.shape}, not {self.m[i].shape}")
             if not p.data.flags.c_contiguous:
                 raise ArgumentError(f"adam: parameter {i} is not C-contiguous")
-            # views, since p.data and the moments (zeros_like of it) are contiguous
-            data, m_all, v_all = (x.reshape(-1) for x in (p.data, self.m[i], self.v[i]))
-            g_all = p.grad.reshape(-1)
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        # views, since p.data and the moments (zeros_like of it) are contiguous
+        flat = [tuple(x.reshape(-1) for x in (p.data, m, v, p.grad))
+                for p, m, v in zip(self.params, self.m, self.v)]
+        jobs = [([tuple(x[lo:hi] for x in flat[i]) for i, lo, hi in pieces], scratch)
+                for pieces, scratch in zip(self._ranges, self._scratch)]
+        futures = [_workers().submit(self._update, pieces, scratch, bc1, bc2)
+                   for pieces, scratch in jobs[:-1] if pieces]
+        try:
+            self._update(*jobs[-1], bc1, bc2)
+        finally:
+            for f in futures:
+                f.result()
+
+    def _update(self, pieces, scratch, bc1: float, bc2: float) -> None:
+        """Update each (data, m, v, grad) piece of flat views in place.
+        Runs on a worker thread too, so it calls no other function of the
+        package."""
+        scratch_a, scratch_b = scratch
+        for data, m_all, v_all, g_all in pieces:
             for lo in range(0, data.size, _BLOCK):
                 hi = min(lo + _BLOCK, data.size)
                 a, b = scratch_a[:hi - lo], scratch_b[:hi - lo]
@@ -76,5 +163,14 @@ class Adam:
                 data[lo:hi] -= a
 
     def zero_grad(self) -> None:
+        """Drop every parameter's gradient.
+
+        Each dropped array stays on its parameter as a one-use spare, which
+        the next pullback that produces that parameter's whole gradient
+        (``tensor.grad_buffer``) may overwrite instead of allocating.  A
+        caller who needs a gradient after zero_grad must copy it.
+        """
         for p in self.params:
+            if p.grad is not None:
+                p._spare = p.grad
             p.grad = None

@@ -13,6 +13,8 @@ a custom autograd function.  MPPN's kernel composition is such a node.
 A gradient array may be shared (``add`` hands one array to both inputs,
 ``reshape`` and ``transpose`` hand out views, a leaf keeps its ``.grad``
 between calls), so ``backward`` never writes one: it sums out of place.
+Only ``Adam.zero_grad`` gives a gradient array up for reuse, and only a
+pullback that asks ``grad_buffer`` for it writes into it.
 
 The operator set is what the forecasters need: affine maps, the
 per-channel kernel every forecaster applies to its windows, sigmoid,
@@ -64,13 +66,15 @@ def clear_tape() -> None:
 class Tensor:
     """Value carrier: contiguous float64 buffer plus optional gradient."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "_spare")
 
     def __init__(self, data, requires_grad: bool = False):
         # asarray with order="C" keeps 0-d scalars 0-d, unlike ascontiguousarray
         self.data = np.asarray(data, dtype=np.float64, order="C")
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
+        # a gradient array Adam.zero_grad dropped, for grad_buffer to reuse
+        self._spare: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -141,6 +145,19 @@ def custom_op(op: str, inputs: Sequence[Tensor], outputs: tuple[np.ndarray, ...]
     not reach), and returns one dense gradient per input, or None.
     """
     return _record(op, tuple(inputs), tuple(outputs), pullback)
+
+
+def grad_buffer(t: Tensor) -> np.ndarray:
+    """Uninitialised storage for the whole of ``t``'s next gradient, for a
+    pullback that writes every element: the spare ``Adam.zero_grad`` left
+    on ``t`` when it is a writable C-contiguous float64 array of ``t``'s
+    shape, else a new array.  A spare is handed out once; ``backward`` and
+    ``Tensor.zero_grad`` never make one."""
+    spare, t._spare = t._spare, None
+    if (spare is not None and spare.shape == t.shape and spare.dtype == np.float64
+            and spare.flags.c_contiguous and spare.flags.writeable):
+        return spare
+    return np.empty(t.shape)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

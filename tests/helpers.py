@@ -7,8 +7,8 @@ quadratic direct summation for the DFT, a cell-by-cell CSV loader, MPPN's
 pattern bank built stage by stage (patch, then mine) with explicit loops
 and its forecast gated and projected from that bank, MPPN's kernel composed
 op by op on the tape, and a forecaster's affine kernel read off its forward
-map through basis windows, and the per-channel kernel applied by one
-einsum over the whole batch.
+map through basis windows, the per-channel kernel applied by one einsum
+over the whole batch, and Adam's update as one range on one thread.
 """
 import csv
 
@@ -427,3 +427,21 @@ def assert_channel_affine_rows_batch_invariant(rng, channels, lookback, horizon,
             assert np.array_equal(got[pos], alone[k]), (
                 f"row {pos} of {n} differs from its window alone at "
                 f"C={channels}, L={lookback}, H={horizon}")
+
+
+def reference_adam_step(data, grads, m, v, t, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8,
+                        weight_decay=1e-5, block=8192):
+    """Adam step ``t`` on lists of arrays, in place: each parameter in
+    turn, ``block`` elements at a time, on the calling thread, in the
+    textbook formula's elementwise order."""
+    bc1, bc2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+    for d, g, mm, vv in zip(data, grads, m, v):
+        d, g, mm, vv = (x.reshape(-1) for x in (d, g, mm, vv))
+        for lo in range(0, d.size, block):
+            s = slice(lo, lo + block)
+            gs = g[s] + weight_decay * d[s] if weight_decay else g[s]
+            mm[s] *= beta1
+            mm[s] += gs * (1.0 - beta1)
+            vv[s] *= beta2
+            vv[s] += (gs * gs) * (1.0 - beta2)
+            d[s] -= (mm[s] / bc1) * lr / (np.sqrt(vv[s] / bc2) + eps)

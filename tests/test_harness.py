@@ -1,5 +1,10 @@
 """Training loop, early stopping, checkpoints, and the synth generator."""
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -335,6 +340,31 @@ def test_evaluate_is_read_only(tmp_path):
     before = (path.read_bytes(), ckpt.read_bytes())
     evaluate(ckpt, split="test")
     assert (path.read_bytes(), ckpt.read_bytes()) == before
+
+
+def test_inference_starts_no_thread(tmp_path):
+    # a fresh interpreter, so no earlier test's optimizer has started one
+    path = tone_csv(tmp_path / "tone.csv")
+    ckpt = tmp_path / "m.ckpt"
+    train(small_run(path, max_epochs=1), ckpt)
+    script = textwrap.dedent("""
+        import sys, threading
+        import mppn
+        from mppn import training
+        before = threading.active_count()
+        assert before == 1, threading.enumerate()
+        training.evaluate(sys.argv[1])
+        training.forecast(sys.argv[1])
+        training.analyze(sys.argv[2], [4, 8], "equal-frequency", 1, None, "standard")
+        assert threading.active_count() == before, threading.enumerate()
+        assert "concurrent.futures" not in sys.modules
+        """)
+    src = Path(training.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    done = subprocess.run([sys.executable, "-c", script, str(ckpt), str(path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_evaluate_channel_mismatch_is_config_error(tmp_path):

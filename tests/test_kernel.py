@@ -8,6 +8,7 @@ from helpers import check_grads, reference_compose_kernel, reference_forward, re
 from mppn import tensor as T
 from mppn.data import MetricsAccumulator, iter_batches
 from mppn.model import MPPNConfig, compose_kernel
+from mppn.optim import Adam
 from mppn.tensor import Tensor
 from mppn.training import MODEL_KINDS, RunConfig, build_forecaster, split_metrics
 
@@ -202,6 +203,70 @@ def test_mppn_step_records_a_handful_of_tape_nodes():
     T.backward(loss)
     assert len(ops) <= 5, ops
     assert ops.count("compose_kernel") == 1
+
+
+def _step_loss(fc, seed):
+    rng = np.random.default_rng(seed)
+    xb = rng.standard_normal((3, _PINNED["lookback"], _PINNED["channels"]))
+    yb = rng.standard_normal((3, _PINNED["horizon"], _PINNED["channels"]))
+    return T.mse_loss(fc.forward_batch(Tensor(xb)), Tensor(yb))
+
+
+def _grads(fc):
+    return {name: t.grad for name, t in fc.named_parameters()}
+
+
+def test_adam_zero_grad_recycles_the_output_weight_gradient():
+    fc = random_forecaster("mppn", {**_PINNED, "overlap": False}, 21)
+    opt = Adam([t for _, t in fc.named_parameters()])
+    T.backward(_step_loss(fc, 1))
+    opt.step()
+    last = fc.params.tensors["out.weight"].grad
+    opt.zero_grad()
+    T.backward(_step_loss(fc, 2))
+    assert fc.params.tensors["out.weight"].grad is last
+    # the same bits as a fresh model's gradient on the same batch
+    fresh = random_forecaster("mppn", {**_PINNED, "overlap": False}, 21)
+    for (_, t), (_, u) in zip(fresh.named_parameters(), fc.named_parameters()):
+        t.data = u.data.copy()
+    T.backward(_step_loss(fresh, 2))
+    want = _grads(fresh)
+    for name, got in _grads(fc).items():
+        np.testing.assert_array_equal(got, want[name])
+
+
+def test_repeated_backward_through_compose_kernel_leaves_earlier_gradients_alone():
+    fc = random_forecaster("mppn", {**_PINNED, "overlap": True}, 22)
+    opt = Adam([t for _, t in fc.named_parameters()])
+    T.backward(_step_loss(fc, 3))
+    opt.step()
+    opt.zero_grad()  # leaves spares, which the next backward takes
+    T.backward(_step_loss(fc, 4))
+    held = _grads(fc)
+    once = {name: g.copy() for name, g in held.items()}
+    T.backward(_step_loss(fc, 4))
+    for name, got in _grads(fc).items():
+        np.testing.assert_array_equal(got, 2.0 * once[name])
+        np.testing.assert_array_equal(held[name], once[name])
+
+
+@pytest.mark.parametrize("drop", ["assign-none", "tensor-zero-grad"])
+def test_only_adam_zero_grad_gives_a_gradient_up_for_reuse(drop):
+    fc = random_forecaster("mppn", {**_PINNED, "overlap": False}, 23)
+    opt = Adam([t for _, t in fc.named_parameters()])
+    T.backward(_step_loss(fc, 5))
+    opt.step()
+    held = _grads(fc)
+    once = {name: g.copy() for name, g in held.items()}
+    for _, t in fc.named_parameters():
+        if drop == "assign-none":
+            t.grad = None
+        else:
+            t.zero_grad()
+    T.backward(_step_loss(fc, 5))
+    for name, got in _grads(fc).items():
+        assert not np.shares_memory(got, held[name]), name
+        np.testing.assert_array_equal(held[name], once[name])
 
 
 def test_pinned_geometry_drops_pairs_and_pads():

@@ -12,10 +12,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (assert_channel_affine_rows_batch_invariant, check_grads,
-                     reference_channel_affine)
+                     reference_adam_step, reference_channel_affine)
 from mppn import optim
 from mppn import tensor as T
 from mppn.errors import ArgumentError, ReceptiveFieldError, ShapeError
+from mppn.model import MPPNConfig, parameter_shapes
 from mppn.optim import Adam
 from mppn.tensor import Tensor
 
@@ -653,12 +654,9 @@ def test_adam_bit_deterministic(rng):
     assert np.array_equal(run(), run())
 
 
-@pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
-def test_adam_in_place_step_matches_out_of_place_formula(weight_decay):
+def _check_adam_against_out_of_place_formula(shapes, weight_decay):
     lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
     gen = np.random.default_rng(21)
-    # the long one spans several Adam scratch blocks and ends mid-block
-    shapes = [(4, 3), (5,), (2, 3, 2), (2 * optim._BLOCK + 3,), ()]
     start = [gen.standard_normal(s) for s in shapes]
     grads = [[gen.standard_normal(s) for s in shapes] for _ in range(5)]
 
@@ -682,6 +680,130 @@ def test_adam_in_place_step_matches_out_of_place_formula(weight_decay):
         for p, g, r in zip(params, step_grads, ref):
             np.testing.assert_array_equal(p.data, r)
             np.testing.assert_array_equal(p.grad, g)  # the gradient is only read
+    assert opt.t == len(grads)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+def test_adam_in_place_step_matches_out_of_place_formula(weight_decay):
+    # the long one spans several Adam scratch blocks and ends mid-block
+    shapes = [(4, 3), (5,), (2, 3, 2), (2 * optim._BLOCK + 3,), ()]
+    _check_adam_against_out_of_place_formula(shapes, weight_decay)
+
+
+# where the step's two element ranges meet: the halfway point of the
+# concatenated elements
+ADAM_SPLITS = {
+    "inside-a-parameter": [(3,), (10,)],
+    "on-a-parameter-boundary": [(4,), (2, 2)],
+    "on-a-block-edge": [(4 * optim._BLOCK,)],
+    "past-a-block-edge": [(optim._BLOCK + 7,), (optim._BLOCK - 1, 2)],
+    "empty-parameters": [(0,), (3,), (0, 4), (5,)],
+    "lone-0-d": [()],
+    "one-element": [(1,)],
+    "no-parameters": [],
+}
+
+
+@pytest.mark.parametrize("shapes", ADAM_SPLITS.values(), ids=ADAM_SPLITS.keys())
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+def test_adam_split_step_matches_out_of_place_formula(shapes, weight_decay):
+    assert optim._THREADS == 2  # the halfway points above assume two ranges
+    _check_adam_against_out_of_place_formula(shapes, weight_decay)
+
+
+def test_adam_step_at_bench_geometry_matches_the_single_range_loop():
+    config = MPPNConfig(lookback=336, horizon=96, channels=7, hidden=48,
+                        resolutions=(1, 3, 4, 6), periods=(24, 168))
+    gen = np.random.default_rng(8)
+    params = [Tensor(gen.standard_normal(s), requires_grad=True)
+              for s in parameter_shapes(config).values()]
+    assert sum(p.size for p in params) == 1_699_440
+    ref = [p.data.copy() for p in params]
+    m, v = [np.zeros_like(a) for a in ref], [np.zeros_like(a) for a in ref]
+    opt = Adam(params)
+    for t in (1, 2):
+        for p in params:
+            p.grad = gen.standard_normal(p.shape)
+        opt.step()
+        reference_adam_step(ref, [p.grad for p in params], m, v, t)
+    for i, p in enumerate(params):
+        np.testing.assert_array_equal(p.data, ref[i])
+        np.testing.assert_array_equal(opt.m[i], m[i])
+        np.testing.assert_array_equal(opt.v[i], v[i])
+
+
+def test_adam_split_step_is_bit_identical_under_frequent_thread_switches():
+    gen = np.random.default_rng(4)
+    shapes = [(3 * optim._BLOCK + 5,), (17, 9), (optim._BLOCK,)]
+    start = [gen.standard_normal(s) for s in shapes]
+    grads = [gen.standard_normal(s) for s in shapes]
+    ref = [a.copy() for a in start]
+    m, v = [np.zeros(s) for s in shapes], [np.zeros(s) for s in shapes]
+    for t in (1, 2, 3):
+        reference_adam_step(ref, grads, m, v, t)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        params = [Tensor(a.copy(), requires_grad=True) for a in start]
+        opt = Adam(params)
+        for _ in range(3):
+            for p, g in zip(params, grads):
+                p.grad = g
+            opt.step()
+    finally:
+        sys.setswitchinterval(interval)
+    for p, r in zip(params, ref):
+        np.testing.assert_array_equal(p.data, r)
+
+
+def _adam_state(opt):
+    return ([p.data.copy() for p in opt.params], [a.copy() for a in opt.m],
+            [a.copy() for a in opt.v], opt.t)
+
+
+@pytest.mark.parametrize("fault", ["no-gradient", "gradient-shape", "not-contiguous"])
+def test_adam_failed_step_changes_nothing(fault):
+    gen = np.random.default_rng(6)
+    params = [Tensor(gen.standard_normal(s), requires_grad=True)
+              for s in [(optim._BLOCK + 3,), (4, 5), (6, 2)]]
+    opt = Adam(params)
+    for p in params:
+        p.grad = gen.standard_normal(p.shape)
+    opt.step()
+    last = params[-1]
+    if fault == "no-gradient":
+        last.grad = None
+    elif fault == "gradient-shape":
+        last.grad = np.zeros(12)
+    else:
+        last.data = np.ascontiguousarray(last.data.T).T
+    before = _adam_state(opt)
+    with pytest.raises(ArgumentError):
+        opt.step()
+    after = _adam_state(opt)
+    assert after[3] == before[3] == 1
+    for got, want in zip(after[:3], before[:3]):
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_adam_rejects_a_parameter_whose_shape_changed():
+    p = Tensor(np.zeros(6), requires_grad=True)
+    opt = Adam([p])
+    p.data, p.grad = np.zeros(7), np.zeros(7)
+    with pytest.raises(ArgumentError, match="shape"):
+        opt.step()
+
+
+def test_adam_rejects_parameters_that_share_memory():
+    p = Tensor(np.zeros(4), requires_grad=True)
+    with pytest.raises(ArgumentError, match="share memory"):
+        Adam([p, Tensor(np.ones(2), requires_grad=True), p])
+    buf = np.zeros(10)
+    with pytest.raises(ArgumentError, match="share memory"):
+        Adam([Tensor(buf[:6], requires_grad=True), Tensor(buf[4:], requires_grad=True)])
+    # disjoint views of one buffer are separate parameters
+    Adam([Tensor(buf[:5], requires_grad=True), Tensor(buf[5:], requires_grad=True)])
 
 
 def test_adam_rejects_a_non_contiguous_parameter():
