@@ -1,14 +1,16 @@
 """Adam optimizer with bias correction and coupled L2 weight decay.
 
-The update is elementwise, so a step cuts the parameters' concatenated
-elements into _THREADS contiguous ranges, cutting inside a parameter
-where needed, and updates them at once: the calling thread takes the last
-range and a worker thread each other one.  numpy releases the GIL inside
-each ufunc, so the ranges run on separate cores.  Every element goes
-through the same operations in the same order whichever range holds it,
-so a step gives the same bits as on one thread.
+The update is elementwise, so a step cuts every parameter into blocks of
+at most _BLOCK elements and _THREADS threads update them at once: the
+calling thread and a worker thread each take the next block not yet
+taken until none is left.  numpy releases the GIL inside each ufunc, so
+the blocks run on separate cores, and a thread that is not scheduled (a
+vCPU taken by another guest) holds up at most the one block it took.
+Every element goes through the same operations in the same order
+whichever thread updates it, so a step gives the same bits as on one
+thread.
 
-The worker is started by the first Adam whose parameters split, and is
+The worker is started by the first Adam with more than one block, and is
 shared by every Adam in the process; a process that builds no Adam
 starts none.
 """
@@ -21,7 +23,7 @@ import numpy as np
 from .errors import ArgumentError
 from .tensor import Tensor
 
-# Elements per scratch block: 512 KiB per block.  The Python overhead of
+# Elements per block: 512 KiB per scratch array.  The Python overhead of
 # each ufunc call holds the GIL; at 8,192 it did so often enough that two
 # threads took longer than one.
 _BLOCK = 65536
@@ -46,22 +48,43 @@ def _workers():
         return _pool
 
 
-def _split(sizes: list[int], parts: int) -> list[list[tuple[int, int, int]]]:
-    """Cut the concatenation of arrays of ``sizes`` elements into ``parts``
-    contiguous ranges of near-equal length, each a list of (array index,
-    lo, hi) pieces."""
-    total = sum(sizes)
-    cuts = [total * k // parts for k in range(parts + 1)]
-    ranges = []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        pieces, start = [], 0
-        for i, n in enumerate(sizes):
-            a, b = max(lo - start, 0), min(hi - start, n)
-            if a < b:
-                pieces.append((i, a, b))
-            start += n
-        ranges.append(pieces)
-    return ranges
+class _Blocks:
+    """One step's blocks, each handed to the first thread that asks."""
+
+    def __init__(self, blocks: list):
+        self._blocks = iter(blocks)
+        self._busy = 0
+        self._cond = threading.Condition()
+        self.error: BaseException | None = None
+
+    def run(self, update, *args) -> None:
+        """``update(block, *args)`` for each block taken, until none is
+        left or an update has failed."""
+        while True:
+            with self._cond:
+                block = None if self.error else next(self._blocks, None)
+                if block is None:
+                    return
+                self._busy += 1
+            try:
+                update(block, *args)
+            except BaseException as exc:  # kept for finish(), then re-raised
+                with self._cond:
+                    self.error = self.error or exc
+                raise
+            finally:
+                with self._cond:
+                    self._busy -= 1
+                    self._cond.notify_all()
+
+    def finish(self) -> None:
+        """Hand out no more blocks, wait for the ones being updated, and
+        raise the first update's error, if any."""
+        with self._cond:
+            self._blocks = iter(())
+            self._cond.wait_for(lambda: not self._busy)
+        if self.error is not None:
+            raise self.error
 
 
 class Adam:
@@ -79,8 +102,8 @@ class Adam:
             for i, p in enumerate(self.params[:j]):
                 if p is q or np.shares_memory(p.data, q.data):
                     raise ArgumentError(f"adam: parameters {i} and {j} share memory")
-        self._ranges = _split([p.size for p in self.params], _THREADS)
-        if any(self._ranges[:-1]):
+        threads = _THREADS if sum(-(-p.size // _BLOCK) for p in self.params) > 1 else 1
+        if threads > 1:
             # started before the moments are allocated: the thread's state,
             # if malloc'd above large arrays on the heap, keeps the heap from
             # shrinking when they are freed (8 MB more peak RSS on the bench)
@@ -93,16 +116,16 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
-        # two scratch blocks per range, so the ranges never share one
-        self._scratch = [(np.empty(n), np.empty(n)) for n in
-                         (min(_BLOCK, sum(hi - lo for _, lo, hi in r)) for r in self._ranges)]
+        # two scratch arrays per thread
+        n = min(_BLOCK, max((p.size for p in self.params), default=0))
+        self._scratch = [(np.empty(n), np.empty(n)) for _ in range(threads)]
 
     def step(self) -> None:
         """One update of every parameter, in place.
 
         Every parameter is checked before any is touched, so a step that
-        raises changes nothing.  Each range is updated _BLOCK elements at a
-        time through its own two scratch blocks, so a step allocates no
+        raises changes nothing.  Each block is updated through the two
+        scratch arrays of the thread that took it, so a step allocates no
         array the size of a parameter and its working set stays in cache.
         ``p.grad`` is only read, since it may alias another tensor's
         gradient.  The operation order is the textbook formula's,
@@ -125,42 +148,37 @@ class Adam:
         # views, since p.data and the moments (zeros_like of it) are contiguous
         flat = [tuple(x.reshape(-1) for x in (p.data, m, v, p.grad))
                 for p, m, v in zip(self.params, self.m, self.v)]
-        jobs = [([tuple(x[lo:hi] for x in flat[i]) for i, lo, hi in pieces], scratch)
-                for pieces, scratch in zip(self._ranges, self._scratch)]
-        futures = [_workers().submit(self._update, pieces, scratch, bc1, bc2)
-                   for pieces, scratch in jobs[:-1] if pieces]
+        work = _Blocks([tuple(x[lo:lo + _BLOCK] for x in arrays)
+                        for arrays in flat for lo in range(0, arrays[0].size, _BLOCK)])
+        for scratch in self._scratch[1:]:
+            _workers().submit(work.run, self._update, scratch, bc1, bc2)
         try:
-            self._update(*jobs[-1], bc1, bc2)
+            work.run(self._update, self._scratch[0], bc1, bc2)
         finally:
-            for f in futures:
-                f.result()
+            work.finish()
 
-    def _update(self, pieces, scratch, bc1: float, bc2: float) -> None:
-        """Update each (data, m, v, grad) piece of flat views in place.
+    def _update(self, block, scratch, bc1: float, bc2: float) -> None:
+        """Update one (data, m, v, grad) block of flat views in place.
         Runs on a worker thread too, so it calls no other function of the
         package."""
-        scratch_a, scratch_b = scratch
-        for data, m_all, v_all, g_all in pieces:
-            for lo in range(0, data.size, _BLOCK):
-                hi = min(lo + _BLOCK, data.size)
-                a, b = scratch_a[:hi - lo], scratch_b[:hi - lo]
-                m, v, g = m_all[lo:hi], v_all[lo:hi], g_all[lo:hi]
-                if self.weight_decay:
-                    np.multiply(data[lo:hi], self.weight_decay, out=a)
-                    g = np.add(g, a, out=a)
-                m *= self.beta1
-                m += np.multiply(g, 1.0 - self.beta1, out=b)
-                v *= self.beta2
-                np.multiply(g, g, out=b)
-                b *= 1.0 - self.beta2
-                v += b
-                np.divide(v, bc2, out=b)  # v_hat
-                np.sqrt(b, out=b)
-                b += self.eps
-                np.divide(m, bc1, out=a)  # m_hat; g is no longer read
-                a *= self.lr
-                a /= b
-                data[lo:hi] -= a
+        data, m, v, g = block
+        a, b = (x[:data.size] for x in scratch)
+        if self.weight_decay:
+            np.multiply(data, self.weight_decay, out=a)
+            g = np.add(g, a, out=a)
+        m *= self.beta1
+        m += np.multiply(g, 1.0 - self.beta1, out=b)
+        v *= self.beta2
+        np.multiply(g, g, out=b)
+        b *= 1.0 - self.beta2
+        v += b
+        np.divide(v, bc2, out=b)  # v_hat
+        np.sqrt(b, out=b)
+        b += self.eps
+        np.divide(m, bc1, out=a)  # m_hat; g is no longer read
+        a *= self.lr
+        a /= b
+        data -= a
 
     def zero_grad(self) -> None:
         """Drop every parameter's gradient.

@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -690,13 +692,13 @@ def test_adam_in_place_step_matches_out_of_place_formula(weight_decay):
     _check_adam_against_out_of_place_formula(shapes, weight_decay)
 
 
-# where the step's two element ranges meet: the halfway point of the
-# concatenated elements
-ADAM_SPLITS = {
-    "inside-a-parameter": [(3,), (10,)],
-    "on-a-parameter-boundary": [(4,), (2, 2)],
-    "on-a-block-edge": [(4 * optim._BLOCK,)],
-    "past-a-block-edge": [(optim._BLOCK + 7,), (optim._BLOCK - 1, 2)],
+# how a step's blocks fall: each parameter is cut into blocks of at most
+# _BLOCK elements, and the threads take them in turn
+ADAM_BLOCKS = {
+    "small-parameters": [(3,), (10,)],
+    "one-block-per-parameter": [(optim._BLOCK,), (optim._BLOCK // 2, 2)],
+    "block-edges-inside-a-parameter": [(4 * optim._BLOCK,)],
+    "a-short-last-block": [(optim._BLOCK + 7,), (optim._BLOCK - 1, 2)],
     "empty-parameters": [(0,), (3,), (0, 4), (5,)],
     "lone-0-d": [()],
     "one-element": [(1,)],
@@ -704,10 +706,9 @@ ADAM_SPLITS = {
 }
 
 
-@pytest.mark.parametrize("shapes", ADAM_SPLITS.values(), ids=ADAM_SPLITS.keys())
+@pytest.mark.parametrize("shapes", ADAM_BLOCKS.values(), ids=ADAM_BLOCKS.keys())
 @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
 def test_adam_split_step_matches_out_of_place_formula(shapes, weight_decay):
-    assert optim._THREADS == 2  # the halfway points above assume two ranges
     _check_adam_against_out_of_place_formula(shapes, weight_decay)
 
 
@@ -754,6 +755,39 @@ def test_adam_split_step_is_bit_identical_under_frequent_thread_switches():
         sys.setswitchinterval(interval)
     for p, r in zip(params, ref):
         np.testing.assert_array_equal(p.data, r)
+
+
+@pytest.mark.parametrize("failing", ["caller", "worker"])
+def test_adam_step_raises_an_update_error_from_either_thread(monkeypatch, failing):
+    params = [Tensor(np.zeros(optim._BLOCK), requires_grad=True) for _ in range(8)]
+    opt = Adam(params)
+    for p in params:
+        p.grad = np.ones(p.shape)
+    update, raised = Adam._update, []
+
+    def flaky(self, *args):
+        in_caller = threading.current_thread() is stepping
+        if (in_caller == (failing == "caller")) and not raised:
+            raised.append(True)
+            raise FloatingPointError("update failed")
+        if in_caller:
+            time.sleep(0.01)  # leaves blocks for the worker
+        update(self, *args)
+
+    monkeypatch.setattr(Adam, "_update", flaky)
+    result = []
+
+    def step():
+        try:
+            opt.step()
+        except FloatingPointError as exc:
+            result.append(exc)
+
+    stepping = threading.Thread(target=step)
+    stepping.start()
+    stepping.join(timeout=60)
+    assert not stepping.is_alive()
+    assert raised and len(result) == 1
 
 
 def _adam_state(opt):
