@@ -59,10 +59,10 @@ class _Blocks:
 
     def run(self, update, *args) -> None:
         """``update(block, *args)`` for each block taken, until none is
-        left or an update has failed."""
+        left; a failed update leaves none."""
         while True:
             with self._cond:
-                block = None if self.error else next(self._blocks, None)
+                block = next(self._blocks, None)
                 if block is None:
                     return
                 self._busy += 1
@@ -70,6 +70,7 @@ class _Blocks:
                 update(block, *args)
             except BaseException as exc:  # kept for finish(), then re-raised
                 with self._cond:
+                    self._blocks = iter(())
                     self.error = self.error or exc
                 raise
             finally:
@@ -126,7 +127,7 @@ class Adam:
         Every parameter is checked before any is touched, so a step that
         raises changes nothing.  Each block is updated through the two
         scratch arrays of the thread that took it, so a step allocates no
-        array the size of a parameter and its working set stays in cache.
+        array the size of a parameter.
         ``p.grad`` is only read, since it may alias another tensor's
         gradient.  The operation order is the textbook formula's,
         elementwise, so results are bit-identical to it.
@@ -150,6 +151,8 @@ class Adam:
                 for p, m, v in zip(self.params, self.m, self.v)]
         work = _Blocks([tuple(x[lo:lo + _BLOCK] for x in arrays)
                         for arrays in flat for lo in range(0, arrays[0].size, _BLOCK)])
+        # the futures are not waited on: finish() waits for every block taken
+        # and raises any update's error, and a worker still to wake takes none
         for scratch in self._scratch[1:]:
             _workers().submit(work.run, self._update, scratch, bc1, bc2)
         try:
