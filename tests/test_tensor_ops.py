@@ -771,7 +771,7 @@ def test_adam_step_raises_an_update_error_from_either_thread(monkeypatch, failin
             raised.append(True)
             raise FloatingPointError("update failed")
         if in_caller:
-            time.sleep(0.01)  # leaves blocks for the worker
+            time.sleep(0.05)  # leaves blocks for the worker
         update(self, *args)
 
     monkeypatch.setattr(Adam, "_update", flaky)
