@@ -123,10 +123,10 @@ def moving_average_matrix(length: int, window: int) -> np.ndarray:
     Row i weighs sample clip(i + d, 0, L - 1) by 1/window for each offset
     d in [-(window-1)/2, (window-1)/2]."""
     if window % 2 == 0:
-        raise ArgumentError(f"moving_average_decompose: window must be odd, got {window}")
+        raise ArgumentError(f"moving_average_matrix: window must be odd, got {window}")
     if not (3 <= window <= 2 * length - 1):
         raise ArgumentError(
-            f"moving_average_decompose: window {window} outside [3, {2 * length - 1}]")
+            f"moving_average_matrix: window {window} outside [3, {2 * length - 1}]")
     half = (window - 1) // 2
     rows = np.arange(length)
     counts = np.zeros((length, length))

@@ -7,14 +7,17 @@ Layout, all integers little-endian:
         name_len u32 | name utf-8 | rank u32 | dims u64 * rank |
         payload float64-LE (product(dims) values)
 
-Loading validates magic/version and every length before touching payload
-bytes, so a truncated file fails cleanly with the offending byte offset.
-A payload holding NaN or an infinity is rejected, naming the tensor.
+Loading checks every length against the file's size before it allocates
+or reads anything, so a truncated file fails cleanly with the offending
+byte offset, and reads each payload straight into its own array.  A
+source that cannot seek, such as a pipe, is read into memory first.  A
+payload holding NaN or an infinity is rejected, naming the tensor.
 """
 from __future__ import annotations
 
+import io
+import math
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -41,69 +44,55 @@ def save_checkpoint(path, config_text: str, tensors: list[tuple[str, np.ndarray]
             fh.write(arr.data)
 
 
-class _Reader:
-    def __init__(self, blob: bytes, label: str):
-        self.blob = blob
-        self.off = 0
-        self.label = label
-
-    def skip(self, n: int, what: str) -> int:
-        """Step past the next n bytes; returns the offset they start at."""
-        if self.off + n > len(self.blob):
-            raise FormatError(
-                f"{self.label}: truncated while reading {what} at byte {self.off} "
-                f"(need {n}, have {len(self.blob) - self.off})")
-        self.off += n
-        return self.off - n
-
-    def take(self, n: int, what: str) -> bytes:
-        start = self.skip(n, what)
-        return self.blob[start:self.off]
-
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.take(4, what))[0]
-
-    def u64(self, what: str) -> int:
-        return struct.unpack("<Q", self.take(8, what))[0]
-
-
 def load_checkpoint(path) -> tuple[str, dict[str, np.ndarray]]:
-    blob = Path(path).read_bytes()
-    r = _Reader(blob, str(path))
-    magic = r.take(4, "magic")
-    if magic != MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r} at byte 0")
-    version = r.u32("version")
-    if version != VERSION:
-        raise FormatError(f"{path}: unsupported version {version} at byte 4")
-    cfg_len = r.u64("config length")
-    try:
-        config_text = r.take(cfg_len, "config").decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: config is not valid UTF-8 at byte {r.off}") from exc
-    count = r.u32("tensor count")
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        name_len = r.u32("name length")
-        try:
-            name = r.take(name_len, "name").decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: tensor name is not valid UTF-8 at byte {r.off}") from exc
-        rank = r.u32("rank")
-        if rank > _MAX_RANK:
-            raise FormatError(f"{path}: implausible rank {rank} at byte {r.off - 4}")
-        dims = tuple(r.u64(f"dim {i}") for i in range(rank))
-        numel = 1
-        for d in dims:
-            numel *= d
-        start = r.skip(numel * 8, f"payload of '{name}'")
-        # a view of the file's bytes, then the one copy the tensor keeps
-        arr = np.frombuffer(blob, dtype="<f8", count=numel, offset=start).astype(np.float64)
-        arr = arr.reshape(dims)
-        if not np.isfinite(arr).all():
-            raise FormatError(f"{path}: tensor '{name}' holds a non-finite value "
-                              f"in its payload ending at byte {r.off}")
-        tensors[name] = arr
-    if r.off != len(blob):
-        raise FormatError(f"{path}: {len(blob) - r.off} trailing bytes at byte {r.off}")
+    """Return (config text, {name: float64 array}).  Each payload is read
+    into its own array once its length is checked against the file's size;
+    a source that cannot seek (a pipe) is read into memory first."""
+    with open(path, "rb") as fh:
+        src = fh if fh.seekable() else io.BytesIO(fh.read())
+        size = src.seek(0, io.SEEK_END)
+        src.seek(0)
+
+        def take(n: int, what: str, into=bytearray):
+            off, have = src.tell(), size - src.tell()
+            if n <= have:  # allocate only what the file holds
+                buf = into(n)
+                have = src.readinto(buf)
+                if have == n:
+                    return buf
+            raise FormatError(f"{path}: truncated while reading {what} at byte {off} "
+                              f"(need {n}, have {have})")
+
+        def uint(fmt: str, what: str) -> int:
+            return struct.unpack(fmt, take(struct.calcsize(fmt), what))[0]
+
+        def text(n: int, what: str, label: str) -> str:
+            try:
+                return take(n, what).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(
+                    f"{path}: {label} is not valid UTF-8 at byte {src.tell()}") from exc
+
+        magic = bytes(take(4, "magic"))
+        if magic != MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r} at byte 0")
+        version = uint("<I", "version")
+        if version != VERSION:
+            raise FormatError(f"{path}: unsupported version {version} at byte 4")
+        config_text = text(uint("<Q", "config length"), "config", "config")
+        tensors: dict[str, np.ndarray] = {}
+        for _ in range(uint("<I", "tensor count")):
+            name = text(uint("<I", "name length"), "name", "tensor name")
+            rank = uint("<I", "rank")
+            if rank > _MAX_RANK:
+                raise FormatError(f"{path}: implausible rank {rank} at byte {src.tell() - 4}")
+            dims = tuple(uint("<Q", f"dim {i}") for i in range(rank))
+            arr = take(8 * math.prod(dims), f"payload of '{name}'",
+                       lambda _: np.empty(dims, dtype="<f8"))
+            if not np.isfinite(arr).all():
+                raise FormatError(f"{path}: tensor '{name}' holds a non-finite value "
+                                  f"in its payload ending at byte {src.tell()}")
+            tensors[name] = arr
+        if src.tell() != size:
+            raise FormatError(f"{path}: {size - src.tell()} trailing bytes at byte {src.tell()}")
     return config_text, tensors

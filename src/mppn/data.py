@@ -8,6 +8,7 @@ matrices are supported via ``date_column=False``.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import logging
 import math
@@ -84,22 +85,17 @@ def write_csv(path, header: list[str], rows) -> None:
 _NOT_PLAIN = ('"', "\r", "\0", "\x1c", "\x1d", "\x1e", "\x1f")
 
 
-def _plain_table(path, date_column: bool) -> SeriesDataset | None:
+def _plain_table(text: str, date_column: bool) -> SeriesDataset | None:
     """A plain file's dataset, parsed by numpy's ``loadtxt``, or None when
-    ``load_csv``'s csv path must read the file.
+    ``load_csv``'s csv path must parse the text.
 
-    A file is plain when it is UTF-8 without any ``_NOT_PLAIN`` character
-    (so each non-empty line is one row of comma-separated cells), has at
-    least one body line and no line longer than the csv field limit, has a
-    valid header, and every cell is a finite value on a row of the header's
+    A file is plain when it has no ``_NOT_PLAIN`` character (so each
+    non-empty line is one row of comma-separated cells), has at least one
+    body line and no line longer than the csv field limit, has a valid
+    header, and every cell is a finite value on a row of the header's
     width.  Anything else returns None, never raising, warning or logging,
     so the csv path alone reports every fault.
     """
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError):
-        return None
     if any(ch in text for ch in _NOT_PLAIN):
         return None
     # split("\n"), not splitlines(), which also breaks at \x1c, \x85, \u2028
@@ -139,23 +135,26 @@ def load_csv(path, strict: bool = True, date_column: bool = True) -> SeriesDatas
     (leading gaps take the first later value) and the fill count is logged.
     Every failure raises ``DataError``, which the CLI reports with exit 3.
 
-    Two paths give the same result.  A plain file (no quote, carriage
+    The file is opened and decoded once, and the text goes to one of two
+    parsers that give the same result.  A plain file (no quote, carriage
     return, NUL or U+001C-U+001F character, a valid header, and only
     finite cells on rows of the header's width; see ``_plain_table``) is
     parsed by numpy's ``loadtxt``.  Every other file, and so every fault,
     forward fill and log line, goes through ``csv.reader`` and a ``float``
     per cell.
     """
-    plain = _plain_table(path, date_column)
-    if plain is not None:
-        return plain
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            rows = [row for row in reader if row]
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not valid UTF-8: bytes {exc.object[exc.start:exc.end]!r} "
                         f"({exc.reason})") from None
+    plain = _plain_table(text, date_column)
+    if plain is not None:
+        return plain
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = [row for row in reader if row]
     except csv.Error as exc:
         raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:

@@ -91,6 +91,10 @@ class RunConfig:
             value = getattr(self, name)
             if not _is_int(value) or value < least:
                 raise ConfigError(f"config: {name} must be an integer >= {least}, got {value!r}")
+        if self.model == "dlinear" and not (
+                self.moving_average % 2 and 3 <= self.moving_average <= 2 * self.lookback - 1):
+            raise ConfigError(f"config: moving_average must be odd and in "
+                              f"[3, {2 * self.lookback - 1}] for dlinear, got {self.moving_average}")
         if not _is_int(self.seed):
             raise ConfigError(f"config: seed must be an integer, got {self.seed!r}")
         if not _is_finite_real(self.lr) or self.lr <= 0:

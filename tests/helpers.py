@@ -9,10 +9,16 @@ and its forecast gated and projected from that bank, MPPN's kernel composed
 op by op on the tape, and a forecaster's affine kernel read off its forward
 map through basis windows, the per-channel kernel applied by one einsum
 over the whole batch, and Adam's update as one range on one thread.
+It also offers CSV twins that only the csv path parses, and a pipe, for
+reading an input from a source that cannot seek.
 """
+import contextlib
 import csv
+import os
+import threading
 
 import numpy as np
+import pytest
 
 from mppn import tensor as T
 from mppn.data import SeriesDataset
@@ -445,3 +451,33 @@ def reference_adam_step(data, grads, m, v, t, lr=1e-3, beta1=0.9, beta2=0.999, e
             vv[s] *= beta2
             vv[s] += (gs * gs) * (1.0 - beta2)
             d[s] -= (mm[s] / bc1) * lr / (np.sqrt(vv[s] / bc2) + eps)
+
+
+def crlf_and_quoted(text: str) -> tuple[str, str]:
+    """Two twins of a plain dated CSV that only ``load_csv``'s csv path
+    parses: one with CRLF line ends, one with its first timestamp quoted."""
+    header, first, rest = text.split("\n", 2)
+    stamp, _, cells = first.partition(",")
+    return text.replace("\n", "\r\n"), f'{header}\n"{stamp}",{cells}\n{rest}'
+
+
+@contextlib.contextmanager
+def piped(data: bytes):
+    """A ``/dev/fd/N`` path that reads ``data`` from a pipe, as a shell's
+    ``<(cat file)`` does; a thread feeds the pipe so that any size fits."""
+    if not os.path.isdir("/dev/fd"):
+        pytest.skip("no /dev/fd on this platform")
+    read_end, write_end = os.pipe()
+
+    def feed():
+        with contextlib.suppress(BrokenPipeError), os.fdopen(write_end, "wb") as fh:
+            fh.write(data)
+
+    feeder = threading.Thread(target=feed)
+    feeder.start()
+    try:
+        yield f"/dev/fd/{read_end}"
+    finally:
+        os.close(read_end)
+        feeder.join(timeout=60)
+        assert not feeder.is_alive(), "the pipe's feeder thread did not finish"

@@ -91,6 +91,14 @@ def test_decompose_rejects_even_window():
         moving_average_decompose(Tensor(np.zeros((1, 10, 1))), 21)  # > 2L-1
 
 
+def test_moving_average_matrix_names_itself_in_its_errors():
+    with pytest.raises(ArgumentError, match=r"^moving_average_matrix: window must be odd, got 4$"):
+        moving_average_matrix(10, 4)
+    with pytest.raises(ArgumentError,
+                       match=r"^moving_average_matrix: window 21 outside \[3, 19\]$"):
+        moving_average_matrix(10, 21)
+
+
 # ---------------------------------------------------------------------------
 # nlinear
 

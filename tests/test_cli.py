@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from helpers import crlf_and_quoted, piped
 from mppn import cli
 from mppn.cli import main
 from mppn.training import RunConfig
@@ -233,6 +234,35 @@ def test_unparseable_checkpoint_config_is_data_error(tone_csv, tmp_path, capsys,
     assert code == 3 and out == ""
     assert err.startswith("data error: checkpoint: config text does not parse")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("width", ["4", "1", "97"])
+def test_dlinear_moving_average_is_checked_before_the_data_is_read(tmp_path, capsys, width):
+    code, out, err = run_cli(capsys, "train", "--model", "dlinear", "--lookback", "48",
+                             "--moving-average", width, "--data", str(tmp_path / "nope.csv"),
+                             "--out", str(tmp_path / "m.ckpt"))
+    assert code == 2 and out == "" and not (tmp_path / "m.ckpt").exists()
+    assert err == ("configuration error: config: moving_average must be odd and in [3, 95] "
+                   f"for dlinear, got {width}\n")
+
+
+@pytest.mark.parametrize("command", ["eval", "forecast"])
+def test_dlinear_checkpoint_with_an_even_moving_average_is_data_error(tone_csv, tmp_path, capsys,
+                                                                     command):
+    from mppn.checkpoint import save_checkpoint
+    from mppn.training import build_forecaster, config_blob
+    run = RunConfig(model="dlinear", data=str(tone_csv), lookback=48, horizon=12)
+    fc = build_forecaster(run, channels=2, resolved_periods=())
+    text = config_blob(run, {"channels": 2, "channel_names": ["v0", "v1"]})
+    assert "\nmoving_average=25\n" in text
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, text.replace("\nmoving_average=25\n", "\nmoving_average=4\n"),
+                    [(n, t.data) for n, t in fc.named_parameters()])
+    out_flag = ["--out", str(tmp_path / "o")] if command != "eval" else []
+    code, out, err = run_cli(capsys, command, "--ckpt", str(ckpt), *out_flag)
+    assert code == 3 and out == ""
+    assert err == ("data error: checkpoint: config text does not parse: config: moving_average "
+                   "must be odd and in [3, 95] for dlinear, got 4\n")
 
 
 @pytest.mark.parametrize("names", ["a,a", " ,b"], ids=["duplicate", "blank"])
@@ -532,6 +562,18 @@ def test_malformed_csv_is_data_error_for_every_command(linear_ckpt, tmp_path, ca
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and out == ""
     assert err.startswith(f"data error: {bad}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("form", ["plain", "crlf", "quoted"])
+def test_eval_reads_checkpoint_and_csv_from_pipes(linear_ckpt, tmp_path, capsys, form):
+    text = (linear_ckpt.parent / "clean.csv").read_text(encoding="utf-8")
+    twins = dict(zip(("crlf", "quoted"), crlf_and_quoted(text)))
+    data = tmp_path / f"{form}.csv"
+    data.write_text(twins.get(form, text), encoding="utf-8", newline="")
+    want = run_cli(capsys, "eval", "--ckpt", str(linear_ckpt), "--data", str(data))
+    assert want[0] == 0 and want[2] == ""
+    with piped(linear_ckpt.read_bytes()) as ckpt_fd, piped(data.read_bytes()) as data_fd:
+        assert run_cli(capsys, "eval", "--ckpt", ckpt_fd, "--data", data_fd) == want
 
 
 @pytest.mark.parametrize("command", ["analyze", "train"])

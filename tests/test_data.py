@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_load_csv
+from helpers import crlf_and_quoted, piped, reference_load_csv
 from mppn import synth
 from mppn.data import (ForecastMetrics, MetricsAccumulator, SeriesDataset, Standardizer,
                        chronological_split, gather_windows, iter_batches, load_csv,
@@ -235,6 +235,35 @@ def test_load_csv_reads_plain_files_without_csv_reader_and_others_with_it(tmp_pa
         calls.clear()
         assert _load_outcome(load_csv, twin, True, True) == expected
         assert len(calls) == 1
+
+
+def _plain_crlf_and_quoted(tmp_path):
+    plain = tmp_path / "plain.csv"
+    synth.write_csv(plain, SplitMix64(7).normal((40, 3)), ["a", "b", "c"])
+    crlf, quoted = crlf_and_quoted(plain.read_text(encoding="utf-8"))
+    return [plain, write(tmp_path, crlf, "crlf.csv"), write(tmp_path, quoted, "quoted.csv")]
+
+
+def test_load_csv_reads_a_pipe_as_it_reads_the_file(tmp_path):
+    for path in _plain_crlf_and_quoted(tmp_path):
+        with piped(path.read_bytes()) as fd:
+            assert _load_outcome(load_csv, fd, True, True) == _load_outcome(
+                load_csv, path, True, True), path.name
+
+
+def test_load_csv_opens_its_file_once(tmp_path, monkeypatch):
+    import builtins
+    real_open, opened = builtins.open, []
+
+    def counted(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counted)
+    for path in _plain_crlf_and_quoted(tmp_path):
+        opened.clear()
+        load_csv(path)
+        assert opened == [path]
 
 
 def test_load_etth1_shape_when_available():

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import piped
 from mppn import training
 from mppn.checkpoint import load_checkpoint, save_checkpoint
 from mppn.data import load_csv
@@ -75,6 +76,21 @@ def test_run_config_rejects_unknown_model():
 def test_run_config_rejects_bad_field(field, value):
     with pytest.raises(ConfigError, match=field):
         small_run("x.csv", **{field: value})
+
+
+@pytest.mark.parametrize("width", [4, 1, 97])
+def test_run_config_checks_the_moving_average_only_for_dlinear(width):
+    with pytest.raises(ConfigError) as err:
+        small_run("x.csv", model="dlinear", moving_average=width)
+    assert str(err.value) == (
+        f"config: moving_average must be odd and in [3, 95] for dlinear, got {width}")
+    for kind in ("mppn", "nlinear", "naive"):  # kinds that never read it
+        assert small_run("x.csv", model=kind, moving_average=width).moving_average == width
+
+
+def test_run_config_accepts_dlinear_moving_average_at_both_ends():
+    for width in (3, 95):
+        assert small_run("x.csv", model="dlinear", moving_average=width).moving_average == width
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +197,90 @@ def test_checkpoint_rejects_trailing_garbage(tmp_path):
     path.write_bytes(path.read_bytes() + b"junk")
     with pytest.raises(FormatError):
         load_checkpoint(path)
+
+
+def _two_tensor_checkpoint(path):
+    save_checkpoint(path, "x=1\n", [("a", np.arange(2.0)), ("w", np.arange(6.0).reshape(2, 3))])
+    return path.read_bytes()
+
+
+def test_every_prefix_of_a_checkpoint_is_a_format_error(tmp_path):
+    blob = _two_tensor_checkpoint(tmp_path / "m.ckpt")
+    cut = tmp_path / "cut.ckpt"
+    for n in range(len(blob)):
+        cut.write_bytes(blob[:n])
+        with pytest.raises(FormatError):
+            load_checkpoint(cut)
+
+
+def _raw_checkpoint(version=1, config=b"x=1\n", name=b"w", rank=1, dims=(2,), payload=None):
+    """Checkpoint bytes built field by field, so any field can lie."""
+    import struct
+    head = b"MPPN" + struct.pack("<IQ", version, len(config)) + config + struct.pack("<I", 1)
+    head += struct.pack("<I", len(name)) + name + struct.pack(f"<I{len(dims)}Q", rank, *dims)
+    return head + (np.ones(dims).tobytes() if payload is None else payload)
+
+
+def test_checkpoint_declaring_a_huge_payload_fails_before_allocating_it(tmp_path):
+    import tracemalloc
+    path = tmp_path / "huge.ckpt"
+    path.write_bytes(_raw_checkpoint(dims=(2 ** 40,), payload=b"\0" * 16))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as err:
+            load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == (f"{path}: truncated while reading payload of 'w' at byte 41 "
+                              f"(need {8 * 2 ** 40}, have 16)")
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(version=2), "unsupported version 2 at byte 4"),
+    (dict(config=b"x=\xff\n"), "config is not valid UTF-8 at byte 20"),
+    (dict(name=b"\xffw"), "tensor name is not valid UTF-8 at byte 30"),
+    (dict(rank=17, dims=(1,) * 17), "implausible rank 17 at byte 29"),
+], ids=["version", "config-utf8", "name-utf8", "rank"])
+def test_checkpoint_header_faults_name_their_byte_offsets(tmp_path, fields, message):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(_raw_checkpoint(**fields))
+    with pytest.raises(FormatError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_checkpoint_loads_from_a_pipe_as_from_its_file(tmp_path):
+    path = tmp_path / "m.ckpt"
+    blob = _two_tensor_checkpoint(path)
+    text, tensors = load_checkpoint(path)
+    with piped(blob) as fd:
+        piped_text, piped_tensors = load_checkpoint(fd)
+    assert piped_text == text and list(piped_tensors) == list(tensors)
+    for name, arr in tensors.items():
+        assert piped_tensors[name].tobytes() == arr.tobytes()
+        assert piped_tensors[name].shape == arr.shape
+    with piped(blob[:-8]) as fd:
+        with pytest.raises(FormatError) as err:
+            load_checkpoint(fd)
+    assert str(err.value) == (f"{fd}: truncated while reading payload of 'w' at byte "
+                              f"{len(blob) - 48} (need 48, have 40)")
+
+
+def test_loaded_tensors_own_memory_of_their_own_size(tmp_path):
+    # no tensor may be a view that keeps a buffer the size of the file alive
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, "x=1\n", [("s", np.array(2.0)), ("a", np.arange(2.0)),
+                                     ("w", np.arange(6.0).reshape(2, 3)), ("e", np.ones((0, 4)))])
+    _, tensors = load_checkpoint(path)
+    for arr in tensors.values():
+        assert arr.dtype == np.float64
+        assert arr.flags.aligned and arr.flags.c_contiguous and arr.flags.writeable
+        owner = arr
+        while owner.base is not None:
+            owner = owner.base
+        assert isinstance(owner, np.ndarray) and owner.nbytes == arr.nbytes
 
 
 # ---------------------------------------------------------------------------
