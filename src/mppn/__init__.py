@@ -15,14 +15,14 @@ from .optim import Adam
 from .periods import AmplitudeSpectrum, PeriodSet, amplitude_spectrum, detect_periods, topk_periods
 from .predictability import (DiscreteSeries, PredictabilityReport, dataset_predictability,
                              discretize, fano_upper_bound, lz_entropy_rate, lz_match_lengths)
-from .tensor import Tensor, backward, no_grad
+from .tensor import Params, Tensor, backward, no_grad
 from .training import RunConfig, evaluate, train
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Adam", "AmplitudeSpectrum", "DiscreteSeries", "DLinearParams", "ForecastMetrics",
-    "MPPNConfig", "MPPNParams", "NLinearParams", "PeriodSet", "PredictabilityReport",
+    "MPPNConfig", "MPPNParams", "NLinearParams", "Params", "PeriodSet", "PredictabilityReport",
     "RunConfig", "SeriesDataset", "Standardizer", "Tensor", "amplitude_spectrum", "backward",
     "channel_adapt", "chronological_split", "compose_kernel", "dataset_predictability",
     "detect_periods", "discretize", "dlinear_forward", "evaluate", "export_gates",

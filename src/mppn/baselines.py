@@ -7,11 +7,11 @@ window into a moving-average trend and a residual and projects each part
 separately.  All three are affine in the window, so each composes its
 kernel (A [C, L, H], b [C, H]) from its weights, as the pattern
 forecaster does, and maps a batch of windows [B, L, C] to [B, H, C] by
-applying it.  The kernel is the same for every channel.
+applying it.  The kernel is the same for every channel.  The weights of
+each sit in a ``tensor.Params``; DLinear's moving-average width is a run
+setting, passed to its kernel as an argument.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,39 +44,28 @@ def naive_kernel(lookback: int, horizon: int, channels: int) -> tuple[Tensor, Te
     return Tensor(a), Tensor(np.zeros((channels, horizon)))
 
 
-@dataclass
-class NLinearParams:
-    weight: Tensor  # [L, H]
-    bias: Tensor  # [H]
-
+class NLinearParams(T.Params):
     @staticmethod
     def shapes(lookback: int, horizon: int) -> dict[str, tuple[int, ...]]:
         return {"weight": (lookback, horizon), "bias": (horizon,)}
 
     @classmethod
     def init(cls, lookback: int, horizon: int, seed: int = 0) -> "NLinearParams":
-        return cls.from_arrays(seeded_parameters(cls.shapes(lookback, horizon), seed,
-                                                 "nlinear-init"))
-
-    @classmethod
-    def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "NLinearParams":
-        return cls(Tensor(arrays["weight"], requires_grad=True),
-                   Tensor(arrays["bias"], requires_grad=True))
-
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        return [("weight", self.weight), ("bias", self.bias)]
+        shapes = cls.shapes(lookback, horizon)
+        return cls.from_arrays(shapes, seeded_parameters(shapes, seed, "nlinear-init"))
 
 
 def nlinear_kernel(params: NLinearParams, channels: int) -> tuple[Tensor, Tensor]:
     """(x - last) @ W + b + last as a kernel: A = W plus 1 - colsum(W) on
     its last row, so a constant shift of the window shifts the forecast by
     the same constant."""
-    length, horizon = params.weight.shape
-    colsum = T.linear(Tensor(np.ones((1, length))), params.weight, Tensor(np.zeros(horizon)))
+    weight = params.tensors["weight"]
+    length, horizon = weight.shape
+    colsum = T.linear(Tensor(np.ones((1, length))), weight, Tensor(np.zeros(horizon)))
     last_row = T.concat([Tensor(np.zeros((length - 1, horizon))),
                          T.sub(np.ones((1, horizon)), colsum)], axis=0)
-    a = T.add(params.weight, last_row)
-    return _per_channel(a, params.bias, channels)
+    a = T.add(weight, last_row)
+    return _per_channel(a, params.tensors["bias"], channels)
 
 
 def nlinear_forward(x, params: NLinearParams) -> Tensor:
@@ -84,38 +73,22 @@ def nlinear_forward(x, params: NLinearParams) -> Tensor:
     shifting every input by a constant shifts every output by the same
     constant."""
     xb = _batch(x, "nlinear_forward")
-    length = params.weight.shape[0]
+    length = params.tensors["weight"].shape[0]
     if xb.shape[1] != length:
         raise ShapeError(f"nlinear: lookback axis {xb.shape[1]} != weight rows {length}")
     return T.channel_affine(xb, *nlinear_kernel(params, xb.shape[2]))
 
 
-@dataclass
-class DLinearParams:
-    trend_weight: Tensor  # [L, H]
-    trend_bias: Tensor  # [H]
-    seasonal_weight: Tensor  # [L, H]
-    seasonal_bias: Tensor  # [H]
-    window: int = 25  # moving-average width, odd
-
+class DLinearParams(T.Params):
     @staticmethod
     def shapes(lookback: int, horizon: int) -> dict[str, tuple[int, ...]]:
         return {"trend.weight": (lookback, horizon), "trend.bias": (horizon,),
                 "seasonal.weight": (lookback, horizon), "seasonal.bias": (horizon,)}
 
     @classmethod
-    def init(cls, lookback: int, horizon: int, seed: int = 0, window: int = 25) -> "DLinearParams":
-        return cls.from_arrays(seeded_parameters(cls.shapes(lookback, horizon), seed,
-                                                 "dlinear-init"), window)
-
-    @classmethod
-    def from_arrays(cls, arrays: dict[str, np.ndarray], window: int = 25) -> "DLinearParams":
-        names = ("trend.weight", "trend.bias", "seasonal.weight", "seasonal.bias")
-        return cls(*(Tensor(arrays[name], requires_grad=True) for name in names), window)
-
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        return [("trend.weight", self.trend_weight), ("trend.bias", self.trend_bias),
-                ("seasonal.weight", self.seasonal_weight), ("seasonal.bias", self.seasonal_bias)]
+    def init(cls, lookback: int, horizon: int, seed: int = 0) -> "DLinearParams":
+        shapes = cls.shapes(lookback, horizon)
+        return cls.from_arrays(shapes, seeded_parameters(shapes, seed, "dlinear-init"))
 
 
 def moving_average_matrix(length: int, window: int) -> np.ndarray:
@@ -149,22 +122,24 @@ def moving_average_decompose(x, window: int) -> tuple[Tensor, Tensor]:
     return trend, T.sub(xb, trend)
 
 
-def dlinear_kernel(params: DLinearParams, channels: int) -> tuple[Tensor, Tensor]:
-    """trend @ W_t + (x - trend) @ W_s with trend = M x as a kernel:
-    A = W_s + M^T (W_t - W_s), b = b_t + b_s."""
-    length, horizon = params.trend_weight.shape
-    m = moving_average_matrix(length, params.window)
-    a = T.add(params.seasonal_weight,
-              T.linear(Tensor(m.T), T.sub(params.trend_weight, params.seasonal_weight),
+def dlinear_kernel(params: DLinearParams, channels: int, window: int) -> tuple[Tensor, Tensor]:
+    """trend @ W_t + (x - trend) @ W_s with trend = M x, M the moving
+    average of odd width ``window``, as a kernel: A = W_s + M^T (W_t - W_s),
+    b = b_t + b_s."""
+    w = params.tensors
+    length, horizon = w["trend.weight"].shape
+    m = moving_average_matrix(length, window)
+    a = T.add(w["seasonal.weight"],
+              T.linear(Tensor(m.T), T.sub(w["trend.weight"], w["seasonal.weight"]),
                        Tensor(np.zeros(horizon))))
-    return _per_channel(a, T.add(params.trend_bias, params.seasonal_bias), channels)
+    return _per_channel(a, T.add(w["trend.bias"], w["seasonal.bias"]), channels)
 
 
-def dlinear_forward(x, params: DLinearParams) -> Tensor:
-    """[B, L, C] -> [B, H, C]: decompose, project trend and residual
-    separately, and sum."""
+def dlinear_forward(x, params: DLinearParams, window: int) -> Tensor:
+    """[B, L, C] -> [B, H, C]: decompose with a moving average of width
+    ``window``, project trend and residual separately, and sum."""
     xb = _batch(x, "dlinear_forward")
-    length = params.trend_weight.shape[0]
+    length = params.tensors["trend.weight"].shape[0]
     if xb.shape[1] != length:
         raise ShapeError(f"dlinear: lookback axis {xb.shape[1]} != weight rows {length}")
-    return T.channel_affine(xb, *dlinear_kernel(params, xb.shape[2]))
+    return T.channel_affine(xb, *dlinear_kernel(params, xb.shape[2], window))

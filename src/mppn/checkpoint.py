@@ -11,13 +11,16 @@ Loading checks every length against the file's size before it allocates
 or reads anything, so a truncated file fails cleanly with the offending
 byte offset, and reads each payload straight into its own array.  A
 source that cannot seek, such as a pipe, is read into memory first.  A
-payload holding NaN or an infinity is rejected, naming the tensor.
+repeated tensor name, dims no array can take (even with a zero among
+them) and a payload holding NaN or an infinity are rejected, naming the
+tensor.
 """
 from __future__ import annotations
 
 import io
 import math
 import struct
+import sys
 
 import numpy as np
 
@@ -82,11 +85,19 @@ def load_checkpoint(path) -> tuple[str, dict[str, np.ndarray]]:
         config_text = text(uint("<Q", "config length"), "config", "config")
         tensors: dict[str, np.ndarray] = {}
         for _ in range(uint("<I", "tensor count")):
+            at = src.tell()
             name = text(uint("<I", "name length"), "name", "tensor name")
+            if name in tensors:
+                raise FormatError(f"{path}: tensor '{name}' repeated at byte {at}")
             rank = uint("<I", "rank")
             if rank > _MAX_RANK:
                 raise FormatError(f"{path}: implausible rank {rank} at byte {src.tell() - 4}")
+            at = src.tell()
             dims = tuple(uint("<Q", f"dim {i}") for i in range(rank))
+            # an empty payload passes every length check; numpy still needs the dims
+            if 8 * math.prod(d for d in dims if d) > sys.maxsize:
+                raise FormatError(f"{path}: tensor '{name}' has implausible dims {dims} "
+                                  f"at byte {at}")
             arr = take(8 * math.prod(dims), f"payload of '{name}'",
                        lambda _: np.empty(dims, dtype="<f8"))
             if not np.isfinite(arr).all():

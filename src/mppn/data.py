@@ -305,7 +305,8 @@ class ForecastMetrics:
 
 class MetricsAccumulator:
     """One-pass accumulation of squared and absolute errors over every
-    predicted element, independent of batch grouping."""
+    predicted element.  Batch grouping moves the result only by rounding:
+    100 windows in chunks of 7 or in one chunk can differ in the last bit."""
 
     def __init__(self):
         self._sq = 0.0

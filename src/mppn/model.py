@@ -117,32 +117,20 @@ def parameter_shapes(config: MPPNConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-@dataclass
-class MPPNParams:
-    """All learnable arrays of one model instance, by name, in
-    parameter_shapes order: patch.{r}.weight [D, 1, r] and .bias [D] per
-    used resolution, mine.{p}.{r}.weight [D, D, K] and .bias [D] per
-    retained pair, embed [C, P] (gate logits), out.weight [P*D, H] and
-    out.bias [H]."""
+class MPPNParams(T.Params):
+    """MPPN's learnable arrays, in parameter_shapes order:
+    patch.{r}.weight [D, 1, r] and .bias [D] per used resolution,
+    mine.{p}.{r}.weight [D, D, K] and .bias [D] per retained pair, embed
+    [C, P] (gate logits), out.weight [P*D, H] and out.bias [H]."""
 
-    tensors: dict[str, Tensor]
+    shapes = staticmethod(parameter_shapes)
 
     @classmethod
     def init(cls, config: MPPNConfig) -> "MPPNParams":
         """Seeded init: weights uniform +-1/sqrt(fan_in), biases and gate
         logits zero (gate starts at 0.5)."""
-        return cls.from_arrays(config, seeded_parameters(parameter_shapes(config), config.seed,
-                                                         "mppn-init"))
-
-    @classmethod
-    def from_arrays(cls, config: MPPNConfig, arrays: dict[str, np.ndarray]) -> "MPPNParams":
-        """Parameters holding ``arrays``, keyed and shaped as
-        parameter_shapes gives."""
-        return cls({name: Tensor(arrays[name], requires_grad=True)
-                    for name in parameter_shapes(config)})
-
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        return list(self.tensors.items())
+        shapes = cls.shapes(config)
+        return cls.from_arrays(shapes, seeded_parameters(shapes, config.seed, "mppn-init"))
 
 
 def compose_kernel(params: MPPNParams, config: MPPNConfig) -> tuple[Tensor, Tensor]:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -103,6 +104,23 @@ class Tensor:
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
+
+
+@dataclass
+class Params:
+    """A model's learnable tensors by name, in the order of the shapes
+    they were built from: the order of checkpoints and of Adam's state.
+    Each model kind subclasses it with its ``shapes`` and seeded ``init``."""
+
+    tensors: dict[str, Tensor]
+
+    @classmethod
+    def from_arrays(cls, shapes: dict[str, tuple[int, ...]], arrays: dict[str, np.ndarray]):
+        """Parameters wrapping ``arrays[name]`` for each name of ``shapes``."""
+        return cls({name: Tensor(arrays[name], requires_grad=True) for name in shapes})
+
+    def named_parameters(self) -> list[tuple[str, Tensor]]:
+        return list(self.tensors.items())
 
 
 class TapeNode:

@@ -182,16 +182,16 @@ def config_blob(run: RunConfig, extras: dict) -> str:
 
 @dataclass
 class Forecaster:
-    """One model of any kind: its parameters (None for naive) and
-    ``kernel()``, which composes from them (A [C, L, H], b [C, H]) with
-    forward_batch(x)[:, :, c] = x[:, :, c] @ A[c] + b[c]."""
+    """One model of any kind: its parameters, a ``tensor.Params`` (empty
+    for naive), and ``kernel()``, which composes from them (A [C, L, H],
+    b [C, H]) with forward_batch(x)[:, :, c] = x[:, :, c] @ A[c] + b[c]."""
 
     kind: str
-    params: object
+    params: T.Params
     kernel: Callable[[], tuple[Tensor, Tensor]]
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        return [] if self.params is None else self.params.named_parameters()
+        return self.params.named_parameters()
 
     def forward_batch(self, xb: Tensor) -> Tensor:
         """[B, L, C] -> [B, H, C]: compose the kernel, then apply it."""
@@ -209,19 +209,21 @@ def _forecaster(run: RunConfig, channels: int, resolved_periods: tuple[int, ...]
             lookback=run.lookback, horizon=run.horizon, channels=channels, hidden=run.hidden,
             resolutions=run.resolutions, periods=resolved_periods, overlap=run.overlap,
             seed=run.seed)
-        params = model.MPPNParams.from_arrays(cfg, arrays_for(model.parameter_shapes(cfg)))
-        return Forecaster("mppn", params, lambda: model.compose_kernel(params, cfg))
-    if run.model == "nlinear":
-        shapes = baselines.NLinearParams.shapes(run.lookback, run.horizon)
-        params = baselines.NLinearParams.from_arrays(arrays_for(shapes))
-        return Forecaster("nlinear", params, lambda: baselines.nlinear_kernel(params, channels))
-    if run.model == "dlinear":
-        shapes = baselines.DLinearParams.shapes(run.lookback, run.horizon)
-        params = baselines.DLinearParams.from_arrays(arrays_for(shapes), run.moving_average)
-        return Forecaster("dlinear", params, lambda: baselines.dlinear_kernel(params, channels))
-    arrays_for({})
-    return Forecaster("naive", None,
-                      lambda: baselines.naive_kernel(run.lookback, run.horizon, channels))
+        cls, shapes = model.MPPNParams, model.parameter_shapes(cfg)
+        kernel = lambda: model.compose_kernel(params, cfg)
+    elif run.model == "nlinear":
+        cls = baselines.NLinearParams
+        shapes = cls.shapes(run.lookback, run.horizon)
+        kernel = lambda: baselines.nlinear_kernel(params, channels)
+    elif run.model == "dlinear":
+        cls = baselines.DLinearParams
+        shapes = cls.shapes(run.lookback, run.horizon)
+        kernel = lambda: baselines.dlinear_kernel(params, channels, run.moving_average)
+    else:
+        cls, shapes = T.Params, {}
+        kernel = lambda: baselines.naive_kernel(run.lookback, run.horizon, channels)
+    params = cls.from_arrays(shapes, arrays_for(shapes))
+    return Forecaster(run.model, params, kernel)
 
 
 def build_forecaster(run: RunConfig, channels: int, resolved_periods: tuple[int, ...]) -> Forecaster:

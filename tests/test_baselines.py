@@ -104,7 +104,8 @@ def test_moving_average_matrix_names_itself_in_its_errors():
 
 def test_nlinear_zero_weights_reduce_to_naive():
     x = np.random.default_rng(1).standard_normal((1, 8, 3))
-    params = NLinearParams(Tensor(np.zeros((8, 5))), Tensor(np.zeros(5)))
+    params = NLinearParams.from_arrays(NLinearParams.shapes(8, 5),
+                                       {"weight": np.zeros((8, 5)), "bias": np.zeros(5)})
     out = nlinear_forward(Tensor(x), params)
     naive = T.channel_affine(Tensor(x), *naive_kernel(8, 5, 3))
     np.testing.assert_array_equal(out.data, naive.data)
@@ -118,8 +119,9 @@ def test_nlinear_shift_equivariance_bitexact(pattern, shift_eighths):
     rng = np.random.default_rng(pattern)
     x = rng.integers(-32, 33, size=(1, 6, 2)).astype(np.float64) / 8.0
     c = shift_eighths / 8.0
-    params = NLinearParams(Tensor(rng.integers(-32, 33, size=(6, 4)) / 64.0),
-                           Tensor(rng.integers(-32, 33, size=4) / 64.0))
+    params = NLinearParams.from_arrays(NLinearParams.shapes(6, 4), {
+        "weight": rng.integers(-32, 33, size=(6, 4)) / 64.0,
+        "bias": rng.integers(-32, 33, size=4) / 64.0})
     base = nlinear_forward(Tensor(x), params).data
     shifted = nlinear_forward(Tensor(x + c), params).data
     assert np.array_equal(shifted, base + c)
@@ -144,38 +146,38 @@ def test_nlinear_gradients():
     def loss():
         return T.mse_loss(nlinear_forward(x, params), target)
 
-    check_grads(loss, [params.weight, params.bias], tol=1e-5)
+    check_grads(loss, [params.tensors["weight"], params.tensors["bias"]], tol=1e-5)
 
 
 # ---------------------------------------------------------------------------
 # dlinear
 
 def test_dlinear_zero_weights_give_zero():
-    params = DLinearParams(Tensor(np.zeros((6, 4))), Tensor(np.zeros(4)),
-                           Tensor(np.zeros((6, 4))), Tensor(np.zeros(4)), window=3)
-    out = dlinear_forward(Tensor(np.random.default_rng(3).standard_normal((1, 6, 2))), params)
+    shapes = DLinearParams.shapes(6, 4)
+    params = DLinearParams.from_arrays(shapes, {n: np.zeros(s) for n, s in shapes.items()})
+    out = dlinear_forward(Tensor(np.random.default_rng(3).standard_normal((1, 6, 2))), params, 3)
     np.testing.assert_array_equal(out.data, np.zeros((1, 4, 2)))
 
 
 def test_dlinear_uniform_trend_weights_pass_constant_through():
     lookback, horizon = 6, 4
-    params = DLinearParams(Tensor(np.full((lookback, horizon), 1.0 / lookback)),
-                           Tensor(np.zeros(horizon)),
-                           Tensor(np.zeros((lookback, horizon))), Tensor(np.zeros(horizon)),
-                           window=3)
+    params = DLinearParams.from_arrays(DLinearParams.shapes(lookback, horizon), {
+        "trend.weight": np.full((lookback, horizon), 1.0 / lookback),
+        "trend.bias": np.zeros(horizon),
+        "seasonal.weight": np.zeros((lookback, horizon)), "seasonal.bias": np.zeros(horizon)})
     const = 2.75
-    out = dlinear_forward(Tensor(np.full((1, lookback, 3), const)), params)
+    out = dlinear_forward(Tensor(np.full((1, lookback, 3), const)), params, 3)
     assert np.max(np.abs(out.data - const)) <= 1e-12
 
 
 def test_dlinear_gradients():
     rng = np.random.default_rng(4)
-    params = DLinearParams.init(9, 3, seed=6, window=5)
+    params = DLinearParams.init(9, 3, seed=6)
     x = Tensor(rng.standard_normal((2, 9, 2)))
     target = Tensor(rng.standard_normal((2, 3, 2)))
 
     def loss():
-        return T.mse_loss(dlinear_forward(x, params), target)
+        return T.mse_loss(dlinear_forward(x, params, 5), target)
 
     check_grads(loss, [t for _, t in params.named_parameters()], tol=1e-5)
 
@@ -183,16 +185,17 @@ def test_dlinear_gradients():
 def test_dlinear_kernel_matches_decomposed_projection():
     # W_s + M^T (W_t - W_s) against projecting trend and residual apart
     rng = np.random.default_rng(12)
-    params = DLinearParams.init(15, 4, seed=3, window=7)
-    params.trend_bias.data = rng.standard_normal(4)
-    params.seasonal_bias.data = rng.standard_normal(4)
+    params = DLinearParams.init(15, 4, seed=3)
+    w = params.tensors
+    w["trend.bias"].data = rng.standard_normal(4)
+    w["seasonal.bias"].data = rng.standard_normal(4)
     x = rng.standard_normal((3, 15, 2))
     trend, seasonal = moving_average_decompose(Tensor(x), 7)
-    want = (np.einsum("blc,lh->bhc", trend.data, params.trend_weight.data)
-            + np.einsum("blc,lh->bhc", seasonal.data, params.seasonal_weight.data)
-            + (params.trend_bias.data + params.seasonal_bias.data)[None, :, None])
-    assert np.max(np.abs(dlinear_forward(Tensor(x), params).data - want)) <= 1e-12
-    a, b = dlinear_kernel(params, 2)
+    want = (np.einsum("blc,lh->bhc", trend.data, w["trend.weight"].data)
+            + np.einsum("blc,lh->bhc", seasonal.data, w["seasonal.weight"].data)
+            + (w["trend.bias"].data + w["seasonal.bias"].data)[None, :, None])
+    assert np.max(np.abs(dlinear_forward(Tensor(x), params, 7).data - want)) <= 1e-12
+    a, b = dlinear_kernel(params, 2, 7)
     assert a.shape == (2, 15, 4) and b.shape == (2, 4)
     assert np.array_equal(a.data[0], a.data[1])
 
@@ -207,11 +210,11 @@ def test_nlinear_kernel_columns_sum_to_one():
 
 def test_dlinear_batch_matches_single():
     rng = np.random.default_rng(5)
-    params = DLinearParams.init(10, 4, seed=7, window=5)
+    params = DLinearParams.init(10, 4, seed=7)
     xb = rng.standard_normal((3, 10, 2))
-    batched = dlinear_forward(Tensor(xb), params).data
+    batched = dlinear_forward(Tensor(xb), params, 5).data
     for i in range(3):
-        single = dlinear_forward(Tensor(xb[i:i + 1]), params).data
+        single = dlinear_forward(Tensor(xb[i:i + 1]), params, 5).data
         np.testing.assert_array_equal(batched[i], single[0])
 
 
@@ -219,7 +222,7 @@ def test_dlinear_batch_matches_single():
 @pytest.mark.parametrize("forecast", [
     lambda x: T.channel_affine(x, *naive_kernel(10, 3, 2)),
     lambda x: nlinear_forward(x, NLinearParams.init(10, 3)),
-    lambda x: dlinear_forward(x, DLinearParams.init(10, 3, window=5)),
+    lambda x: dlinear_forward(x, DLinearParams.init(10, 3), 5),
     lambda x: moving_average_decompose(x, 5),
 ], ids=["naive_last", "nlinear_forward", "dlinear_forward", "moving_average_decompose"])
 def test_baselines_reject_input_rank_other_than_three(forecast, shape):

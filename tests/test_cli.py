@@ -564,6 +564,34 @@ def test_malformed_csv_is_data_error_for_every_command(linear_ckpt, tmp_path, ca
     assert err.startswith(f"data error: {bad}: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("dims", [(0, 2 ** 63), (0, 2 ** 40, 2 ** 40)],
+                         ids=["dim-past-intp", "bytes-past-intp"])
+def test_empty_checkpoint_tensor_with_huge_dims_is_data_error(linear_ckpt, tmp_path, capsys, dims):
+    import struct
+
+    from mppn.checkpoint import load_checkpoint
+    config, _ = load_checkpoint(linear_ckpt)
+    head = (b"MPPN" + struct.pack("<IQ", 1, len(config.encode())) + config.encode()
+            + struct.pack("<II", 1, 6) + b"weight" + struct.pack("<I", len(dims)))
+    ckpt = tmp_path / "huge.ckpt"
+    ckpt.write_bytes(head + struct.pack(f"<{len(dims)}Q", *dims))
+    code, out, err = run_cli(capsys, "eval", "--ckpt", str(ckpt))
+    assert (code, out) == (3, "")
+    assert err == (f"data error: {ckpt}: tensor 'weight' has implausible dims {dims} "
+                   f"at byte {len(head)}\n")
+
+
+def test_checkpoint_naming_a_tensor_twice_is_data_error(linear_ckpt, tmp_path, capsys):
+    from mppn.checkpoint import load_checkpoint, save_checkpoint
+    config, tensors = load_checkpoint(linear_ckpt)
+    ckpt = tmp_path / "twice.ckpt"
+    save_checkpoint(ckpt, config, [("weight", tensors["weight"]), ("weight", tensors["weight"]),
+                                   ("bias", tensors["bias"])])
+    code, out, err = run_cli(capsys, "eval", "--ckpt", str(ckpt))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"data error: {ckpt}: tensor 'weight' repeated at byte ")
+
+
 @pytest.mark.parametrize("form", ["plain", "crlf", "quoted"])
 def test_eval_reads_checkpoint_and_csv_from_pipes(linear_ckpt, tmp_path, capsys, form):
     text = (linear_ckpt.parent / "clean.csv").read_text(encoding="utf-8")

@@ -237,12 +237,27 @@ def test_checkpoint_declaring_a_huge_payload_fails_before_allocating_it(tmp_path
     assert peak < 2 ** 20
 
 
+def test_checkpoint_repeated_tensor_name_is_a_format_error(tmp_path):
+    path = tmp_path / "twice.ckpt"
+    save_checkpoint(path, "x=1\n", [("w", np.ones(2)), ("w", np.zeros(2)), ("b", np.ones(1))])
+    with pytest.raises(FormatError) as err:
+        load_checkpoint(path)
+    # 24 header bytes, then the first record: name 4 + 1, rank 4, dim 8, payload 16
+    assert str(err.value) == f"{path}: tensor 'w' repeated at byte 57"
+
+
 @pytest.mark.parametrize("fields, message", [
     (dict(version=2), "unsupported version 2 at byte 4"),
     (dict(config=b"x=\xff\n"), "config is not valid UTF-8 at byte 20"),
     (dict(name=b"\xffw"), "tensor name is not valid UTF-8 at byte 30"),
     (dict(rank=17, dims=(1,) * 17), "implausible rank 17 at byte 29"),
-], ids=["version", "config-utf8", "name-utf8", "rank"])
+    # an empty payload passes every length check, yet numpy cannot take the dims
+    (dict(rank=2, dims=(0, 2 ** 63), payload=b""),
+     f"tensor 'w' has implausible dims {(0, 2 ** 63)} at byte 33"),
+    (dict(rank=3, dims=(0, 2 ** 40, 2 ** 40), payload=b""),
+     f"tensor 'w' has implausible dims {(0, 2 ** 40, 2 ** 40)} at byte 33"),
+], ids=["version", "config-utf8", "name-utf8", "rank", "empty-dim-past-intp",
+        "empty-bytes-past-intp"])
 def test_checkpoint_header_faults_name_their_byte_offsets(tmp_path, fields, message):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(_raw_checkpoint(**fields))
@@ -585,13 +600,57 @@ def test_build_forecaster_draws_the_params_classes_init(kind):
         want = MPPNParams.init(MPPNConfig(lookback=48, horizon=12, channels=2, hidden=6,
                                           resolutions=(1, 3), periods=(24,), seed=11))
     elif kind == "dlinear":
-        want = DLinearParams.init(48, 12, seed=11, window=7)
+        want = DLinearParams.init(48, 12, seed=11)
     else:
         want = NLinearParams.init(48, 12, seed=11)
     got = fc.named_parameters()
     assert [n for n, _ in got] == [n for n, _ in want.named_parameters()]
     for (name, a), (_, b) in zip(got, want.named_parameters()):
         assert a.data.tobytes() == b.data.tobytes(), name
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_every_forecaster_holds_one_params_in_shapes_order(kind):
+    # built or restored, a forecaster's parameters are one container whose
+    # tensors follow its class's shapes and wrap the arrays given, uncopied
+    from mppn.baselines import DLinearParams, NLinearParams
+    from mppn.model import MPPNConfig, MPPNParams
+    from mppn.tensor import Params
+    shapes = {
+        "mppn": lambda: MPPNParams.shapes(MPPNConfig(lookback=48, horizon=12, channels=2, hidden=6,
+                                                     resolutions=(1, 3), periods=(24,))),
+        "dlinear": lambda: DLinearParams.shapes(48, 12),
+        "nlinear": lambda: NLinearParams.shapes(48, 12),
+        "naive": dict,
+    }[kind]()
+    run = small_run("unused.csv", model=kind, periods=(24,) if kind == "mppn" else None)
+    periods = (24,) if kind == "mppn" else ()
+    rng = np.random.default_rng(0)
+    arrays = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+    extras = {"channels": 2, "channel_names": ["v0", "v1"], "resolved_periods": list(periods)}
+    for fc in (build_forecaster(run, 2, periods), restore_forecaster(run, extras, arrays)):
+        assert isinstance(fc.params, Params) and list(vars(fc.params)) == ["tensors"]
+        assert (type(fc.params) is Params) == (kind == "naive")
+        assert [(n, t.shape) for n, t in fc.named_parameters()] == list(shapes.items())
+        assert fc.named_parameters() == list(fc.params.tensors.items())
+    assert all(fc.params.tensors[name].data is arr for name, arr in arrays.items())
+
+
+def test_dlinear_kernel_follows_the_runs_moving_average():
+    from mppn.baselines import DLinearParams, dlinear_kernel
+    rng = np.random.default_rng(1)
+    arrays = {name: rng.standard_normal(shape)
+              for name, shape in DLinearParams.shapes(48, 12).items()}
+    extras = {"channels": 2, "channel_names": ["v0", "v1"], "resolved_periods": []}
+    kernels = {}
+    for width in (5, 7):
+        fc = restore_forecaster(small_run("unused.csv", model="dlinear", moving_average=width),
+                                extras, arrays)
+        a, b = fc.kernel()
+        want_a, want_b = dlinear_kernel(fc.params, 2, width)
+        assert np.array_equal(a.data, want_a.data) and np.array_equal(b.data, want_b.data)
+        kernels[width] = a.data
+    assert not np.array_equal(kernels[5], kernels[7])
 
 
 def _restore_by_overwriting_a_seeded_init(run, extras, tensors):

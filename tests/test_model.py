@@ -93,7 +93,7 @@ def test_parameters_follow_parameter_shapes_and_round_trip(overrides):
     assert all(t.shape == shapes[name] for name, t in params.named_parameters())
     rng = np.random.default_rng(0)
     arrays = {name: rng.standard_normal(shape) for name, shape in reversed(shapes.items())}
-    restored = MPPNParams.from_arrays(c, arrays)
+    restored = MPPNParams.from_arrays(shapes, arrays)
     assert [name for name, _ in restored.named_parameters()] == list(shapes)
     for name, t in restored.named_parameters():
         assert t.requires_grad and t.data.tobytes() == arrays[name].tobytes(), name
