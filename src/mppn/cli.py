@@ -21,7 +21,7 @@ import numpy as np
 from . import synth as synthmod
 from . import training
 from .data import write_csv
-from .errors import ConfigError, DataError, DivergenceError
+from .errors import ArgumentError, ConfigError, DataError, DivergenceError
 from .training import RunConfig
 
 
@@ -159,7 +159,11 @@ def _cmd_synth(args) -> int:
         raw = args.spec
         if raw.startswith("@"):
             raw = Path(raw[1:]).read_text(encoding="utf-8")
-        tones = synthmod.parse_tone_spec(json.loads(raw))
+        try:
+            spec = json.loads(raw)
+        except (RecursionError, ValueError) as exc:
+            raise ArgumentError(f"synth: --spec does not parse as JSON: {exc}") from None
+        tones = synthmod.parse_tone_spec(spec)
     else:
         tones = [[synthmod.ToneSpec(1.0, 24.0)]]
     values = synthmod.generate(tones, args.trend, args.noise_sd, args.timesteps, args.seed)

@@ -1,14 +1,14 @@
 """Adam optimizer with bias correction and coupled L2 weight decay.
 
 The update is elementwise, so a step cuts every parameter into blocks of
-at most _BLOCK elements and _THREADS threads update them at once: the
-calling thread and a worker thread each take the next block not yet
-taken until none is left.  numpy releases the GIL inside each ufunc, so
-the blocks run on separate cores, and a thread that is not scheduled (a
-vCPU taken by another guest) holds up at most the one block it took.
-Every element goes through the same operations in the same order
-whichever thread updates it, so a step gives the same bits as on one
-thread.
+at most _BLOCK elements, and the calling thread and a worker thread each
+take the next block from one lock-guarded iterator until none is left.
+numpy releases the GIL inside each ufunc, so the blocks run on separate
+cores.  A worker that has not started when the caller runs out of blocks
+is cancelled, so a thread that is not scheduled (a vCPU taken by another
+guest) holds up at most the one block it took.  Every element goes
+through the same operations in the same order whichever thread updates
+it, so a step gives the same bits as on one thread.
 
 The worker is started by the first Adam with more than one block, and is
 shared by every Adam in the process; a process that builds no Adam
@@ -46,46 +46,6 @@ def _workers():
             _pool = ThreadPoolExecutor(_THREADS - 1, thread_name_prefix="mppn-adam")
             _pool.submit(int).result()  # start a worker thread now, not in a step
         return _pool
-
-
-class _Blocks:
-    """One step's blocks, each handed to the first thread that asks."""
-
-    def __init__(self, blocks: list):
-        self._blocks = iter(blocks)
-        self._busy = 0
-        self._cond = threading.Condition()
-        self.error: BaseException | None = None
-
-    def run(self, update, *args) -> None:
-        """``update(block, *args)`` for each block taken, until none is
-        left; a failed update leaves none."""
-        while True:
-            with self._cond:
-                block = next(self._blocks, None)
-                if block is None:
-                    return
-                self._busy += 1
-            try:
-                update(block, *args)
-            except BaseException as exc:  # kept for finish(), then re-raised
-                with self._cond:
-                    self._blocks = iter(())
-                    self.error = self.error or exc
-                raise
-            finally:
-                with self._cond:
-                    self._busy -= 1
-                    self._cond.notify_all()
-
-    def finish(self) -> None:
-        """Hand out no more blocks, wait for the ones being updated, and
-        raise the first update's error, if any."""
-        with self._cond:
-            self._blocks = iter(())
-            self._cond.wait_for(lambda: not self._busy)
-        if self.error is not None:
-            raise self.error
 
 
 class Adam:
@@ -131,6 +91,10 @@ class Adam:
         ``p.grad`` is only read, since it may alias another tensor's
         gradient.  The operation order is the textbook formula's,
         elementwise, so results are bit-identical to it.
+
+        Out of blocks, the caller cancels the worker's future if it has not
+        started, else waits for it.  A failed update empties the locked
+        iterator, and its error is raised (the worker's if both failed).
         """
         for i, p in enumerate(self.params):
             if p.grad is None:
@@ -149,16 +113,32 @@ class Adam:
         # views, since p.data and the moments (zeros_like of it) are contiguous
         flat = [tuple(x.reshape(-1) for x in (p.data, m, v, p.grad))
                 for p, m, v in zip(self.params, self.m, self.v)]
-        work = _Blocks([tuple(x[lo:lo + _BLOCK] for x in arrays)
-                        for arrays in flat for lo in range(0, arrays[0].size, _BLOCK)])
-        # the futures are not waited on: finish() waits for every block taken
-        # and raises any update's error, and a worker still to wake takes none
-        for scratch in self._scratch[1:]:
-            _workers().submit(work.run, self._update, scratch, bc1, bc2)
+        blocks = iter([tuple(x[lo:lo + _BLOCK] for x in arrays)
+                       for arrays in flat for lo in range(0, arrays[0].size, _BLOCK)])
+        lock = threading.Lock()
+
+        def take(scratch):
+            """Update blocks until none is left; a failed update leaves none."""
+            nonlocal blocks
+            while True:
+                with lock:
+                    block = next(blocks, None)
+                if block is None:
+                    return
+                try:
+                    self._update(block, scratch, bc1, bc2)
+                except BaseException:
+                    with lock:
+                        blocks = iter(())
+                    raise
+
+        futures = [_workers().submit(take, scratch) for scratch in self._scratch[1:]]
         try:
-            work.run(self._update, self._scratch[0], bc1, bc2)
+            take(self._scratch[0])
         finally:
-            work.finish()
+            for error in [f.exception() for f in futures if not f.cancel()]:
+                if error is not None:
+                    raise error
 
     def _update(self, block, scratch, bc1: float, bc2: float) -> None:
         """Update one (data, m, v, grad) block of flat views in place.

@@ -127,33 +127,43 @@ class RunConfig:
     @classmethod
     def from_text(cls, text: str) -> tuple["RunConfig", dict]:
         """Parse key=value lines (or one JSON object); unknown keys are
-        returned separately."""
-        stripped = text.lstrip()
-        if stripped.startswith("{"):
-            raw = json.loads(text)
-        else:
-            raw = {}
-            for ln, line in enumerate(text.splitlines(), 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"config line {ln}: expected key=value, got {line!r}")
-                key, _, value = line.partition("=")
-                try:
-                    raw[key.strip()] = json.loads(value.strip())
-                except json.JSONDecodeError:
-                    raw[key.strip()] = value.strip()
-        known = {f.name: f for f in dataclasses.fields(cls)}
-        kwargs, extras = {}, {}
-        for key, value in raw.items():
-            if key in known:
-                if isinstance(value, list):
-                    value = tuple(value)
-                kwargs[key] = value
+        returned separately, and a line's value that is not JSON is kept
+        as a string.  A repeated key, and JSON that fails otherwise
+        (nested past the recursion limit, say), is a ConfigError."""
+        where = "config"
+
+        def unique(pairs):
+            obj = {}
+            for key, value in pairs:
+                if key in obj:
+                    raise ConfigError(f"{where}: key {key!r} repeated")
+                obj[key] = value
+            return obj
+
+        try:
+            if text.lstrip().startswith("{"):
+                raw = json.loads(text, object_pairs_hook=unique)
             else:
-                extras[key] = value
-        return cls(**kwargs), extras
+                raw = {}
+                for ln, line in enumerate(text.splitlines(), 1):
+                    where = f"config line {ln}"
+                    line = line.strip()
+                    if not line or line.startswith("#"):
+                        continue
+                    if "=" not in line:
+                        raise ConfigError(f"{where}: expected key=value, got {line!r}")
+                    key, _, value = (part.strip() for part in line.partition("="))
+                    if key in raw:
+                        raise ConfigError(f"{where}: key {key!r} repeated")
+                    try:
+                        raw[key] = json.loads(value, object_pairs_hook=unique)
+                    except json.JSONDecodeError:
+                        raw[key] = value
+        except (RecursionError, ValueError) as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+        known = {f.name for f in dataclasses.fields(cls)}
+        return (cls(**{k: v for k, v in raw.items() if k in known}),
+                {k: v for k, v in raw.items() if k not in known})
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -407,7 +417,7 @@ def _restore_checkpoint(ckpt_path):
     config_text, tensors = load_checkpoint(ckpt_path)
     try:
         run, extras = RunConfig.from_text(config_text)
-    except (ConfigError, json.JSONDecodeError) as exc:
+    except ConfigError as exc:
         raise FormatError(f"checkpoint: config text does not parse: {exc}") from None
     return run, extras, restore_forecaster(run, extras, tensors)
 

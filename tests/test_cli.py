@@ -223,16 +223,51 @@ def test_non_finite_checkpoint_tensor_is_data_error(tone_csv, tmp_path, capsys, 
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("config_text", ["{not json", "model=mppn\nlookback"],
-                         ids=["json", "key-value"])
+# JSON nested far past the interpreter's recursion limit
+DEEP = "[" * 100_000
+TOO_DEEP = "maximum recursion depth exceeded while decoding a JSON array"
+
+
+@pytest.mark.parametrize("config_text,why", [
+    ("{not json", "config: Expecting property name"),
+    ("model=mppn\nlookback", "config line 2: expected key=value"),
+    (f"model=mppn\nnote={DEEP}\n", f"config line 2: {TOO_DEEP}"),
+    ("seed=1\nmodel=mppn\nseed=2\n", "config line 3: key 'seed' repeated"),
+    ('{"seed": 1, "model": "mppn", "seed": 2}', "config: key 'seed' repeated"),
+], ids=["json", "key-value", "key-value-too-deep", "key-value-repeated-key", "json-repeated-key"])
 @pytest.mark.parametrize("command", ["eval", "forecast", "gates", "kernel"])
 def test_unparseable_checkpoint_config_is_data_error(tone_csv, tmp_path, capsys, config_text,
-                                                     command):
+                                                     why, command):
     ckpt = _mppn_checkpoint(tone_csv, tmp_path / "m.ckpt", config_text=config_text)
     out_flag = ["--out", str(tmp_path / "o")] if command != "eval" else []
     code, out, err = run_cli(capsys, command, "--ckpt", str(ckpt), *out_flag)
     assert code == 3 and out == ""
-    assert err.startswith("data error: checkpoint: config text does not parse")
+    assert err.startswith(f"data error: checkpoint: config text does not parse: {why}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text,why", [
+    ('{"model": "nlinear", "lookback": ' + DEEP + "}", f"config: {TOO_DEEP}"),
+    ('model="nlinear"\nlookback=' + DEEP + "\n", f"config line 2: {TOO_DEEP}"),
+    ('{"model": "nlinear", "seed": 1, "seed": 2}', "config: key 'seed' repeated"),
+    ('model="nlinear"\nseed=1\nseed=2\n', "config line 3: key 'seed' repeated"),
+], ids=["json-too-deep", "key-value-too-deep", "json-repeated-key", "key-value-repeated-key"])
+def test_unparseable_config_file_is_config_error(tone_csv, tmp_path, capsys, text, why):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    ckpt = tmp_path / "m.ckpt"
+    code, out, err = run_cli(capsys, "train", "--config", str(cfg), "--data", str(tone_csv),
+                             "--out", str(ckpt))
+    assert code == 2 and out == "" and not ckpt.exists()
+    assert err.startswith(f"configuration error: {why}") and "Traceback" not in err
+
+
+def test_deeply_nested_synth_spec_is_usage_error(tmp_path, capsys):
+    spec, out_path = tmp_path / "deep.json", tmp_path / "s.csv"
+    spec.write_text(DEEP, encoding="utf-8")
+    code, out, err = run_cli(capsys, "synth", "--spec", f"@{spec}", "--out", str(out_path))
+    assert code == 2 and out == "" and not out_path.exists()
+    assert err.startswith(f"configuration error: synth: --spec does not parse as JSON: {TOO_DEEP}")
     assert "Traceback" not in err
 
 

@@ -790,6 +790,36 @@ def test_adam_step_raises_an_update_error_from_either_thread(monkeypatch, failin
     assert raised and len(result) == 1
 
 
+def test_adam_step_does_not_wait_for_a_worker_that_has_not_started():
+    gen = np.random.default_rng(12)
+    shapes = [(3 * optim._BLOCK + 5,), (17, 9)]
+    start = [gen.standard_normal(s) for s in shapes]
+    grads = [[gen.standard_normal(s) for s in shapes] for _ in range(2)]
+    params = [Tensor(a.copy(), requires_grad=True) for a in start]
+    opt = Adam(params)
+    hold = threading.Event()
+    held = optim._workers().submit(hold.wait)  # the pool's only worker
+    try:
+        for p, g in zip(params, grads[0]):
+            p.grad = g
+        stepping = threading.Thread(target=opt.step)
+        stepping.start()
+        stepping.join(timeout=30)
+        assert not stepping.is_alive() and not hold.is_set()
+    finally:
+        hold.set()
+    assert held.result(timeout=30)
+    for p, g in zip(params, grads[1]):
+        p.grad = g
+    opt.step()
+    ref = [a.copy() for a in start]
+    m, v = [np.zeros(s) for s in shapes], [np.zeros(s) for s in shapes]
+    for t, step_grads in enumerate(grads, 1):
+        reference_adam_step(ref, step_grads, m, v, t)
+    for p, r in zip(params, ref):
+        np.testing.assert_array_equal(p.data, r)
+
+
 def _adam_state(opt):
     return ([p.data.copy() for p in opt.params], [a.copy() for a in opt.m],
             [a.copy() for a in opt.v], opt.t)
