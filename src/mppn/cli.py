@@ -160,7 +160,7 @@ def _cmd_synth(args) -> int:
         if raw.startswith("@"):
             raw = Path(raw[1:]).read_text(encoding="utf-8")
         try:
-            spec = json.loads(raw)
+            spec = json.loads(raw, object_pairs_hook=training.unique_pairs)
         except (RecursionError, ValueError) as exc:
             raise ArgumentError(f"synth: --spec does not parse as JSON: {exc}") from None
         tones = synthmod.parse_tone_spec(spec)

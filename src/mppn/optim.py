@@ -1,25 +1,19 @@
 """Adam optimizer with bias correction and coupled L2 weight decay.
 
 The update is elementwise, so a step cuts every parameter into blocks of
-at most _BLOCK elements, and the calling thread and a worker thread each
-take the next block from one lock-guarded iterator until none is left.
-numpy releases the GIL inside each ufunc, so the blocks run on separate
-cores.  A worker that has not started when the caller runs out of blocks
-is cancelled, so a thread that is not scheduled (a vCPU taken by another
-guest) holds up at most the one block it took.  Every element goes
-through the same operations in the same order whichever thread updates
-it, so a step gives the same bits as on one thread.
+at most _BLOCK elements and drains them on two threads with
+``pool.drain``.  Every element goes through the same operations in the
+same order whichever thread updates it, so a step gives the same bits as
+on one thread.
 
-The worker is started by the first Adam with more than one block, and is
-shared by every Adam in the process; a process that builds no Adam
-starts none.
+The shared worker is started by the first Adam with more than one block;
+a process that builds no Adam and drains nothing else starts none.
 """
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
+from . import pool
 from .errors import ArgumentError
 from .tensor import Tensor
 
@@ -27,25 +21,6 @@ from .tensor import Tensor
 # each ufunc call holds the GIL; at 8,192 it did so often enough that two
 # threads took longer than one.
 _BLOCK = 65536
-
-# Threads sharing a step: the calling thread and _THREADS - 1 workers.  A
-# constant, not os.cpu_count(), so a step's work does not depend on where
-# it runs.
-_THREADS = 2
-
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _workers():
-    """The process's Adam workers, started on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-            _pool = ThreadPoolExecutor(_THREADS - 1, thread_name_prefix="mppn-adam")
-            _pool.submit(int).result()  # start a worker thread now, not in a step
-        return _pool
 
 
 class Adam:
@@ -63,12 +38,12 @@ class Adam:
             for i, p in enumerate(self.params[:j]):
                 if p is q or np.shares_memory(p.data, q.data):
                     raise ArgumentError(f"adam: parameters {i} and {j} share memory")
-        threads = _THREADS if sum(-(-p.size // _BLOCK) for p in self.params) > 1 else 1
+        threads = pool._THREADS if sum(-(-p.size // _BLOCK) for p in self.params) > 1 else 1
         if threads > 1:
             # started before the moments are allocated: the thread's state,
             # if malloc'd above large arrays on the heap, keeps the heap from
             # shrinking when they are freed (8 MB more peak RSS on the bench)
-            _workers()
+            pool._workers()
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
@@ -92,9 +67,8 @@ class Adam:
         gradient.  The operation order is the textbook formula's,
         elementwise, so results are bit-identical to it.
 
-        Out of blocks, the caller cancels the worker's future if it has not
-        started, else waits for it.  A failed update empties the locked
-        iterator, and its error is raised (the worker's if both failed).
+        A failed update takes no further block, and its error is raised
+        (the worker's if both threads failed).
         """
         for i, p in enumerate(self.params):
             if p.grad is None:
@@ -113,32 +87,9 @@ class Adam:
         # views, since p.data and the moments (zeros_like of it) are contiguous
         flat = [tuple(x.reshape(-1) for x in (p.data, m, v, p.grad))
                 for p, m, v in zip(self.params, self.m, self.v)]
-        blocks = iter([tuple(x[lo:lo + _BLOCK] for x in arrays)
-                       for arrays in flat for lo in range(0, arrays[0].size, _BLOCK)])
-        lock = threading.Lock()
-
-        def take(scratch):
-            """Update blocks until none is left; a failed update leaves none."""
-            nonlocal blocks
-            while True:
-                with lock:
-                    block = next(blocks, None)
-                if block is None:
-                    return
-                try:
-                    self._update(block, scratch, bc1, bc2)
-                except BaseException:
-                    with lock:
-                        blocks = iter(())
-                    raise
-
-        futures = [_workers().submit(take, scratch) for scratch in self._scratch[1:]]
-        try:
-            take(self._scratch[0])
-        finally:
-            for error in [f.exception() for f in futures if not f.cancel()]:
-                if error is not None:
-                    raise error
+        blocks = [tuple(x[lo:lo + _BLOCK] for x in arrays)
+                  for arrays in flat for lo in range(0, arrays[0].size, _BLOCK)]
+        pool.drain(blocks, self._update, [(scratch, bc1, bc2) for scratch in self._scratch])
 
     def _update(self, block, scratch, bc1: float, bc2: float) -> None:
         """Update one (data, m, v, grad) block of flat views in place.

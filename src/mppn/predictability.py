@@ -19,7 +19,20 @@ It is computed exactly, in numpy with no Python loop over positions:
 3. the longest previous factor as the longer common prefix with those two
    neighbors, each common prefix found by descending the stored ranks.
 
-Ranks, positions and table rows are int32, which bounds n below 2**31.
+Ranks, positions, table rows and nearest-smaller bounds are int32; the
+bounds may overshoot to 3n, which bounds n by 2**31 // 3.
+
+``dataset_predictability`` sweeps a list of Q.  It checks every input,
+bins each variate for every Q from one ``np.quantile`` over all the Qs'
+probabilities (one ``searchsorted`` per Q gives ``discretize``'s
+symbols) and drains the (Q, variate) passes on two threads with
+``pool.drain``, in ascending Q: a larger Q gives shorter matches, so the
+last passes, which one thread may finish alone, are short.  A pass
+returns its exact match-length sum and distinct-symbol count and calls
+no public function of this module, so a wrapper around one runs on the
+caller alone.  S and the Fano bound are computed in the caller, so the
+reports equal those of the public functions applied one Q and variate at
+a time.
 """
 from __future__ import annotations
 
@@ -29,12 +42,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import pool
 from .errors import ArgumentError, DataError
 
 log = logging.getLogger(__name__)
 
 FANO_RESIDUAL_TOL = 1e-10
 FANO_CLAMP_RTOL = 1e-12
+# the largest series length: _nearest_smaller's int32 bounds reach 3n
+_MAX_N = 2**31 // 3
 
 
 @dataclass
@@ -53,6 +69,32 @@ class DiscreteSeries:
         return int(len(np.unique(self.symbols)))
 
 
+def _check_series(x: np.ndarray, q: int, mode: str) -> None:
+    if x.ndim != 1:
+        raise ArgumentError(f"discretize: expected a 1-d series, got shape {x.shape}")
+    if q < 2:
+        raise ArgumentError(f"discretize: Q must be >= 2, got {q}")
+    if not 2 <= len(x) <= _MAX_N:
+        raise ArgumentError(f"discretize: series length {len(x)} outside [2, 2**31 // 3]")
+    if np.isnan(x).any():
+        raise DataError("discretize: series contains NaN")
+    if not np.isfinite(x).all():
+        raise DataError("discretize: series contains non-finite values")
+    if mode not in ("equal-frequency", "equal-width"):
+        raise ArgumentError(f"discretize: unknown mode '{mode}'")
+
+
+def _bin(x: np.ndarray, q: int, mode: str, bounds: np.ndarray | None) -> np.ndarray:
+    """x's int64 symbols: searchsorted into ``bounds`` (the quantiles at
+    arange(1, q) / q) for equal-frequency, else equal-width."""
+    if mode == "equal-frequency":
+        return np.searchsorted(bounds, x, side="left").astype(np.int64, copy=False)
+    lo, hi = x.min(), x.max()
+    if hi == lo:
+        return np.zeros(len(x), dtype=np.int64)
+    return np.minimum((x - lo) / (hi - lo) * q, q - 1).astype(np.int64)
+
+
 def discretize(series, q: int, mode: str = "equal-frequency") -> DiscreteSeries:
     """Bin a real sequence into ``q`` integer symbols.
 
@@ -61,29 +103,9 @@ def discretize(series, q: int, mode: str = "equal-frequency") -> DiscreteSeries:
     constant series maps to a single symbol in either mode.
     """
     x = np.asarray(series, dtype=np.float64)
-    if x.ndim != 1:
-        raise ArgumentError(f"discretize: expected a 1-d series, got shape {x.shape}")
-    if q < 2:
-        raise ArgumentError(f"discretize: Q must be >= 2, got {q}")
-    if len(x) < 2:
-        raise ArgumentError(f"discretize: series too short ({len(x)} values)")
-    if np.isnan(x).any():
-        raise DataError("discretize: series contains NaN")
-    if not np.isfinite(x).all():
-        raise DataError("discretize: series contains non-finite values")
-
-    if mode == "equal-frequency":
-        bounds = np.quantile(x, np.arange(1, q) / q)
-        symbols = np.searchsorted(bounds, x, side="left")
-    elif mode == "equal-width":
-        lo, hi = x.min(), x.max()
-        if hi == lo:
-            symbols = np.zeros(len(x), dtype=np.int64)
-        else:
-            symbols = np.minimum((x - lo) / (hi - lo) * q, q - 1).astype(np.int64)
-    else:
-        raise ArgumentError(f"discretize: unknown mode '{mode}'")
-    return DiscreteSeries(symbols.astype(np.int64), q)
+    _check_series(x, q, mode)
+    bounds = np.quantile(x, np.arange(1, q) / q) if mode == "equal-frequency" else None
+    return DiscreteSeries(_bin(x, q, mode, bounds), q)
 
 
 def _suffix_array(s: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -153,11 +175,11 @@ def _nearest_smaller(sa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     while 2 * w <= n:
         table.append(np.minimum(table[-1][:-w], table[-1][w:]))
         w *= 2
-    left = np.arange(n)
-    right = np.arange(n)
+    left = np.arange(n, dtype=np.int32)
+    right = np.arange(n, dtype=np.int32)
     for lvl in range(len(table) - 1, -1, -1):
         row = table[lvl]
-        w = 1 << lvl
+        w = np.int32(1 << lvl)
         left -= (row.take(left - w, mode="clip") > sa) * w
         right += (row.take(right + 1, mode="clip") > sa) * w
     return np.maximum(left, 0) - 1, np.minimum(right, n - 1) + 1
@@ -187,14 +209,15 @@ def lz_match_lengths(symbols: np.ndarray) -> np.ndarray:
 
     The first position always scores 1; a position whose entire suffix has
     occurred before scores suffix length + 1.  Symbols may be any int64
-    values.  Ranks, the suffix array and the sparse-table rows are int32
-    and only the doubling sort key is int64, so n must stay below 2**31.
+    values.  Ranks, the suffix array, the sparse-table rows and the
+    nearest-smaller bounds are int32 and only the doubling sort key is
+    int64; the bounds may overshoot to 3n, so n must be at most 2**31 // 3.
     """
     s = np.asarray(symbols, dtype=np.int64)
     if len(s) < 2:
         raise ArgumentError(f"lz_match_lengths: need n >= 2, got {len(s)}")
-    if len(s) >= 2**31:
-        raise ArgumentError(f"lz_match_lengths: need n < 2**31, got {len(s)}")
+    if len(s) > _MAX_N:
+        raise ArgumentError(f"lz_match_lengths: need n <= 2**31 // 3, got {len(s)}")
     return _longest_previous_factor(s) + 1
 
 
@@ -321,19 +344,42 @@ class PredictabilityReport:
         }
 
 
-def dataset_predictability(dataset, q: int = 10, mode: str = "equal-frequency") -> PredictabilityReport:
-    """Run the discretize -> entropy-rate -> bound pipeline per variate.
+def dataset_predictability(dataset, q_values, mode: str = "equal-frequency") -> list[PredictabilityReport]:
+    """The discretize -> entropy-rate -> bound pipeline per variate, one
+    report per Q of ``q_values``, in that order.
 
     The bound for each variate uses that variate's realized alphabet size,
     and the dataset aggregate is the arithmetic mean over variates.
     """
-    if dataset.values.size == 0:
+    values = dataset.values
+    if values.size == 0:
         raise DataError("dataset_predictability: empty dataset")
-    entries = []
-    for c, name in enumerate(dataset.names):
-        d = discretize(dataset.values[:, c], q, mode)
-        s = lz_entropy_rate(d)
-        n_distinct = d.distinct
-        entries.append(VariatePredictability(name, s, fano_upper_bound(s, n_distinct), n_distinct))
-    mean_pi = float(np.mean([v.pi_max for v in entries]))
-    return PredictabilityReport(entries, mean_pi, q, mode)
+    if not q_values:
+        return []
+    for x in values.T:
+        _check_series(x, min(q_values), mode)
+    bounds = [[None] * len(q_values)] * len(dataset.names)
+    if mode == "equal-frequency":
+        probs = [np.arange(1, q) / q for q in q_values]
+        cuts = np.cumsum([len(p) for p in probs])[:-1]
+        bounds = [np.split(np.quantile(x, np.concatenate(probs)), cuts) for x in values.T]
+    order = sorted(range(len(q_values)), key=q_values.__getitem__)
+    counts = {}
+
+    def run(task):
+        k, c = task
+        symbols = _bin(values[:, c], q_values[k], mode, bounds[c][k])
+        lam_sum = int(_longest_previous_factor(symbols).sum()) + len(symbols)
+        counts[task] = lam_sum, int(np.count_nonzero(np.bincount(symbols)))
+
+    pool.drain([(k, c) for k in order for c in range(len(dataset.names))], run)
+    n = len(values)
+    reports = []
+    for k, q in enumerate(q_values):
+        entries = []
+        for c, name in enumerate(dataset.names):
+            lam_sum, n_distinct = counts[k, c]
+            s = n * math.log2(n) / lam_sum
+            entries.append(VariatePredictability(name, s, fano_upper_bound(s, n_distinct), n_distinct))
+        reports.append(PredictabilityReport(entries, float(np.mean([v.pi_max for v in entries])), q, mode))
+    return reports

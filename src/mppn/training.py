@@ -57,6 +57,16 @@ def _is_finite_real(value) -> bool:
         return False
 
 
+def unique_pairs(pairs) -> dict:
+    """A ``json.loads`` object_pairs_hook that rejects a repeated key."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} repeated")
+        obj[key] = value
+    return obj
+
+
 @dataclass
 class RunConfig:
     model: str = "mppn"
@@ -131,18 +141,9 @@ class RunConfig:
         as a string.  A repeated key, and JSON that fails otherwise
         (nested past the recursion limit, say), is a ConfigError."""
         where = "config"
-
-        def unique(pairs):
-            obj = {}
-            for key, value in pairs:
-                if key in obj:
-                    raise ConfigError(f"{where}: key {key!r} repeated")
-                obj[key] = value
-            return obj
-
         try:
             if text.lstrip().startswith("{"):
-                raw = json.loads(text, object_pairs_hook=unique)
+                raw = json.loads(text, object_pairs_hook=unique_pairs)
             else:
                 raw = {}
                 for ln, line in enumerate(text.splitlines(), 1):
@@ -156,7 +157,7 @@ class RunConfig:
                     if key in raw:
                         raise ConfigError(f"{where}: key {key!r} repeated")
                     try:
-                        raw[key] = json.loads(value, object_pairs_hook=unique)
+                        raw[key] = json.loads(value, object_pairs_hook=unique_pairs)
                     except json.JSONDecodeError:
                         raw[key] = value
         except (RecursionError, ValueError) as exc:
@@ -492,7 +493,7 @@ def analyze(data_path, q_values, binning: str, top_k: int, periods_override,
         raise ConfigError(f"analyze: period {max(periods_override)} is longer than the series "
                           f"({ds.length} rows)")
 
-    reports = [dataset_predictability(ds, q, binning).to_dict() for q in q_values]
+    reports = [r.to_dict() for r in dataset_predictability(ds, list(q_values), binning)]
     predict_part = reports[0] if len(reports) == 1 else {"sweep": reports}
 
     if periods_override:

@@ -266,8 +266,8 @@ def test_a6_dataset_predictability():
     for name, path in available.items():
         ds = load_csv(path)
         best = None
-        for q in (5, 10, 20, 50):
-            mean_pi = dataset_predictability(ds, q).mean_pi_max
+        for rep in dataset_predictability(ds, [5, 10, 20, 50]):
+            q, mean_pi = rep.q, rep.mean_pi_max
             if best is None or abs(mean_pi - _TABLE_PI[name]) < abs(best[1] - _TABLE_PI[name]):
                 best = (q, mean_pi)
         results[name] = best

@@ -271,6 +271,17 @@ def test_deeply_nested_synth_spec_is_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("spec", ['[[{"amplitude": 1, "amplitude": 2, "period": 4}]]',
+                                  '[[{"amplitude": 2, "period": 4, "period": 4}]]'])
+def test_synth_spec_with_a_repeated_key_is_usage_error(tmp_path, capsys, spec):
+    out_path = tmp_path / "s.csv"
+    code, out, err = run_cli(capsys, "synth", "--spec", spec, "--timesteps", "8",
+                             "--out", str(out_path))
+    assert code == 2 and out == "" and not out_path.exists()
+    assert err.startswith("configuration error: synth: --spec does not parse as JSON: key ")
+    assert "repeated" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("width", ["4", "1", "97"])
 def test_dlinear_moving_average_is_checked_before_the_data_is_read(tmp_path, capsys, width):
     code, out, err = run_cli(capsys, "train", "--model", "dlinear", "--lookback", "48",

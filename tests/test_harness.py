@@ -458,7 +458,8 @@ def test_evaluate_is_read_only(tmp_path):
 
 
 def test_inference_starts_no_thread(tmp_path):
-    # a fresh interpreter, so no earlier test's optimizer has started one
+    # a fresh interpreter, so no earlier test's optimizer has started one;
+    # analyze drains its passes on the shared worker, and starts no other
     path = tone_csv(tmp_path / "tone.csv")
     ckpt = tmp_path / "m.ckpt"
     train(small_run(path, max_epochs=1), ckpt)
@@ -466,13 +467,17 @@ def test_inference_starts_no_thread(tmp_path):
         import sys, threading
         import mppn
         from mppn import training
-        before = threading.active_count()
-        assert before == 1, threading.enumerate()
+        before = set(threading.enumerate())
+        assert len(before) == 1, before
         training.evaluate(sys.argv[1])
         training.forecast(sys.argv[1])
-        training.analyze(sys.argv[2], [4, 8], "equal-frequency", 1, None, "standard")
-        assert threading.active_count() == before, threading.enumerate()
+        assert set(threading.enumerate()) == before, threading.enumerate()
         assert "concurrent.futures" not in sys.modules
+        training.analyze(sys.argv[2], [4, 8], "equal-frequency", 1, None, "standard")
+        added = set(threading.enumerate()) - before
+        assert len(added) <= 1 and all(t.name.startswith("mppn-worker") for t in added), added
+        training.analyze(sys.argv[2], [4, 8], "equal-frequency", 1, None, "standard")
+        assert set(threading.enumerate()) - before == added, threading.enumerate()
         """)
     src = Path(training.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -2,6 +2,9 @@
 import itertools
 import logging
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -10,10 +13,12 @@ from hypothesis import strategies as st
 
 from helpers import brute_match_lengths, reference_match_lengths
 from mppn.data import SeriesDataset
+from mppn import pool
+from mppn import predictability as P
 from mppn.errors import ArgumentError, DataError
-from mppn.predictability import (DiscreteSeries, dataset_predictability, discretize,
-                                 fano_upper_bound, lz_entropy_rate, lz_entropy_rate_corrected,
-                                 lz_match_lengths)
+from mppn.predictability import (DiscreteSeries, PredictabilityReport, VariatePredictability,
+                                 dataset_predictability, discretize, fano_upper_bound,
+                                 lz_entropy_rate, lz_entropy_rate_corrected, lz_match_lengths)
 from mppn.rng import SplitMix64
 
 
@@ -154,6 +159,16 @@ def test_match_lengths_reject_two_to_the_31_symbols():
         lz_match_lengths(np.broadcast_to(np.int64(0), (2**31,)))
 
 
+def test_length_bound_of_the_int32_nearest_smaller_bounds():
+    # zero-stride views again: _nearest_smaller's int32 bounds reach 3n, so
+    # one symbol past 2**31 // 3 must be refused before any pass starts
+    n = 2**31 // 3 + 1
+    with pytest.raises(ArgumentError, match="2\\*\\*31 // 3"):
+        lz_match_lengths(np.broadcast_to(np.int64(0), (n,)))
+    with pytest.raises(ArgumentError, match="2\\*\\*31 // 3"):
+        discretize(np.broadcast_to(0.0, (n,)), 5)
+
+
 def test_entropy_rate_iid_uniform_eight_symbols():
     # The estimator approaches log2(8) from below as n grows; at n=20000 the
     # finite-sample value sits near 2.82 bits (the bias decays like 1/log n).
@@ -282,7 +297,7 @@ def _dataset(columns: dict[str, np.ndarray]) -> SeriesDataset:
 
 def test_dataset_predictability_constant_variate():
     ds = _dataset({"flat": np.full(500, 2.0)})
-    report = dataset_predictability(ds, q=10)
+    report = dataset_predictability(ds, [10])[0]
     assert report.variates[0].pi_max == 1.0
     assert report.mean_pi_max == 1.0
 
@@ -291,7 +306,7 @@ def test_dataset_predictability_mixed_constant_and_noise():
     rng = SplitMix64(77)
     noise = rng.integers(8, 20000).astype(float)
     ds = _dataset({"flat": np.full(20000, 1.0), "noise": noise})
-    report = dataset_predictability(ds, q=8)
+    report = dataset_predictability(ds, [8])[0]
     flat, noisy = report.variates
     assert flat.pi_max == 1.0
     # the noisy variate's bound follows from the measured entropy rate
@@ -302,7 +317,7 @@ def test_dataset_predictability_mixed_constant_and_noise():
 
 def test_dataset_predictability_report_schema():
     ds = _dataset({"a": np.sin(np.arange(200.0)), "b": np.cos(np.arange(200.0))})
-    doc = dataset_predictability(ds, q=5, mode="equal-frequency").to_dict()
+    doc = dataset_predictability(ds, [5], mode="equal-frequency")[0].to_dict()
     assert set(doc) == {"variates", "mean_pi_max", "Q", "mode"}
     assert set(doc["variates"][0]) == {"name", "S_bits", "pi_max", "N"}
     assert doc["Q"] == 5 and doc["mode"] == "equal-frequency"
@@ -312,4 +327,141 @@ def test_dataset_predictability_report_schema():
 
 def test_dataset_predictability_empty_dataset():
     with pytest.raises(DataError):
-        dataset_predictability(SeriesDataset([], np.zeros((0, 0))), q=5)
+        dataset_predictability(SeriesDataset([], np.zeros((0, 0))), [5])
+
+
+# ---------------------------------------------------------------------------
+# the Q sweep
+
+def _serial_reports(ds, q_values, mode="equal-frequency"):
+    """The sweep's reports, one public function call at a time."""
+    reports = []
+    for q in q_values:
+        entries = []
+        for c, name in enumerate(ds.names):
+            d = discretize(ds.values[:, c], q, mode)
+            s = lz_entropy_rate(d)
+            entries.append(VariatePredictability(name, s, fano_upper_bound(s, d.distinct), d.distinct))
+        reports.append(PredictabilityReport(entries, float(np.mean([v.pi_max for v in entries])),
+                                            q, mode))
+    return reports
+
+
+def _sweep_dataset(n=3000):
+    rng = SplitMix64(31)
+    walk = np.cumsum(rng.uniform01(n) - 0.5)
+    return _dataset({"walk": walk, "flat": np.full(n, 4.0),
+                     "tied": rng.integers(3, n).astype(float), "noise": rng.uniform01(n)})
+
+
+@pytest.mark.parametrize("q_values", [[5], [5, 10, 20, 50], [50, 5, 20, 5]])
+@pytest.mark.parametrize("mode", ["equal-frequency", "equal-width"])
+def test_sweep_matches_the_serial_pipeline(q_values, mode):
+    ds = _sweep_dataset()
+    assert dataset_predictability(ds, q_values, mode) == _serial_reports(ds, q_values, mode)
+
+
+def test_sweep_matches_the_serial_pipeline_under_frequent_thread_switches():
+    ds = _sweep_dataset(1500)
+    q_values = [5, 10, 20, 50, 3, 7]
+    want = _serial_reports(ds, q_values)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = [dataset_predictability(ds, q_values) for _ in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want] * 3
+
+
+@pytest.mark.parametrize("kind", ["random", "tied", "constant"])
+def test_sweep_bins_each_variate_like_discretize(monkeypatch, kind):
+    rng = SplitMix64(8)
+    x = {"random": rng.uniform01(2000), "tied": rng.integers(4, 2000).astype(float),
+         "constant": np.full(2000, -1.5)}[kind]
+    q_values = [5, 10, 20, 50, 7]
+    seen, lock, lpf = [], threading.Lock(), P._longest_previous_factor
+
+    def recording(symbols):
+        with lock:
+            seen.append(symbols.copy())
+        return lpf(symbols)
+
+    monkeypatch.setattr(P, "_longest_previous_factor", recording)
+    dataset_predictability(_dataset({"x": x}), q_values)
+    # two threads record the passes in either order
+    want = [discretize(x, q).symbols for q in q_values]
+    assert sorted(a.dtype.str + a.tobytes().hex() for a in seen) == \
+        sorted(a.dtype.str + a.tobytes().hex() for a in want)
+
+
+def test_sweep_does_not_wait_for_a_worker_that_has_not_started():
+    ds = _sweep_dataset()
+    q_values = [5, 10, 20, 50]
+    hold = threading.Event()
+    held = pool._workers().submit(hold.wait)  # the pool's only worker
+    result = []
+    try:
+        sweeping = threading.Thread(target=lambda: result.append(dataset_predictability(ds, q_values)))
+        sweeping.start()
+        sweeping.join(timeout=30)
+        assert not sweeping.is_alive() and not hold.is_set()
+    finally:
+        hold.set()
+    assert held.result(timeout=30)
+    assert result == [_serial_reports(ds, q_values)]
+    assert dataset_predictability(ds, q_values) == result[0]
+
+
+@pytest.mark.parametrize("failing", ["caller", "worker"])
+def test_sweep_raises_a_pass_error_from_either_thread(monkeypatch, failing):
+    ds = _sweep_dataset()
+    lpf, raised = P._longest_previous_factor, []
+
+    def flaky(symbols):
+        in_caller = threading.current_thread() is sweeping
+        if (in_caller == (failing == "caller")) and not raised:
+            raised.append(True)
+            raise DataError("pass failed")
+        if in_caller:
+            time.sleep(0.05)  # leaves passes for the worker
+        return lpf(symbols)
+
+    monkeypatch.setattr(P, "_longest_previous_factor", flaky)
+    result = []
+
+    def sweep():
+        try:
+            dataset_predictability(ds, [5, 10, 20, 50])
+        except DataError as exc:
+            result.append(exc)
+
+    sweeping = threading.Thread(target=sweep)
+    sweeping.start()
+    sweeping.join(timeout=60)
+    assert not sweeping.is_alive()
+    assert raised and len(result) == 1 and str(result[0]) == "pass failed"
+
+
+@pytest.mark.parametrize("column, q_values, error", [
+    (np.array([1.0, np.nan, 2.0, 3.0]), [5], DataError),
+    (np.array([1.0, np.inf, 2.0, 3.0]), [5], DataError),
+    (np.array([1.0, 2.0, 3.0, 4.0]), [5, 1], ArgumentError),
+    (np.array([1.0]), [5], ArgumentError),
+], ids=["nan", "infinite", "q-below-2", "one-row"])
+def test_sweep_checks_every_input_before_any_pass(monkeypatch, column, q_values, error):
+    def no_pass(*args):
+        raise AssertionError("a pass ran")
+
+    monkeypatch.setattr(P, "_longest_previous_factor", no_pass)
+    monkeypatch.setattr(pool, "drain", no_pass)
+    with pytest.raises(error):
+        dataset_predictability(_dataset({"ok": np.arange(len(column), dtype=float), "x": column}),
+                               q_values)
+
+
+def test_sweep_rejects_an_unknown_mode_and_runs_an_empty_q_list():
+    ds = _sweep_dataset(50)
+    with pytest.raises(ArgumentError, match="mode"):
+        dataset_predictability(ds, [5], mode="bogus")
+    assert dataset_predictability(ds, []) == []

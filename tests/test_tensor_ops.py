@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from helpers import (assert_channel_affine_rows_batch_invariant, check_grads,
                      reference_adam_step, reference_channel_affine)
-from mppn import optim
+from mppn import optim, pool
 from mppn import tensor as T
 from mppn.errors import ArgumentError, ReceptiveFieldError, ShapeError
 from mppn.model import MPPNConfig, parameter_shapes
@@ -798,7 +798,7 @@ def test_adam_step_does_not_wait_for_a_worker_that_has_not_started():
     params = [Tensor(a.copy(), requires_grad=True) for a in start]
     opt = Adam(params)
     hold = threading.Event()
-    held = optim._workers().submit(hold.wait)  # the pool's only worker
+    held = pool._workers().submit(hold.wait)  # the pool's only worker
     try:
         for p, g in zip(params, grads[0]):
             p.grad = g
