@@ -20,7 +20,7 @@ import numpy as np
 
 from . import synth as synthmod
 from . import training
-from .data import write_csv
+from .data import SPLIT_SCHEMES, write_csv
 from .errors import ArgumentError, ConfigError, DataError, DivergenceError
 from .training import RunConfig
 
@@ -43,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--binning", choices=["equal-frequency", "equal-width"], default="equal-frequency")
     a.add_argument("--top-k", type=int, default=2)
     a.add_argument("--periods", type=_int_list, default=None, help="override, skips detection")
-    a.add_argument("--split-scheme", choices=["ett", "standard"], default="standard")
+    a.add_argument("--split-scheme", choices=SPLIT_SCHEMES, default="standard")
     a.add_argument("--no-date-column", dest="date_column", action="store_false")
     a.add_argument("--fill-missing", action="store_true")
 
@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--seed", type=int, default=None, help="run seed")
     t.add_argument("--out", type=str, default=None, help="checkpoint path")
     t.add_argument("--model", choices=training.MODEL_KINDS, default=None)
-    t.add_argument("--split-scheme", choices=["ett", "standard"], default=None)
+    t.add_argument("--split-scheme", choices=SPLIT_SCHEMES, default=None)
     t.add_argument("--lookback", type=int, default=None)
     t.add_argument("--horizon", type=int, default=None)
     t.add_argument("--hidden", type=int, default=None)

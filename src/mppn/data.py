@@ -206,6 +206,9 @@ def load_csv(path, strict: bool = True, date_column: bool = True) -> SeriesDatas
     return SeriesDataset(names, values, timestamps)
 
 
+SPLIT_SCHEMES = ("ett", "standard")
+
+
 def chronological_split(dataset: SeriesDataset, scheme: str) -> SeriesDataset:
     """Standard benchmark boundaries: 6:2:2 for 'ett', 7:1:2 otherwise.
 
@@ -303,10 +306,20 @@ class ForecastMetrics:
         return {"split": split, "mse": self.mse, "mae": self.mae, "windows": self.windows}
 
 
+def error_sums(diff: np.ndarray) -> tuple[float, float, int, int]:
+    """The partial sums (sum of d**2, sum of |d|, count, windows) of one
+    chunk's errors ``diff [B, H, C]``, C-contiguous.  numpy's pairwise sum
+    runs in memory order, so the same errors stored as [B, C, H] can sum
+    to other bits."""
+    return float(np.sum(diff * diff)), float(np.sum(np.abs(diff))), diff.size, diff.shape[0]
+
+
 class MetricsAccumulator:
-    """One-pass accumulation of squared and absolute errors over every
-    predicted element.  Batch grouping moves the result only by rounding:
-    100 windows in chunks of 7 or in one chunk can differ in the last bit."""
+    """Squared and absolute errors over every predicted element, summed one
+    chunk at a time: each chunk's ``error_sums`` are added to the totals in
+    the order the chunks are given, whether by ``add`` or by ``add_sums``.
+    Chunk grouping moves the result only by rounding: 100 windows in
+    chunks of 7 or in one chunk can differ in the last bit."""
 
     def __init__(self):
         self._sq = 0.0
@@ -321,11 +334,15 @@ class MetricsAccumulator:
             raise ShapeError(f"metrics: prediction must be [B, H, C], got shape {p.shape}")
         if p.shape != t.shape:
             raise ShapeError(f"metrics: prediction {p.shape} misaligned with target {t.shape}")
-        diff = p - t
-        self._sq += float(np.sum(diff * diff))
-        self._ab += float(np.sum(np.abs(diff)))
-        self._count += diff.size
-        self._windows += p.shape[0]
+        self.add_sums(error_sums(p - t))
+
+    def add_sums(self, sums: tuple[float, float, int, int]) -> None:
+        """Add one chunk's ``error_sums``."""
+        sq, ab, count, windows = sums
+        self._sq += sq
+        self._ab += ab
+        self._count += count
+        self._windows += windows
 
     def finalize(self) -> ForecastMetrics:
         if self._count == 0:

@@ -432,6 +432,23 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 _ROWS = 16
 
 
+def _affine_forward(xt: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``channel_affine``'s forward on arrays: windows ``xt [C, B, L]``, of
+    any strides, through ``a [C, L, H]`` and ``b [C, H]`` to a new
+    C-contiguous ``[B, H, C]``.  The windows are copied once, into the
+    zero-padded ``[C, blocks * _ROWS, L]`` layout of the fixed-shape
+    products."""
+    channels, n, lookback = xt.shape
+    blocks = -(-n // _ROWS)
+    padded = np.zeros((channels, blocks * _ROWS, lookback))
+    padded[:, :n] = xt
+    rows = np.matmul(padded.reshape(channels, blocks, _ROWS, lookback), a[:, None])
+    rows = rows.reshape(channels, blocks * _ROWS, a.shape[2])[:, :n]
+    out = np.empty((n, a.shape[2], channels))
+    np.add(rows.transpose(1, 2, 0), b.T, out=out)
+    return out
+
+
 def channel_affine(x: Tensor, a: Tensor, b: Tensor) -> Tensor:
     """Per-channel affine map of a batch of windows:
     ``out[n, h, c] = sum_l x[n, l, c] * a[c, l, h] + b[c, h]``, mapping
@@ -452,14 +469,7 @@ def channel_affine(x: Tensor, a: Tensor, b: Tensor) -> Tensor:
             or b.shape != (a.shape[0], a.shape[2])):
         raise ShapeError(f"channel_affine: windows {x.shape} do not match kernel {a.shape} "
                          f"and bias {b.shape}; expected [B, L, C], [C, L, H], [C, H]")
-    n, lookback, channels = x.shape
-    blocks = -(-n // _ROWS)
-    padded = np.zeros((channels, blocks * _ROWS, lookback))
-    padded[:, :n] = x.data.transpose(2, 0, 1)
-    rows = np.matmul(padded.reshape(channels, blocks, _ROWS, lookback), a.data[:, None])
-    rows = rows.reshape(channels, blocks * _ROWS, a.shape[2])[:, :n]
-    out = np.empty((n, a.shape[2], channels))
-    np.add(rows.transpose(1, 2, 0), b.data.T, out=out)
+    out = _affine_forward(x.data.transpose(2, 0, 1), a.data, b.data)
 
     def bw(g):
         gt = g.transpose(2, 0, 1)  # [C, B, H]

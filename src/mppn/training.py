@@ -9,7 +9,10 @@ Every forecaster is affine in its input window, channel by channel, and
 composes that map from its weights as one kernel (A [C, L, H], b [C, H])
 that the tape differentiates.  Training, forecast and kernel export run
 through it; scoring a split (evaluate, and the per-epoch validation of
-train) composes it once and applies it to every chunk of windows.
+train) composes it once and applies it to every chunk of windows.  Those
+windows are read through a strided view of the series, with no gather,
+and the chunks are scored on both threads of ``pool.drain``; training
+batches are shuffled, so they are gathered by ``iter_batches``.
 """
 from __future__ import annotations
 
@@ -23,12 +26,14 @@ from typing import Callable
 
 import numpy as np
 
-from . import baselines, model
+from . import baselines, model, pool
 from . import tensor as T
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import (ForecastMetrics, MetricsAccumulator, SeriesDataset, Standardizer,
-                   chronological_split, iter_batches, load_csv, window_origins)
-from .errors import ConfigError, DataError, DivergenceError, FormatError
+from .data import (SPLIT_SCHEMES, ForecastMetrics, MetricsAccumulator, SeriesDataset,
+                   Standardizer, chronological_split, error_sums, iter_batches, load_csv,
+                   window_origins)
+from .errors import (ArgumentError, ConfigError, DataError, DivergenceError, FormatError,
+                     ShapeError)
 from .optim import Adam
 from .periods import MIN_SPECTRUM_ROWS, detect_periods
 from .predictability import dataset_predictability
@@ -94,9 +99,11 @@ class RunConfig:
         fails raises ConfigError."""
         if self.model not in MODEL_KINDS:
             raise ConfigError(f"unknown model kind '{self.model}', expected one of {MODEL_KINDS}")
-        for name in ("data", "split_scheme"):
-            if not isinstance(getattr(self, name), str):
-                raise ConfigError(f"config: {name} must be a string, got {getattr(self, name)!r}")
+        if not isinstance(self.data, str):
+            raise ConfigError(f"config: data must be a string, got {self.data!r}")
+        if self.split_scheme not in SPLIT_SCHEMES:
+            raise ConfigError(f"config: split_scheme must be one of {SPLIT_SCHEMES}, "
+                              f"got {self.split_scheme!r}")
         for name, least in _INT_FIELD_MIN.items():
             value = getattr(self, name)
             if not _is_int(value) or value < least:
@@ -305,15 +312,52 @@ def resolve_periods(run: RunConfig, train_std: np.ndarray) -> tuple[int, ...]:
     return usable
 
 
+def _chunk_forecast(view: np.ndarray, lo: int, hi: int, lookback: int, a: np.ndarray,
+                    b: np.ndarray) -> np.ndarray:
+    """Forecasts [hi - lo, H, C] of rows lo:hi of ``view``, the windows
+    [N, C, L + H] of ``sliding_window_view(values, L + H, axis=0)``: row s
+    is the window whose origin is s + L."""
+    return T._affine_forward(view[lo:hi, :, :lookback].transpose(1, 0, 2), a, b)
+
+
 def split_metrics(fc: Forecaster, values: np.ndarray, origins: np.ndarray, lookback: int,
                   horizon: int, batch_size: int) -> ForecastMetrics:
-    """Metrics over the windows at ``origins``: the kernel is composed once
-    and applied to each chunk of batch_size windows."""
+    """Metrics over the windows at ``origins``, which must be consecutive:
+    the kernel is composed once and applied to each chunk of batch_size
+    windows.
+
+    The windows are read through a strided view of ``values``, so no chunk
+    is gathered.  Both threads of ``pool.drain`` score chunks, each to its
+    ``error_sums``; the caller adds them in chunk order, so the metrics
+    are those of one thread adding chunk after chunk.  Nothing a chunk
+    runs touches the tape or ``MetricsAccumulator``."""
+    if batch_size < 1:
+        raise ArgumentError(f"split_metrics: batch_size must be >= 1, got {batch_size}")
+    n = len(origins)
+    if not (n and np.array_equal(origins, origins[0] + np.arange(n))
+            and lookback <= origins[0] and origins[-1] + horizon <= len(values)):
+        raise ArgumentError(f"split_metrics: origins must be a non-empty run of consecutive "
+                            f"integers in [{lookback}, {len(values) - horizon}]")
     with T.no_grad():
-        a, b = fc.kernel()
-        acc = MetricsAccumulator()
-        for inp, tgt, _ in iter_batches(values, origins, lookback, horizon, batch_size):
-            acc.add(T.channel_affine(Tensor(inp), a, b), tgt)
+        a, b = (t.data for t in fc.kernel())
+    if values.ndim != 2 or a.shape != (values.shape[1], lookback, horizon):
+        raise ShapeError(f"split_metrics: values {values.shape} do not match kernel {a.shape} "
+                         f"for lookback {lookback} and horizon {horizon}")
+    view = np.lib.stride_tricks.sliding_window_view(values, lookback + horizon, axis=0)
+    end = int(origins[-1]) - lookback + 1  # one past the last window's row of view
+    starts = list(range(int(origins[0]) - lookback, end, batch_size))
+    sums = {}
+
+    def score(lo):
+        hi = min(lo + batch_size, end)
+        diff = _chunk_forecast(view, lo, hi, lookback, a, b)
+        np.subtract(diff, view[lo:hi, :, lookback:].transpose(0, 2, 1), out=diff)
+        sums[lo] = error_sums(diff)
+
+    pool.drain(starts, score)
+    acc = MetricsAccumulator()
+    for lo in starts:
+        acc.add_sums(sums[lo])
     return acc.finalize()
 
 

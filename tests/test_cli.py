@@ -311,6 +311,37 @@ def test_dlinear_checkpoint_with_an_even_moving_average_is_data_error(tone_csv, 
                    "must be odd and in [3, 95] for dlinear, got 4\n")
 
 
+@pytest.mark.parametrize("scheme", ['"standrd"', '"ETT"', '""', "7"])
+def test_unknown_split_scheme_in_a_config_file_is_usage_error(tone_csv, tmp_path, capsys, scheme):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"model=\"nlinear\"\nsplit_scheme={scheme}\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "train", "--config", str(cfg), "--data", str(tone_csv),
+                             "--out", str(tmp_path / "m.ckpt"))
+    assert code == 2 and out == "" and not (tmp_path / "m.ckpt").exists()
+    assert err.startswith("configuration error: config: split_scheme must be one of "
+                          "('ett', 'standard'), got ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["eval", "forecast", "gates", "kernel"])
+def test_checkpoint_with_an_unknown_split_scheme_is_data_error(tone_csv, tmp_path, capsys,
+                                                               command):
+    # one flipped byte of "standard" used to load, then fail as a usage error
+    from mppn.training import config_blob
+    run = RunConfig(model="mppn", data=str(tone_csv), lookback=48, horizon=12, hidden=4,
+                    resolutions=(1, 3), periods=(24,))
+    text = config_blob(run, {"channels": 2, "channel_names": ["v0", "v1"],
+                             "resolved_periods": [24]})
+    assert '\nsplit_scheme="standard"\n' in text
+    ckpt = _mppn_checkpoint(tone_csv, tmp_path / "m.ckpt",
+                            config_text=text.replace('"standard"', '"standrd"'))
+    out_flag = ["--out", str(tmp_path / "o")] if command != "eval" else []
+    code, out, err = run_cli(capsys, command, "--ckpt", str(ckpt), *out_flag)
+    assert code == 3 and out == ""
+    assert err == ("data error: checkpoint: config text does not parse: config: split_scheme "
+                   "must be one of ('ett', 'standard'), got 'standrd'\n")
+
+
 @pytest.mark.parametrize("names", ["a,a", " ,b"], ids=["duplicate", "blank"])
 def test_synth_names_follow_the_loader_rule(tmp_path, capsys, names):
     out_path = tmp_path / "s.csv"

@@ -459,7 +459,8 @@ def test_evaluate_is_read_only(tmp_path):
 
 def test_inference_starts_no_thread(tmp_path):
     # a fresh interpreter, so no earlier test's optimizer has started one;
-    # analyze drains its passes on the shared worker, and starts no other
+    # evaluate drains its chunks and analyze its passes on the shared
+    # worker, and neither starts another
     path = tone_csv(tmp_path / "tone.csv")
     ckpt = tmp_path / "m.ckpt"
     train(small_run(path, max_epochs=1), ckpt)
@@ -469,13 +470,14 @@ def test_inference_starts_no_thread(tmp_path):
         from mppn import training
         before = set(threading.enumerate())
         assert len(before) == 1, before
-        training.evaluate(sys.argv[1])
         training.forecast(sys.argv[1])
         assert set(threading.enumerate()) == before, threading.enumerate()
         assert "concurrent.futures" not in sys.modules
-        training.analyze(sys.argv[2], [4, 8], "equal-frequency", 1, None, "standard")
+        training.evaluate(sys.argv[1])
         added = set(threading.enumerate()) - before
         assert len(added) <= 1 and all(t.name.startswith("mppn-worker") for t in added), added
+        training.evaluate(sys.argv[1])
+        assert set(threading.enumerate()) - before == added, threading.enumerate()
         training.analyze(sys.argv[2], [4, 8], "equal-frequency", 1, None, "standard")
         assert set(threading.enumerate()) - before == added, threading.enumerate()
         """)
@@ -515,27 +517,23 @@ def test_forecast_matches_its_row_in_the_chunked_evaluate(tmp_path, monkeypatch,
     path = tone_csv(tmp_path / "tone.csv")
     ckpt = tmp_path / "m.ckpt"
     train(small_run(path, model=kind, max_epochs=1), ckpt)
-    chunks, preds = [], []
-    batches = training.iter_batches
+    preds = {}  # first origin of a chunk -> the chunk's forecasts
+    chunk_forecast = training._chunk_forecast
 
-    def recording_batches(*args):
-        for inp, tgt, chunk in batches(*args):
-            chunks.append(chunk)
-            yield inp, tgt, chunk
+    def recording_forecast(view, lo, hi, lookback, a, b):
+        pred = chunk_forecast(view, lo, hi, lookback, a, b)
+        preds[lo + lookback] = pred.copy()
+        return pred
 
-    class Recorder(training.MetricsAccumulator):
-        def add(self, pred, target):
-            preds.append(pred.data.copy())
-            super().add(pred, target)
-
-    monkeypatch.setattr(training, "iter_batches", recording_batches)
-    monkeypatch.setattr(training, "MetricsAccumulator", Recorder)
+    monkeypatch.setattr(training, "_chunk_forecast", recording_forecast)
     evaluate(ckpt, split="test")
-    assert len(chunks) >= 3 and len(chunks[-1]) < len(chunks[0])
+    firsts = sorted(preds)
+    assert len(firsts) >= 3 and len(preds[firsts[-1]]) < len(preds[firsts[0]])
     # a chunk's first row, a middle row, and rows of the last, partial chunk
-    for k, row in [(1, 0), (1, len(chunks[1]) // 2), (0, 5), (-1, 0), (-1, len(chunks[-1]) - 1)]:
-        pred, _, _ = forecast(ckpt, origin=int(chunks[k][row]), standardized=True)
-        assert np.array_equal(pred, preds[k][row]), (kind, k, row)
+    for k, row in [(1, 0), (1, len(preds[firsts[1]]) // 2), (0, 5), (-1, 0),
+                   (-1, len(preds[firsts[-1]]) - 1)]:
+        pred, _, _ = forecast(ckpt, origin=firsts[k] + row, standardized=True)
+        assert np.array_equal(pred, preds[firsts[k]][row]), (kind, k, row)
 
 
 def test_forecast_origin_validation(tmp_path):

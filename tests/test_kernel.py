@@ -1,12 +1,17 @@
 """The composed affine kernel, the path every forecaster runs through."""
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import check_grads, reference_compose_kernel, reference_forward, reference_kernel
+from mppn import pool, training
 from mppn import tensor as T
 from mppn.data import MetricsAccumulator, iter_batches
+from mppn.errors import ArgumentError, DataError, ShapeError
 from mppn.model import MPPNConfig, compose_kernel
 from mppn.optim import Adam
 from mppn.tensor import Tensor
@@ -308,3 +313,121 @@ def test_split_metrics_match_the_direct_forward_loop(kind):
     assert got.windows == want.windows == len(origins)
     assert got.mse == pytest.approx(want.mse, rel=1e-12)
     assert got.mae == pytest.approx(want.mae, rel=1e-12)
+
+
+def reference_split_metrics(fc, values, origins, lookback, horizon, batch_size):
+    """The loop split_metrics ran before it read windows through a view:
+    gather each chunk, apply channel_affine, add the chunk to the
+    accumulator."""
+    with T.no_grad():
+        a, b = fc.kernel()
+        acc = MetricsAccumulator()
+        for inp, tgt, _ in iter_batches(values, origins, lookback, horizon, batch_size):
+            acc.add(T.channel_affine(Tensor(inp), a, b), tgt)
+    return acc.finalize()
+
+
+def _serial_drain(items, fn, per_thread=((),)):
+    # one thread, last chunk first: the sums must still be added in chunk order
+    for item in reversed(items):
+        fn(item, *per_thread[0])
+
+
+@pytest.mark.parametrize("span", [slice(3, 4), slice(2, 23), slice(None)],
+                         ids=["one-window", "21-windows", "all-43-windows"])
+@pytest.mark.parametrize("batch_size", [1, 7, 32])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_split_metrics_equal_the_gathered_chunk_loop(monkeypatch, kind, batch_size, span):
+    # one chunk, many chunks, an exact multiple and a partial last chunk;
+    # == on every field, on both threads and on one
+    geom = {**_PINNED, "overlap": False, "batch_size": batch_size}
+    fc = random_forecaster(kind, geom, 8)
+    values = np.random.default_rng(9).standard_normal((60, geom["channels"]))
+    origins = np.arange(geom["lookback"], 60 - geom["horizon"] + 1)[span]
+    args = (fc, values, origins, geom["lookback"], geom["horizon"], batch_size)
+    want = reference_split_metrics(*args)
+    assert want.windows == len(origins)
+    assert split_metrics(*args) == want
+    monkeypatch.setattr(pool, "drain", _serial_drain)
+    assert split_metrics(*args) == want
+
+
+def test_split_metrics_under_frequent_thread_switches():
+    geom = {**_PINNED, "overlap": False}
+    fc = random_forecaster("mppn", geom, 10)
+    values = np.random.default_rng(11).standard_normal((400, geom["channels"]))
+    origins = np.arange(geom["lookback"], 400 - geom["horizon"] + 1)
+    args = (fc, values, origins, geom["lookback"], geom["horizon"], 1)
+    want = reference_split_metrics(*args)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert split_metrics(*args) == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_split_metrics_touch_the_accumulator_on_the_caller_only(monkeypatch):
+    # chunks run on the worker too; the bench tracer keeps one span stack,
+    # so a wrapped name such as the accumulator's must stay on the caller
+    threads = set()
+
+    class Recorder(MetricsAccumulator):
+        def add_sums(self, sums):
+            threads.add(threading.current_thread())
+            super().add_sums(sums)
+
+    monkeypatch.setattr(training, "MetricsAccumulator", Recorder)
+    geom = {**_PINNED, "overlap": False}
+    fc = random_forecaster("nlinear", geom, 12)
+    values = np.random.default_rng(13).standard_normal((200, geom["channels"]))
+    origins = np.arange(geom["lookback"], 200 - geom["horizon"] + 1)
+    split_metrics(fc, values, origins, geom["lookback"], geom["horizon"], 4)
+    assert threads == {threading.current_thread()}
+
+
+@pytest.mark.parametrize("origins", [[13, 15, 16], [20, 19, 18], [12, 13, 14], [53, 54, 55, 56],
+                                     []],
+                         ids=["gap", "descending", "before-the-lookback", "past-the-end",
+                              "empty"])
+def test_split_metrics_reject_origins_that_are_not_one_run(origins):
+    geom = {**_PINNED, "overlap": False}
+    fc = random_forecaster("nlinear", geom, 14)
+    values = np.random.default_rng(15).standard_normal((60, geom["channels"]))
+    with pytest.raises(ArgumentError, match="split_metrics: origins"):
+        split_metrics(fc, values, np.array(origins, dtype=np.int64), geom["lookback"],
+                      geom["horizon"], 4)
+
+
+def test_split_metrics_reject_a_batch_size_below_one_and_a_kernel_of_other_shape():
+    geom = {**_PINNED, "overlap": False}
+    fc = random_forecaster("nlinear", geom, 16)
+    values = np.random.default_rng(17).standard_normal((60, geom["channels"]))
+    origins = np.arange(geom["lookback"], 60 - geom["horizon"] + 1)
+    with pytest.raises(ArgumentError, match="batch_size"):
+        split_metrics(fc, values, origins, geom["lookback"], geom["horizon"], 0)
+    wider = np.random.default_rng(17).standard_normal((60, geom["channels"] + 1))
+    with pytest.raises(ShapeError, match="split_metrics"):
+        split_metrics(fc, wider, origins, geom["lookback"], geom["horizon"], 4)
+    with pytest.raises(ShapeError, match="split_metrics"):
+        split_metrics(fc, values, origins[:-1], geom["lookback"], geom["horizon"] + 1, 4)
+
+
+@pytest.mark.parametrize("failing", ["first", "last", "every"])
+def test_split_metrics_raise_a_chunk_error(monkeypatch, failing):
+    geom = {**_PINNED, "overlap": False}
+    fc = random_forecaster("dlinear", geom, 18)
+    values = np.random.default_rng(19).standard_normal((60, geom["channels"]))
+    origins = np.arange(geom["lookback"], 60 - geom["horizon"] + 1)
+    starts = range(0, len(origins), 4)  # view rows: origins start at the lookback, row 0
+    chunk_forecast = training._chunk_forecast
+
+    def failing_forecast(view, lo, hi, *rest):
+        if failing == "every" or lo == {"first": starts[0], "last": starts[-1]}[failing]:
+            raise DataError(f"chunk {lo}")
+        return chunk_forecast(view, lo, hi, *rest)
+
+    monkeypatch.setattr(training, "_chunk_forecast", failing_forecast)
+    with pytest.raises(DataError, match="chunk"):
+        split_metrics(fc, values, origins, geom["lookback"], geom["horizon"], 4)
