@@ -7,9 +7,12 @@ window into a moving-average trend and a residual and projects each part
 separately.  All three are affine in the window, so each composes its
 kernel (A [C, L, H], b [C, H]) from its weights, as the pattern
 forecaster does, and maps a batch of windows [B, L, C] to [B, H, C] by
-applying it.  The kernel is the same for every channel.  The weights of
-each sit in a ``tensor.Params``; DLinear's moving-average width is a run
-setting, passed to its kernel as an argument.
+applying it.  The kernel is the same for every channel: each linear model
+composes it in numpy as one tape node whose pullback, derived by hand,
+takes its gradient summed over the channels.  The test suite's
+reference_*_kernel compose it op by op on the tape, as the oracles.  The
+weights sit in a ``tensor.Params``; DLinear's moving-average width is a
+run setting, passed to its kernel as an argument.
 """
 from __future__ import annotations
 
@@ -28,13 +31,13 @@ def _batch(x, fn: str) -> Tensor:
     return x
 
 
-def _per_channel(a: Tensor, b: Tensor, channels: int) -> tuple[Tensor, Tensor]:
-    """A shared kernel ([L, H], [H]) repeated for every channel:
-    ([C, L, H], [C, H])."""
-    length, horizon = a.shape
-    zeros = Tensor(np.zeros((channels, 1, 1)))
-    return (T.add(T.reshape(a, (1, length, horizon)), zeros),
-            T.add(T.reshape(b, (1, horizon)), T.reshape(zeros, (channels, 1))))
+def _shared_kernel(op: str, params: T.Params, a: np.ndarray, b: np.ndarray, channels: int,
+                   pullback) -> tuple[Tensor, Tensor]:
+    """(a [L, H], b [H]) from ``params``, repeated per channel as one tape node;
+    ``pullback`` maps their gradients, summed over channels, to the parameters'."""
+    return T.custom_op(op, tuple(params.tensors.values()),
+                       (np.repeat(a[None], channels, axis=0), np.repeat(b[None], channels, axis=0)),
+                       lambda d_a, d_b: pullback(d_a.sum(axis=0), d_b.sum(axis=0)))
 
 
 def naive_kernel(lookback: int, horizon: int, channels: int) -> tuple[Tensor, Tensor]:
@@ -58,14 +61,13 @@ class NLinearParams(T.Params):
 def nlinear_kernel(params: NLinearParams, channels: int) -> tuple[Tensor, Tensor]:
     """(x - last) @ W + b + last as a kernel: A = W plus 1 - colsum(W) on
     its last row, so a constant shift of the window shifts the forecast by
-    the same constant."""
-    weight = params.tensors["weight"]
-    length, horizon = weight.shape
-    colsum = T.linear(Tensor(np.ones((1, length))), weight, Tensor(np.zeros(horizon)))
-    last_row = T.concat([Tensor(np.zeros((length - 1, horizon))),
-                         T.sub(np.ones((1, horizon)), colsum)], axis=0)
-    a = T.add(weight, last_row)
-    return _per_channel(a, params.tensors["bias"], channels)
+    the same constant.  With G, g the gradients of A, b summed over the
+    channels: dW = G - G[L-1] on every row, d bias = g."""
+    weight = params.tensors["weight"].data
+    a = weight.copy()
+    a[-1] += 1.0 - (np.ones((1, len(weight))) @ weight)[0]
+    return _shared_kernel("nlinear_kernel", params, a, params.tensors["bias"].data, channels,
+                          lambda g_a, g_b: (g_a - g_a[-1], g_b))
 
 
 def nlinear_forward(x, params: NLinearParams) -> Tensor:
@@ -73,9 +75,6 @@ def nlinear_forward(x, params: NLinearParams) -> Tensor:
     shifting every input by a constant shifts every output by the same
     constant."""
     xb = _batch(x, "nlinear_forward")
-    length = params.tensors["weight"].shape[0]
-    if xb.shape[1] != length:
-        raise ShapeError(f"nlinear: lookback axis {xb.shape[1]} != weight rows {length}")
     return T.channel_affine(xb, *nlinear_kernel(params, xb.shape[2]))
 
 
@@ -125,21 +124,22 @@ def moving_average_decompose(x, window: int) -> tuple[Tensor, Tensor]:
 def dlinear_kernel(params: DLinearParams, channels: int, window: int) -> tuple[Tensor, Tensor]:
     """trend @ W_t + (x - trend) @ W_s with trend = M x, M the moving
     average of odd width ``window``, as a kernel: A = W_s + M^T (W_t - W_s),
-    b = b_t + b_s."""
-    w = params.tensors
-    length, horizon = w["trend.weight"].shape
-    m = moving_average_matrix(length, window)
-    a = T.add(w["seasonal.weight"],
-              T.linear(Tensor(m.T), T.sub(w["trend.weight"], w["seasonal.weight"]),
-                       Tensor(np.zeros(horizon))))
-    return _per_channel(a, T.add(w["trend.bias"], w["seasonal.bias"]), channels)
+    b = b_t + b_s.  With G, g the gradients of A, b summed over the
+    channels: dW_t = M G, dW_s = G - M G, d trend.bias = d seasonal.bias = g."""
+    w = {name: t.data for name, t in params.tensors.items()}
+    mt = np.ascontiguousarray(moving_average_matrix(len(w["trend.weight"]), window).T)
+    a = w["seasonal.weight"] + mt @ (w["trend.weight"] - w["seasonal.weight"])
+
+    def pullback(g_a, g_b):
+        mg = mt.T @ g_a
+        return mg, g_b, g_a - mg, g_b
+
+    return _shared_kernel("dlinear_kernel", params, a, w["trend.bias"] + w["seasonal.bias"],
+                          channels, pullback)
 
 
 def dlinear_forward(x, params: DLinearParams, window: int) -> Tensor:
     """[B, L, C] -> [B, H, C]: decompose with a moving average of width
     ``window``, project trend and residual separately, and sum."""
     xb = _batch(x, "dlinear_forward")
-    length = params.tensors["trend.weight"].shape[0]
-    if xb.shape[1] != length:
-        raise ShapeError(f"dlinear: lookback axis {xb.shape[1]} != weight rows {length}")
     return T.channel_affine(xb, *dlinear_kernel(params, xb.shape[2], window))

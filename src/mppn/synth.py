@@ -90,7 +90,7 @@ def parse_tone_spec(raw) -> list[list[ToneSpec]]:
             try:
                 tones.append(ToneSpec(float(tone["amplitude"]), float(tone["period"]),
                                       float(tone.get("phase", 0.0))))
-            except (KeyError, TypeError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ArgumentError(f"synth: bad tone entry {tone!r}") from exc
         channels.append(tones)
     return channels

@@ -8,7 +8,9 @@ clears it.  Graphs are rebuilt on every forward pass, never cached.
 A node may have several outputs.  ``custom_op`` records one computed
 outside this module, with a hand-written pullback that takes one gradient
 per output (zeros for an output the loss does not reach): the pattern of
-a custom autograd function.  MPPN's kernel composition is such a node.
+a custom autograd function.  Each learned forecaster's kernel
+composition is such a node, so its training step records three: it,
+``channel_affine`` and ``mse_loss``.
 
 A gradient array may be shared (``add`` hands one array to both inputs,
 ``reshape`` and ``transpose`` hand out views, a leaf keeps its ``.grad``
@@ -16,12 +18,12 @@ between calls), so ``backward`` never writes one: it sums out of place.
 Only ``Adam.zero_grad`` gives a gradient array up for reuse, and only a
 pullback that asks ``grad_buffer`` for it writes into it.
 
-The operator set is what the forecasters need: affine maps, the
-per-channel kernel every forecaster applies to its windows, sigmoid,
-concatenation, reshape, addition and subtraction, and mean-squared-error
-loss.  Broadcasting multiply, slicing, transposition, strided and dilated
-1-d convolution and edge padding remain as general ops that no forecaster
-composes through.
+The generic ops (affine, sigmoid, concat, reshape, slice, transpose, add,
+sub, broadcasting multiply, 1-d convolution, edge padding) record no node
+on any path that trains or infers: they are the test suite's reference
+tape and the inspection API (``model.channel_adapt``,
+``baselines.moving_average_decompose``), and ``model.export_gates`` runs
+``sigmoid`` outside the tape.
 """
 from __future__ import annotations
 

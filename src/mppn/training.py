@@ -37,7 +37,7 @@ from .errors import (ArgumentError, ConfigError, DataError, DivergenceError, For
 from .optim import Adam
 from .periods import MIN_SPECTRUM_ROWS, detect_periods
 from .predictability import dataset_predictability
-from .rng import SplitMix64, derive, seeded_parameters
+from .rng import SplitMix64, derive
 from .tensor import Tensor
 
 log = logging.getLogger(__name__)
@@ -217,37 +217,35 @@ class Forecaster:
 
 
 def _forecaster(run: RunConfig, channels: int, resolved_periods: tuple[int, ...],
-                arrays_for: Callable[[dict], dict]) -> Forecaster:
-    """The forecaster of the run's kind, its parameters built from
-    ``arrays_for(shapes)``: shapes maps every parameter's name to its
-    shape, in named_parameters order, and the result maps each name to
-    its array."""
+                arrays_for: Callable[[dict], dict] | None = None) -> Forecaster:
+    """The forecaster of the run's kind, its parameters drawn by the kind's
+    seeded ``init`` or, given ``arrays_for``, taken from ``arrays_for(shapes)``:
+    shapes maps each parameter's name to its shape, in named_parameters order."""
     if run.model == "mppn":
         cfg = model.MPPNConfig(
             lookback=run.lookback, horizon=run.horizon, channels=channels, hidden=run.hidden,
             resolutions=run.resolutions, periods=resolved_periods, overlap=run.overlap,
             seed=run.seed)
-        cls, shapes = model.MPPNParams, model.parameter_shapes(cfg)
+        cls, shapes, init = model.MPPNParams, model.parameter_shapes(cfg), lambda: cls.init(cfg)
         kernel = lambda: model.compose_kernel(params, cfg)
     elif run.model == "nlinear":
-        cls = baselines.NLinearParams
-        shapes = cls.shapes(run.lookback, run.horizon)
+        cls, shapes = baselines.NLinearParams, baselines.NLinearParams.shapes(run.lookback, run.horizon)
+        init = lambda: cls.init(run.lookback, run.horizon, run.seed)
         kernel = lambda: baselines.nlinear_kernel(params, channels)
     elif run.model == "dlinear":
-        cls = baselines.DLinearParams
-        shapes = cls.shapes(run.lookback, run.horizon)
+        cls, shapes = baselines.DLinearParams, baselines.DLinearParams.shapes(run.lookback, run.horizon)
+        init = lambda: cls.init(run.lookback, run.horizon, run.seed)
         kernel = lambda: baselines.dlinear_kernel(params, channels, run.moving_average)
     else:
-        cls, shapes = T.Params, {}
+        cls, shapes, init = T.Params, {}, lambda: T.Params({})
         kernel = lambda: baselines.naive_kernel(run.lookback, run.horizon, channels)
-    params = cls.from_arrays(shapes, arrays_for(shapes))
+    params = init() if arrays_for is None else cls.from_arrays(shapes, arrays_for(shapes))
     return Forecaster(run.model, params, kernel)
 
 
 def build_forecaster(run: RunConfig, channels: int, resolved_periods: tuple[int, ...]) -> Forecaster:
-    """A forecaster with seeded initial parameters."""
-    return _forecaster(run, channels, resolved_periods,
-                       lambda shapes: seeded_parameters(shapes, run.seed, f"{run.model}-init"))
+    """A forecaster with its kind's seeded initial parameters."""
+    return _forecaster(run, channels, resolved_periods)
 
 
 def restore_forecaster(run: RunConfig, extras: dict, tensors: dict[str, np.ndarray]) -> Forecaster:

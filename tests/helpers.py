@@ -5,10 +5,11 @@ for gradients, cubic-time substring search for match lengths and, for long
 series, Kasai's sweep and a linked-list sweep over a lexsort suffix array,
 quadratic direct summation for the DFT, a cell-by-cell CSV loader, MPPN's
 pattern bank built stage by stage (patch, then mine) with explicit loops
-and its forecast gated and projected from that bank, MPPN's kernel composed
-op by op on the tape, and a forecaster's affine kernel read off its forward
-map through basis windows, the per-channel kernel applied by one einsum
-over the whole batch, and Adam's update as one range on one thread.
+and its forecast gated and projected from that bank, MPPN's, NLinear's
+and DLinear's kernels composed op by op on the tape, and a forecaster's
+affine kernel read off its forward map through basis windows, the
+per-channel kernel applied by one einsum over the whole batch, and Adam's
+update as one range on one thread.
 It also offers CSV twins that only the csv path parses, and a pipe, for
 reading an input from a source that cannot seek.
 """
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 
 from mppn import tensor as T
+from mppn.baselines import moving_average_matrix
 from mppn.data import SeriesDataset
 from mppn.errors import DataError
 from mppn.model import pattern_dim
@@ -375,6 +377,39 @@ def reference_compose_kernel(params, config):
         off += s
     bias = T.linear(T.sigmoid(embed), T.concat(slot_bias, axis=0), params.tensors["out.bias"])
     return kernel, bias
+
+
+def _per_channel(a, b, channels):
+    """A shared kernel ([L, H], [H]) repeated for every channel on the tape:
+    ([C, L, H], [C, H])."""
+    length, horizon = a.shape
+    zeros = Tensor(np.zeros((channels, 1, 1)))
+    return (T.add(T.reshape(a, (1, length, horizon)), zeros),
+            T.add(T.reshape(b, (1, horizon)), T.reshape(zeros, (channels, 1))))
+
+
+def reference_nlinear_kernel(params, channels):
+    """``baselines.nlinear_kernel`` op by op on the tape: A = W plus
+    1 - colsum(W) on its last row, the colsum a linear map of a ones row,
+    the last row placed by a concat."""
+    weight = params.tensors["weight"]
+    length, horizon = weight.shape
+    colsum = T.linear(Tensor(np.ones((1, length))), weight, Tensor(np.zeros(horizon)))
+    last_row = T.concat([Tensor(np.zeros((length - 1, horizon))),
+                         T.sub(np.ones((1, horizon)), colsum)], axis=0)
+    return _per_channel(T.add(weight, last_row), params.tensors["bias"], channels)
+
+
+def reference_dlinear_kernel(params, channels, window):
+    """``baselines.dlinear_kernel`` op by op on the tape:
+    A = W_s + M^T (W_t - W_s) through a linear map, b = b_t + b_s."""
+    w = params.tensors
+    length, horizon = w["trend.weight"].shape
+    m = moving_average_matrix(length, window)
+    a = T.add(w["seasonal.weight"],
+              T.linear(Tensor(m.T), T.sub(w["trend.weight"], w["seasonal.weight"]),
+                       Tensor(np.zeros(horizon))))
+    return _per_channel(a, T.add(w["trend.bias"], w["seasonal.bias"]), channels)
 
 
 # the probe forecast must match A.probe + b to this share of the summed

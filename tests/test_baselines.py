@@ -1,16 +1,19 @@
 """Naive, last-value-anchored linear, and decomposition linear baselines."""
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import check_grads
+from helpers import check_grads, reference_dlinear_kernel, reference_nlinear_kernel
 from mppn import tensor as T
 from mppn.baselines import (DLinearParams, NLinearParams, dlinear_forward, dlinear_kernel,
                             moving_average_decompose, moving_average_matrix, naive_kernel,
                             nlinear_forward, nlinear_kernel)
 from mppn.errors import ArgumentError, ShapeError
 from mppn.tensor import Tensor
+from mppn.training import RunConfig, build_forecaster, restore_forecaster
 
 
 # ---------------------------------------------------------------------------
@@ -228,3 +231,114 @@ def test_dlinear_batch_matches_single():
 def test_baselines_reject_input_rank_other_than_three(forecast, shape):
     with pytest.raises(ShapeError, match=r"\[B, L, C\]"):
         forecast(Tensor(np.zeros(shape)))
+
+
+# ---------------------------------------------------------------------------
+# the one-node kernels against their oracles
+
+def _linear_cases():
+    """(params class, L, C, kernel, its tape oracle): NLinear at L 1, 2 and
+    9; DLinear at L 2 and 9 with moving-average width 3 and 2L - 1; each
+    with one and three channels."""
+    for lookback in (1, 2, 9):
+        for channels in (1, 3):
+            yield pytest.param(NLinearParams, lookback, channels, nlinear_kernel,
+                               reference_nlinear_kernel, id=f"nlinear-L{lookback}-C{channels}")
+    for lookback in (2, 9):
+        for window in sorted({3, 2 * lookback - 1}):
+            for channels in (1, 3):
+                yield pytest.param(DLinearParams, lookback, channels,
+                                   partial(dlinear_kernel, window=window),
+                                   partial(reference_dlinear_kernel, window=window),
+                                   id=f"dlinear-L{lookback}-w{window}-C{channels}")
+
+
+def _kernel_and_gradients(compose, params, reach, seed):
+    """A, b and every parameter's gradient of the squared error against
+    random targets of the outputs named in ``reach``."""
+    for t in params.tensors.values():
+        t.grad = None
+    T.clear_tape()
+    a, b = compose()
+    rng = np.random.default_rng(seed)
+    terms = [T.mse_loss(out, Tensor(rng.standard_normal(out.shape)))
+             for name, out in (("kernel", a), ("bias", b)) if name in reach]
+    T.backward(terms[0] if len(terms) == 1 else T.add(*terms))
+    return a.data, b.data, {name: t.grad for name, t in params.tensors.items()}
+
+
+@pytest.mark.parametrize("cls,lookback,channels,kernel,reference", _linear_cases())
+def test_linear_kernels_and_pullbacks_equal_the_tape_composition(cls, lookback, channels,
+                                                                 kernel, reference):
+    # bit for bit: the numpy composition does the tape's arithmetic in the
+    # tape's order, and sums over channels as the tape's broadcast add does
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        shapes = cls.shapes(lookback, 5)
+        params = cls.from_arrays(shapes, {n: rng.standard_normal(s) for n, s in shapes.items()})
+        for reach in (("kernel", "bias"), ("kernel",), ("bias",)):
+            a, b, got = _kernel_and_gradients(lambda: kernel(params, channels), params, reach, seed)
+            want_a, want_b, want = _kernel_and_gradients(lambda: reference(params, channels),
+                                                         params, reach, seed)
+            assert a.shape == (channels, lookback, 5) and b.shape == (channels, 5)
+            assert np.array_equal(a, want_a) and np.array_equal(b, want_b)
+            for name, g in got.items():
+                if want[name] is None:  # no path from the loss: the op hands back zeros
+                    assert not np.any(g), (name, reach)
+                else:
+                    assert g.shape == want[name].shape, (name, reach)
+                    assert np.array_equal(g, want[name]), (name, reach, seed)
+
+
+def _tone_windows(lookback, horizon):
+    """Every window [N, L, C] and target [N, H, C] of a small noisy
+    two-channel series."""
+    t = np.arange(300.0)
+    clean = np.stack([np.sin(2 * np.pi * t / 24) + 0.3 * np.sin(2 * np.pi * t / 7),
+                      0.5 * np.cos(2 * np.pi * t / 12) + 0.01 * t], axis=1)
+    values = clean + 0.1 * np.random.default_rng(7).standard_normal(clean.shape)
+    origins = np.arange(lookback, len(t) - horizon + 1)
+    return (values[origins[:, None] + np.arange(-lookback, 0)],
+            values[origins[:, None] + np.arange(horizon)])
+
+
+def _rows(v):
+    """[N, T, C] -> [N*C, T]: one row per (window, channel)."""
+    return v.transpose(0, 2, 1).reshape(-1, v.shape[1])
+
+
+def _full_batch_gradients(fc, x, y):
+    for _, t in fc.named_parameters():
+        t.grad = None
+    T.backward(T.mse_loss(fc.forward_batch(Tensor(x)), Tensor(y)))
+    return {name: t.grad for name, t in fc.named_parameters()}
+
+
+@pytest.mark.parametrize("kind", ["nlinear", "dlinear"])
+def test_least_squares_weights_zero_every_gradient(kind):
+    # the full-batch MSE is quadratic in the weights, so at a least-squares
+    # solution every gradient vanishes: an end-to-end check of each pullback.
+    # NLinear's kernel is constrained (its columns sum to one), so its dA is
+    # not zero there and dW = G - G[L-1] must cancel it; DLinear's is not,
+    # so this checks its sums over windows and channels, and the tape oracle
+    # above checks its map from G.
+    lookback, horizon, window = 24, 6, 7
+    x, y = _tone_windows(lookback, horizon)
+    ones = np.ones((len(x) * x.shape[2], 1))
+    if kind == "nlinear":
+        last = x[:, -1:]
+        coef = np.linalg.lstsq(np.hstack([_rows(x - last), ones]), _rows(y - last), rcond=None)[0]
+        arrays = {"weight": coef[:lookback], "bias": coef[lookback]}
+    else:
+        trend = np.einsum("ij,njc->nic", moving_average_matrix(lookback, window), x)
+        # trend and residual span only L directions between them: cut the rest
+        coef = np.linalg.lstsq(np.hstack([_rows(trend), _rows(x - trend), ones]), _rows(y),
+                               rcond=1e-10)[0]
+        arrays = {"trend.weight": coef[:lookback], "trend.bias": coef[-1],
+                  "seasonal.weight": coef[lookback:-1], "seasonal.bias": np.zeros(horizon)}
+    run = RunConfig(model=kind, lookback=lookback, horizon=horizon, moving_average=window, seed=3)
+    extras = {"channels": 2, "channel_names": ["a", "b"], "resolved_periods": []}
+    at_init = _full_batch_gradients(build_forecaster(run, 2, ()), x, y)
+    solved = _full_batch_gradients(restore_forecaster(run, extras, arrays), x, y)
+    for name, g in solved.items():
+        assert np.max(np.abs(g)) <= 1e-9 * np.max(np.abs(at_init[name])), name

@@ -282,6 +282,24 @@ def test_synth_spec_with_a_repeated_key_is_usage_error(tmp_path, capsys, spec):
     assert "repeated" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("tone", ['{"amplitude": "abc", "period": 4}',
+                                  '{"amplitude": 1, "period": "4x"}',
+                                  '{"amplitude": 1, "period": 4, "phase": "pi"}',
+                                  '{"amplitude": 1%s, "period": 4}' % ("0" * 400)],
+                         ids=["amplitude", "period", "phase", "beyond-float"])
+def test_synth_tone_that_is_not_a_number_is_usage_error(tmp_path, capsys, tone):
+    # each used to reach the CLI as a bare ValueError or OverflowError
+    from mppn.errors import ArgumentError
+    from mppn.synth import parse_tone_spec
+    out_path = tmp_path / "s.csv"
+    code, out, err = run_cli(capsys, "synth", "--spec", f"[[{tone}]]", "--timesteps", "8",
+                             "--out", str(out_path))
+    assert code == 2 and out == "" and not out_path.exists()
+    assert err.startswith("configuration error: synth: bad tone entry {") and "Traceback" not in err
+    with pytest.raises(ArgumentError, match=r"^synth: bad tone entry \{"):
+        parse_tone_spec(json.loads(f"[[{tone}]]"))
+
+
 @pytest.mark.parametrize("width", ["4", "1", "97"])
 def test_dlinear_moving_average_is_checked_before_the_data_is_read(tmp_path, capsys, width):
     code, out, err = run_cli(capsys, "train", "--model", "dlinear", "--lookback", "48",

@@ -612,6 +612,21 @@ def test_build_forecaster_draws_the_params_classes_init(kind):
         assert a.data.tobytes() == b.data.tobytes(), name
 
 
+@pytest.mark.parametrize("kind", ["mppn", "dlinear", "nlinear"])
+def test_build_forecaster_draws_through_its_kinds_init(monkeypatch, kind):
+    # one home per init stream: the forecaster's parameters are the very
+    # container its kind's init returns, drawn by one call
+    from mppn.baselines import DLinearParams, NLinearParams
+    from mppn.model import MPPNParams
+    cls = {"mppn": MPPNParams, "dlinear": DLinearParams, "nlinear": NLinearParams}[kind]
+    init, made = cls.init, []
+    monkeypatch.setattr(cls, "init", lambda *args: made.append(init(*args)) or made[-1])
+    run = small_run("unused.csv", model=kind, periods=(24,) if kind == "mppn" else None,
+                    moving_average=7)
+    fc = build_forecaster(run, 2, (24,) if kind == "mppn" else ())
+    assert len(made) == 1 and fc.params is made[0]
+
+
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_every_forecaster_holds_one_params_in_shapes_order(kind):
     # built or restored, a forecaster's parameters are one container whose

@@ -210,6 +210,19 @@ def test_mppn_step_records_a_handful_of_tape_nodes():
     assert ops.count("compose_kernel") == 1
 
 
+@pytest.mark.parametrize("kind,compose", [("mppn", "compose_kernel"),
+                                          ("nlinear", "nlinear_kernel"),
+                                          ("dlinear", "dlinear_kernel")])
+def test_a_step_of_every_trained_kind_records_three_tape_nodes(kind, compose):
+    # compose, apply, loss: no generic op on the path a step trains through
+    fc = random_forecaster(kind, {**_PINNED, "overlap": False}, 18)
+    T.clear_tape()
+    loss = _step_loss(fc, 19)
+    ops = [node.op for node in T._tape()]
+    T.backward(loss)
+    assert ops == [compose, "channel_affine", "mse"]
+
+
 def _step_loss(fc, seed):
     rng = np.random.default_rng(seed)
     xb = rng.standard_normal((3, _PINNED["lookback"], _PINNED["channels"]))
