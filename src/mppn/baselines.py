@@ -24,10 +24,14 @@ from .rng import seeded_parameters
 from .tensor import Tensor
 
 
-def _batch(x, fn: str) -> Tensor:
+def _batch(x, fn: str, weight: Tensor | None = None) -> Tensor:
+    """``x`` as windows [B, L, C]; given the [L, H] ``weight`` of a kernel
+    not yet composed, checked against that kernel's shape."""
     x = x if isinstance(x, Tensor) else Tensor(x)
     if x.ndim != 3:
         raise ShapeError(f"{fn}: expected [B, L, C], got {x.shape}")
+    if weight is not None:
+        T.check_affine(x.shape, (x.shape[2], *weight.shape))
     return x
 
 
@@ -74,7 +78,7 @@ def nlinear_forward(x, params: NLinearParams) -> Tensor:
     """[B, L, C] -> [B, H, C] projection of the last-value-anchored window:
     shifting every input by a constant shifts every output by the same
     constant."""
-    xb = _batch(x, "nlinear_forward")
+    xb = _batch(x, "nlinear_forward", params.tensors["weight"])
     return T.channel_affine(xb, *nlinear_kernel(params, xb.shape[2]))
 
 
@@ -141,5 +145,5 @@ def dlinear_kernel(params: DLinearParams, channels: int, window: int) -> tuple[T
 def dlinear_forward(x, params: DLinearParams, window: int) -> Tensor:
     """[B, L, C] -> [B, H, C]: decompose with a moving average of width
     ``window``, project trend and residual separately, and sum."""
-    xb = _batch(x, "dlinear_forward")
+    xb = _batch(x, "dlinear_forward", params.tensors["trend.weight"])
     return T.channel_affine(xb, *dlinear_kernel(params, xb.shape[2], window))

@@ -13,14 +13,18 @@ the only channel-specific parameter.  The only nonlinearity in the network
 is the gate's sigmoid, and it acts on a parameter, not on the input.
 
 So the whole network is one affine map per channel, and that map is what
-runs: compose_kernel folds each patch kernel into its mining kernels,
-projects the folded taps through the output layer, gates them and places
-them on the samples they read, giving (A [C, L, H], b [C, H]) from the
-same parameters the staged network has, so checkpoints are unchanged.
-It does this in plain numpy and records one tape node with two outputs,
-whose pullback, derived by hand, maps (dA, db) to every parameter's
-gradient.  forward_batch applies that kernel to a batch of windows
-[B, L, C].  The pattern bank is never materialised here; the test
+runs: compose_kernel folds each patch kernel into its mining kernels and
+projects the folded taps through the output layer, giving (A [C, L, H],
+b [C, H]) from the same parameters the staged network has, so
+checkpoints are unchanged.  Each pair's taps land on the window's tail in
+placements (the pair, or one tap of it with overlap: Q placements in
+all), so every kernel row is a gate-weighted mix of Q tap rows, and A is
+one batched product of a per-row gate matrix [L, C, Q] with the tap rows
+[L, Q, H].  It does this in plain numpy and records one tape node with
+two outputs, whose pullback, derived by hand, maps (dA, db) to every
+parameter's gradient through the same two arrays; it runs once, as
+backward runs it.  forward_batch applies that kernel to a batch of
+windows [B, L, C].  The pattern bank is never materialised here; the test
 suite's plain-numpy reference_bank and reference_forward run the network
 stage by stage, and reference_compose_kernel composes the kernel op by op
 on the tape: they are the oracles of the composition and its gradients.
@@ -146,57 +150,80 @@ def compose_kernel(params: MPPNParams, config: MPPNConfig) -> tuple[Tensor, Tens
     (s = period//r) through tap k and reaches the horizon through its
     out.weight rows W[t, o, h], so one product per slot composes the
     pair's taps M[t, k, j, h] = sum_o w'[k, j, o] * W[t, o, h], and with
-    b' as one more row of w' its slot bias.  Each channel's gate g[c, t]
-    scales its slots, and the taps land on the samples they read at the
-    tail of the window (see _placements).
+    b' as one more row of w' its slot bias.
 
-    The pullback runs the same steps backwards: each placement's gradient
-    is a view of dA, dM[t, k, j, h] = sum_c g[c, t] * dA[c, ...] and
-    dg[c, t] = sum M * dA[c, ...], then dW = w'^T dM and dw' = sum_t
-    dM[t] W[t]^T, and the fold's pullback reaches mine.* and patch.*.
-    Every contraction is a matmul, a tensordot or an einsum without path
-    search, so each run does the same sums in the same order.
+    The taps land on the tail of the window in placements.  Without
+    overlap a pair is one placement, whose unit u = t + k*s covers samples
+    L - K*S*r + u*r + [0, r); with overlap each tap j of a pair is one,
+    whose unit u covers sample L - r + 1 - K*S + u + j.  A placement puts
+    one slot's taps on each row it covers, so row l of A mixes the Q
+    placements (Q is the number of pairs without overlap, the sum of their
+    r with it): A[c, l] = sum_q gmix[l, c, q] * tmix[l, q], where tmix
+    [L, Q, H] holds the taps on the rows they read, zero off a placement,
+    and gmix [L, C, Q] each channel's gate of the slot the row belongs
+    to.  The whole kernel is one batched matmul of the two, written
+    through a transposed view of A.
+
+    The pullback reads dA through the same view.  e = dA^T tmix^T [L, C, Q]
+    summed over each placement's units and taps gives the gate gradient
+    dg[c, t], and d_tmix = gmix^T dA^T holds each pair's dM on its rows.
+    Then dW = w'^T dM and dw' = sum_t dM[t] W[t]^T, and the fold's pullback
+    reaches mine.* and patch.*.  d_tmix is written over tmix, so the
+    pullback runs once, as the tape runs it: backward clears the tape.
+    Every contraction is a matmul or a tensordot, so each run does the
+    same sums in the same order.
     """
     c, length, h, d = config.channels, config.lookback, config.horizon, config.hidden
     data = {name: t.data for name, t in params.tensors.items()}
     gate = export_gates(params)  # [C, P]
     out_w = data["out.weight"].reshape(pattern_dim(config), d, h)
-    kernel = np.zeros((c, length, h))
-    slot_bias = np.empty((pattern_dim(config), h))
-    saved, off = [], 0
+    pairs, q, off = [], 0, 0  # per pair: K, S, first slot and placements (q, rows, taps, n)
     for p, r in config.retained_pairs:
         k, s = length // p, p // r
+        placed = []
+        for j, n in ([(j, 1) for j in range(r)] if config.overlap else [(0, r)]):
+            end = length - (r - j - n)  # the last unit's tap j + n - 1 reads row end - 1
+            placed.append((q, slice(end - k * s * n, end), slice(j, j + n), n))
+            q += 1
+        pairs.append((k, s, off, placed))
+        off += s
+    tmix, gmix = np.zeros((length, q, h)), np.zeros((length, c, q))
+    slot_bias = np.empty((pattern_dim(config), h))
+    folds = []
+    for (p, r), (k, s, off, placed) in zip(config.retained_pairs, pairs):
         wm, bm = data[f"mine.{p}.{r}.weight"], data[f"mine.{p}.{r}.bias"]  # [D, D, K], [D]
         wp, bp = data[f"patch.{r}.weight"].reshape(d, r), data[f"patch.{r}.bias"]
         w_fold = np.tensordot(wp, wm, axes=([0], [1])).transpose(2, 0, 1)  # [K, r, D]
-        fold = np.concatenate([w_fold.reshape(k * r, d), (bm + wm.sum(axis=2) @ bp)[None]])
-        prod = np.matmul(fold, out_w[off:off + s])  # [S, K*r + 1, H]
+        folds.append(np.concatenate([w_fold.reshape(k * r, d), (bm + wm.sum(axis=2) @ bp)[None]]))
+        prod = np.matmul(folds[-1], out_w[off:off + s])  # [S, K*r + 1, H]
         slot_bias[off:off + s] = prod[:, -1]
-        taps = prod[:, :-1].reshape(s, k, r, h)
-        for rows, idx in _placements(kernel, k, r, s, config.overlap):
-            rows += np.einsum("ct,tkjh->cktjh", gate[:, off:off + s], taps[idx])
-        saved.append((fold, taps))
-        off += s
+        taps = prod[:, :-1].reshape(s, k, r, h).transpose(1, 0, 2, 3)  # [K, S, r, H]
+        for qi, rows, j, n in placed:
+            tmix[rows, qi].reshape(k, s, n, h)[:] = taps[:, :, j]
+            gmix[rows, :, qi].reshape(k, s, n, c)[:] = gate[:, off:off + s].T[:, None]
+    del prod, taps  # the last pair's product does not live beside A
+    kernel = np.empty((c, length, h))
+    np.matmul(gmix, tmix, out=kernel.transpose(1, 0, 2))
     bias = gate @ slot_bias + data["out.bias"]
 
     def pullback(d_kernel, d_bias):
         grads = {f"patch.{r}.{part}": np.zeros(data[f"patch.{r}.{part}"].shape)
                  for r in config.used_resolutions for part in ("weight", "bias")}
+        d_rows = d_kernel.transpose(1, 0, 2)  # [L, C, H], a view
+        e = np.matmul(d_rows, tmix.transpose(0, 2, 1))  # [L, C, Q]
+        d_tmix = np.matmul(gmix.transpose(0, 2, 1), d_rows, out=tmix)  # tmix is not read again
         d_gate = d_bias @ slot_bias.T  # [C, P]
         d_slot_bias = gate.T @ d_bias  # [P, H]
         d_out_weight = T.grad_buffer(params.tensors["out.weight"])  # every element is written below
         d_out_w = d_out_weight.reshape(out_w.shape)  # a view
-        off = 0
-        for (p, r), (fold, taps) in zip(config.retained_pairs, saved):
-            k, s = length // p, p // r
+        for (p, r), (k, s, off, placed), fold in zip(config.retained_pairs, pairs, folds):
             wm, wp, bp = (data[f"mine.{p}.{r}.weight"], data[f"patch.{r}.weight"].reshape(d, r),
                           data[f"patch.{r}.bias"])
-            g = gate[:, off:off + s]
             d_prod = np.empty((s, k * r + 1, h))
-            d_taps = d_prod[:, :-1].reshape(s, k, r, h)
-            for rows, idx in _placements(d_kernel, k, r, s, config.overlap):
-                np.einsum("ct,cktjh->tkjh", g, rows, out=d_taps[idx])
-                d_gate[:, off:off + s] += np.einsum("tkjh,cktjh->ct", taps[idx], rows)
+            d_taps = d_prod[:, :-1].reshape(s, k, r, h).transpose(1, 0, 2, 3)  # [K, S, r, H]
+            for qi, rows, j, n in placed:
+                d_taps[:, :, j] = d_tmix[rows, qi].reshape(k, s, n, h)
+                d_gate[:, off:off + s] += e[rows, :, qi].reshape(k, s, n, c).sum(axis=(0, 2)).T
             d_prod[:, -1] = d_slot_bias[off:off + s]
             np.matmul(fold.T, d_prod, out=d_out_w[off:off + s])
             d_fold = np.matmul(d_prod, out_w[off:off + s].transpose(0, 2, 1)).sum(axis=0)
@@ -207,32 +234,12 @@ def compose_kernel(params: MPPNParams, config: MPPNConfig) -> tuple[Tensor, Tens
                 np.tensordot(d_w_fold, wp, axes=([1], [1])).transpose(1, 2, 0)
                 + np.multiply.outer(d_b_fold, bp)[:, :, None])
             grads[f"mine.{p}.{r}.bias"] = d_b_fold
-            off += s
         grads["embed"] = d_gate * gate * (1.0 - gate)
         grads["out.weight"] = d_out_weight
         grads["out.bias"] = d_bias.sum(axis=0)
         return tuple(grads[name] for name in data)
 
     return T.custom_op("compose_kernel", tuple(params.tensors.values()), (kernel, bias), pullback)
-
-
-def _placements(a: np.ndarray, k: int, r: int, s: int,
-                overlap: bool) -> list[tuple[np.ndarray, tuple]]:
-    """Where a pair's taps [S, K, r, H] land in a kernel-shaped array
-    [C, L, H]: (view of ``a`` [C, K, S, n, H], index of the n taps it
-    takes).
-
-    Unit u = t + k*s covers samples L - K*S*r + u*r + [0, r) without
-    overlap: one view takes all r taps.  With overlap it covers
-    L - r + 1 - K*S + u + [0, r): view j takes tap j.
-    """
-    c, length, h = a.shape
-    span = k * s
-    if overlap:
-        start = length - r + 1 - span
-        return [(a[:, start + j:start + j + span].reshape(c, k, s, 1, h), np.s_[:, :, j:j + 1])
-                for j in range(r)]
-    return [(a[:, length - span * r:].reshape(c, k, s, r, h), np.s_[:])]
 
 
 def channel_adapt(bank: Tensor, embed: Tensor) -> Tensor:
@@ -254,7 +261,8 @@ def channel_adapt(bank: Tensor, embed: Tensor) -> Tensor:
 
 def forward_batch(xb: Tensor, params: MPPNParams, config: MPPNConfig) -> Tensor:
     """[B, L, C] -> [B, H, C] direct multi-horizon forecast: the composed
-    kernel applied to each window."""
+    kernel applied to each window, once the windows fit its shape."""
+    T.check_affine(xb.shape, (config.channels, config.lookback, config.horizon))
     return T.channel_affine(xb, *compose_kernel(params, config))
 
 

@@ -451,6 +451,17 @@ def _affine_forward(xt: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_affine(x: tuple[int, ...], a: tuple[int, ...], b: tuple[int, ...] | None = None) -> None:
+    """Raise ShapeError unless windows of shape ``x`` fit a kernel of shape
+    ``a`` and a bias of shape ``b`` (by default the one that fits ``a``) in
+    ``channel_affine``.  A forward that composes its kernel checks the
+    kernel's shape first, so a failed check leaves no node on the tape."""
+    b = (a[0], a[2]) if b is None and len(a) == 3 else b
+    if len(x) != 3 or len(a) != 3 or a[:2] != (x[2], x[1]) or b != (a[0], a[2]):
+        raise ShapeError(f"channel_affine: windows {x} do not match kernel {a} "
+                         f"and bias {b}; expected [B, L, C], [C, L, H], [C, H]")
+
+
 def channel_affine(x: Tensor, a: Tensor, b: Tensor) -> Tensor:
     """Per-channel affine map of a batch of windows:
     ``out[n, h, c] = sum_l x[n, l, c] * a[c, l, h] + b[c, h]``, mapping
@@ -467,10 +478,7 @@ def channel_affine(x: Tensor, a: Tensor, b: Tensor) -> Tensor:
     checked by ``test_channel_affine_rows_do_not_depend_on_the_batch``.
     """
     x, a, b = _as_tensor(x), _as_tensor(a), _as_tensor(b)
-    if (x.ndim != 3 or a.ndim != 3 or a.shape[:2] != (x.shape[2], x.shape[1])
-            or b.shape != (a.shape[0], a.shape[2])):
-        raise ShapeError(f"channel_affine: windows {x.shape} do not match kernel {a.shape} "
-                         f"and bias {b.shape}; expected [B, L, C], [C, L, H], [C, H]")
+    check_affine(x.shape, a.shape, b.shape)
     out = _affine_forward(x.data.transpose(2, 0, 1), a.data, b.data)
 
     def bw(g):

@@ -202,17 +202,21 @@ def config_blob(run: RunConfig, extras: dict) -> str:
 class Forecaster:
     """One model of any kind: its parameters, a ``tensor.Params`` (empty
     for naive), and ``kernel()``, which composes from them (A [C, L, H],
-    b [C, H]) with forward_batch(x)[:, :, c] = x[:, :, c] @ A[c] + b[c]."""
+    b [C, H]) with forward_batch(x)[:, :, c] = x[:, :, c] @ A[c] + b[c];
+    ``kernel_shape`` is (C, L, H)."""
 
     kind: str
     params: T.Params
     kernel: Callable[[], tuple[Tensor, Tensor]]
+    kernel_shape: tuple[int, int, int]
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         return self.params.named_parameters()
 
     def forward_batch(self, xb: Tensor) -> Tensor:
-        """[B, L, C] -> [B, H, C]: compose the kernel, then apply it."""
+        """[B, L, C] -> [B, H, C]: check the windows against the kernel's
+        shape, then compose the kernel and apply it."""
+        T.check_affine(xb.shape, self.kernel_shape)
         return T.channel_affine(xb, *self.kernel())
 
 
@@ -240,7 +244,7 @@ def _forecaster(run: RunConfig, channels: int, resolved_periods: tuple[int, ...]
         cls, shapes, init = T.Params, {}, lambda: T.Params({})
         kernel = lambda: baselines.naive_kernel(run.lookback, run.horizon, channels)
     params = init() if arrays_for is None else cls.from_arrays(shapes, arrays_for(shapes))
-    return Forecaster(run.model, params, kernel)
+    return Forecaster(run.model, params, kernel, (channels, run.lookback, run.horizon))
 
 
 def build_forecaster(run: RunConfig, channels: int, resolved_periods: tuple[int, ...]) -> Forecaster:

@@ -1,6 +1,7 @@
 """The composed affine kernel, the path every forecaster runs through."""
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,12 +9,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import check_grads, reference_compose_kernel, reference_forward, reference_kernel
-from mppn import pool, training
+from mppn import baselines, model, pool, training
 from mppn import tensor as T
-from mppn.data import MetricsAccumulator, iter_batches
+from mppn.data import (MetricsAccumulator, Standardizer, gather_windows, iter_batches,
+                       window_origins)
 from mppn.errors import ArgumentError, DataError, ShapeError
 from mppn.model import MPPNConfig, compose_kernel
 from mppn.optim import Adam
+from mppn.synth import ToneSpec, generate, write_csv
 from mppn.tensor import Tensor
 from mppn.training import MODEL_KINDS, RunConfig, build_forecaster, split_metrics
 
@@ -197,6 +200,73 @@ def test_compose_kernel_gradients_match_finite_differences(overlap):
     check_grads(loss, [t for _, t in fc.named_parameters()], tol=1e-7)
 
 
+def _compose_and_pull(fc, cfg, d_kernel, d_bias):
+    """A, b and the pullback's gradients for (d_kernel, d_bias), by name."""
+    T.clear_tape()
+    a, b = compose_kernel(fc.params, cfg)
+    (node,) = T._tape()
+    grads = node.backward(d_kernel, d_bias)
+    T.clear_tape()
+    return a.data, b.data, dict(zip(fc.params.tensors, grads))
+
+
+@pytest.mark.parametrize("overlap", [False, True])
+def test_compose_kernel_is_bit_stable_at_etth1_geometry(overlap):
+    # channels are the row axis of the mixing products, and C = 7 fills no
+    # whole BLAS tile: permuting the gate rows still permutes A's channels
+    # bit for bit, and a second compose + pullback repeats every bit
+    geom = {**_ETTH1, "overlap": overlap}
+    fc = random_forecaster("mppn", geom, 23)
+    cfg = mppn_config(geom)
+    rng = np.random.default_rng(24)
+    d_kernel = rng.standard_normal((cfg.channels, cfg.lookback, cfg.horizon))
+    d_bias = rng.standard_normal((cfg.channels, cfg.horizon))
+    a, b, grads = _compose_and_pull(fc, cfg, d_kernel, d_bias)
+    a2, b2, grads2 = _compose_and_pull(fc, cfg, d_kernel, d_bias)
+    assert np.array_equal(a, a2) and np.array_equal(b, b2)
+    for name, g in grads.items():
+        assert np.array_equal(g, grads2[name]), name
+    perm = np.array([3, 6, 0, 5, 1, 4, 2])
+    embed = fc.params.tensors["embed"]
+    embed.data = embed.data[perm]
+    pa, pb, _ = _compose_and_pull(fc, cfg, d_kernel, d_bias)
+    assert np.array_equal(pa, a[perm]) and np.array_equal(pb, b[perm])
+
+
+def test_compose_kernel_memory_peaks_at_etth1_geometry():
+    # tracemalloc sees numpy's buffers.  The forward holds A, the taps laid
+    # on their rows and the gates beside them; the pullback, as in a step
+    # after Adam.zero_grad (out.weight's gradient in its spare), adds the
+    # other gradients and its temporaries.  Both bounds are in units of A.
+    geom = {**_ETTH1, "overlap": False}
+    fc = random_forecaster("mppn", geom, 25)
+    cfg = mppn_config(geom)
+    kernel_bytes = 8 * cfg.channels * cfg.lookback * cfg.horizon
+    rng = np.random.default_rng(26)
+    d_kernel = rng.standard_normal((cfg.channels, cfg.lookback, cfg.horizon))
+    d_bias = rng.standard_normal((cfg.channels, cfg.horizon))
+    out_weight = fc.params.tensors["out.weight"]
+    T.clear_tape()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        compose_kernel(fc.params, cfg)
+        forward = tracemalloc.get_traced_memory()[1] - start
+        (node,) = T._tape()
+        spare = out_weight._spare = np.empty(out_weight.shape)
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        grads = node.backward(d_kernel, d_bias)
+        pullback = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+        T.clear_tape()
+    assert any(g is spare for g in grads)
+    assert forward <= 3.0 * kernel_bytes, forward / kernel_bytes
+    assert pullback <= 1.5 * kernel_bytes, pullback / kernel_bytes
+
+
 def test_mppn_step_records_a_handful_of_tape_nodes():
     # compose, apply, loss: the kernel's composition is one node
     fc = random_forecaster("mppn", {**_ETTH1, "overlap": True}, 16)
@@ -221,6 +291,27 @@ def test_a_step_of_every_trained_kind_records_three_tape_nodes(kind, compose):
     ops = [node.op for node in T._tape()]
     T.backward(loss)
     assert ops == [compose, "channel_affine", "mse"]
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_a_window_of_other_length_fails_before_anything_is_recorded(kind):
+    # the windows are checked against the kernel's shape before it is
+    # composed, so the failed forward leaves no node holding the parameters
+    geom = {**_PINNED, "overlap": False}
+    fc = random_forecaster(kind, geom, 20)
+    short = np.zeros((2, geom["lookback"] - 1, geom["channels"]))
+    T.clear_tape()
+    with pytest.raises(ShapeError, match="channel_affine: windows"):
+        fc.forward_batch(Tensor(short))
+    assert T._tape() == []
+    direct = {"mppn": lambda: model.forward_batch(Tensor(short), fc.params, mppn_config(geom)),
+              "nlinear": lambda: baselines.nlinear_forward(short, fc.params),
+              "dlinear": lambda: baselines.dlinear_forward(short, fc.params,
+                                                           geom["moving_average"])}
+    if kind in direct:
+        with pytest.raises(ShapeError, match="channel_affine: windows"):
+            direct[kind]()
+        assert T._tape() == []
 
 
 def _step_loss(fc, seed):
@@ -444,3 +535,38 @@ def test_split_metrics_raise_a_chunk_error(monkeypatch, failing):
     monkeypatch.setattr(training, "_chunk_forecast", failing_forecast)
     with pytest.raises(DataError, match="chunk"):
         split_metrics(fc, values, origins, geom["lookback"], geom["horizon"], 4)
+
+
+def _least_squares_mse(x, y):
+    """Mean squared residual of fitting targets y [N, H, C] from windows
+    x [N, L, C] by each channel's own unconstrained affine least squares."""
+    sq = 0.0
+    for c in range(x.shape[2]):
+        design = np.hstack([x[:, :, c], np.ones((len(x), 1))])
+        coef = np.linalg.lstsq(design, y[:, :, c], rcond=None)[0]
+        sq += float(np.sum((design @ coef - y[:, :, c]) ** 2))
+    return sq / y.size
+
+
+@pytest.mark.parametrize("kind", ["mppn", "nlinear", "dlinear"])
+def test_trained_models_never_beat_the_least_squares_floor(tmp_path, kind):
+    # every kind maps channel c's window through its own affine kernel, so
+    # none fits the training windows better than channel c's unconstrained
+    # least squares on the same standardized windows.  The evaluation runs
+    # windowing, standardization, kernel and apply; two epochs run the
+    # pullbacks too.  history's train_mse averages over changing parameters,
+    # so the floor does not bound it
+    lookback, horizon = 24, 6
+    csv = tmp_path / "tones.csv"
+    write_csv(csv, generate([[ToneSpec(1.0, 24.0)], [ToneSpec(2.0, 12.0, 0.7)]], 0.002, 0.3,
+                            240, 5), ["a", "b"])
+    run = RunConfig(model=kind, data=str(csv), lookback=lookback, horizon=horizon, hidden=4,
+                    periods=(12, 24), moving_average=7, max_epochs=2)
+    training.train(run, tmp_path / "model.ckpt")
+    got = training.evaluate(tmp_path / "model.ckpt", split="train").mse
+    ds = training.load_dataset(run)
+    values = Standardizer.fit(ds.values[:ds.train_end]).apply(ds.values)
+    x, y = gather_windows(values, window_origins(ds, lookback, horizon, "train"), lookback,
+                          horizon)
+    floor = _least_squares_mse(x, y)
+    assert 0.0 < floor <= got * (1.0 + 1e-9), (floor, got)
