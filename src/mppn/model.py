@@ -267,6 +267,9 @@ def forward_batch(xb: Tensor, params: MPPNParams, config: MPPNConfig) -> Tensor:
 
 
 def export_gates(params: MPPNParams) -> np.ndarray:
-    """Sigmoid of the gate logits as a plain [C, P] matrix in (0, 1)."""
-    with T.no_grad():
-        return T.sigmoid(params.tensors["embed"]).data
+    """Sigmoid of the gate logits as a plain [C, P] matrix in (0, 1), by
+    ``tensor.sigmoid``'s split formula (``1/(1+e^{−x})`` for x ≥ 0,
+    ``eˣ/(1+eˣ)`` otherwise), so that neither branch overflows."""
+    x = params.tensors["embed"].data
+    e = np.exp(-np.abs(x))  # e^{−x} where x ≥ 0, eˣ elsewhere
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))

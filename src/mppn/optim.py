@@ -1,5 +1,21 @@
 """Adam optimizer with bias correction and coupled L2 weight decay.
 
+The update is Kingma & Ba's with the bias corrections folded into the
+step size (ICLR 2015, §2), and with the moments kept without their
+``(1 − β)`` factors: ``Adam.m`` and ``Adam.v`` hold ``M = m/(1 − β1)``
+and ``V = v/(1 − β2)``, where ``m`` and ``v`` are the textbook moments.
+With ``g' = g + wd·θ`` a step is::
+
+    M = β1·M + g'
+    V = β2·V + g'²
+    θ −= α'·M / (√V + ε̂)
+
+where ``s = √((1 − β2)/(1 − β2ᵗ))``, ``α' = lr·(1 − β1)/(1 − β1ᵗ)/s`` and
+``ε̂ = ε/s`` are scalars of the step.  This is the textbook update in exact
+arithmetic, in 12 elementwise passes per block (10 without weight decay)
+where the textbook form takes 16; in floating point the two differ by
+rounding.
+
 The update is elementwise, so a step cuts every parameter into blocks of
 at most _BLOCK elements and drains them on two threads with
 ``pool.drain``.  Every element goes through the same operations in the
@@ -10,6 +26,8 @@ The shared worker is started by the first Adam with more than one block;
 a process that builds no Adam and drains nothing else starts none.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -33,6 +51,15 @@ class Adam:
 
     def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8, weight_decay: float = 1e-5):
+        # step() divides by 1 − β1ᵗ, by 1 − β2ᵗ and by the root of 1 − β2
+        for name, value, ok, rule in (
+                ("lr", lr, 0 < lr < math.inf, "finite and > 0"),
+                ("beta1", beta1, 0 <= beta1 < 1, "in [0, 1)"),
+                ("beta2", beta2, 0 <= beta2 < 1, "in [0, 1)"),
+                ("eps", eps, 0 < eps < math.inf, "finite and > 0"),
+                ("weight_decay", weight_decay, 0 <= weight_decay < math.inf, "finite and >= 0")):
+            if not ok:
+                raise ArgumentError(f"adam: {name} must be {rule}, got {value!r}")
         self.params: list[Tensor] = list(params)
         for j, q in enumerate(self.params):
             for i, p in enumerate(self.params[:j]):
@@ -50,6 +77,7 @@ class Adam:
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
+        # M = m/(1 − β1) and V = v/(1 − β2) of the textbook moments
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
         # two scratch arrays per thread
@@ -60,12 +88,14 @@ class Adam:
         """One update of every parameter, in place.
 
         Every parameter is checked before any is touched, so a step that
-        raises changes nothing.  Each block is updated through the two
-        scratch arrays of the thread that took it, so a step allocates no
-        array the size of a parameter.
+        raises changes nothing.  The step size ``α'`` and ``ε̂`` of the
+        module docstring are computed once here, and each block is updated
+        through the two scratch arrays of the thread that took it, so a
+        step allocates no array the size of a parameter.
         ``p.grad`` is only read, since it may alias another tensor's
-        gradient.  The operation order is the textbook formula's,
-        elementwise, so results are bit-identical to it.
+        gradient.  The operation order is the folded formula's,
+        elementwise, so results are bit-identical to it (not to the
+        textbook formula, which rounds differently).
 
         A failed update takes no further block, and its error is raised
         (the worker's if both threads failed).
@@ -82,17 +112,18 @@ class Adam:
             if not p.data.flags.c_contiguous:
                 raise ArgumentError(f"adam: parameter {i} is not C-contiguous")
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        s = math.sqrt((1.0 - self.beta2) / (1.0 - self.beta2 ** self.t))
+        alpha = self.lr * (1.0 - self.beta1) / (1.0 - self.beta1 ** self.t) / s
+        eps_hat = self.eps / s
         # views, since p.data and the moments (zeros_like of it) are contiguous
         flat = [tuple(x.reshape(-1) for x in (p.data, m, v, p.grad))
                 for p, m, v in zip(self.params, self.m, self.v)]
         blocks = [tuple(x[lo:lo + _BLOCK] for x in arrays)
                   for arrays in flat for lo in range(0, arrays[0].size, _BLOCK)]
-        pool.drain(blocks, self._update, [(scratch, bc1, bc2) for scratch in self._scratch])
+        pool.drain(blocks, self._update, [(scratch, alpha, eps_hat) for scratch in self._scratch])
 
-    def _update(self, block, scratch, bc1: float, bc2: float) -> None:
-        """Update one (data, m, v, grad) block of flat views in place.
+    def _update(self, block, scratch, alpha: float, eps_hat: float) -> None:
+        """Update one (data, M, V, grad) block of flat views in place.
         Runs on a worker thread too, so it calls no other function of the
         package."""
         data, m, v, g = block
@@ -101,16 +132,12 @@ class Adam:
             np.multiply(data, self.weight_decay, out=a)
             g = np.add(g, a, out=a)
         m *= self.beta1
-        m += np.multiply(g, 1.0 - self.beta1, out=b)
+        m += g
         v *= self.beta2
-        np.multiply(g, g, out=b)
-        b *= 1.0 - self.beta2
-        v += b
-        np.divide(v, bc2, out=b)  # v_hat
-        np.sqrt(b, out=b)
-        b += self.eps
-        np.divide(m, bc1, out=a)  # m_hat; g is no longer read
-        a *= self.lr
+        v += np.multiply(g, g, out=b)
+        np.sqrt(v, out=b)
+        b += eps_hat
+        np.multiply(m, alpha, out=a)  # g is no longer read
         a /= b
         data -= a
 

@@ -22,8 +22,7 @@ The generic ops (affine, sigmoid, concat, reshape, slice, transpose, add,
 sub, broadcasting multiply, 1-d convolution, edge padding) record no node
 on any path that trains or infers: they are the test suite's reference
 tape and the inspection API (``model.channel_adapt``,
-``baselines.moving_average_decompose``), and ``model.export_gates`` runs
-``sigmoid`` outside the tape.
+``baselines.moving_average_decompose``).
 """
 from __future__ import annotations
 

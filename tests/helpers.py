@@ -9,12 +9,13 @@ and its forecast gated and projected from that bank, MPPN's, NLinear's
 and DLinear's kernels composed op by op on the tape, and a forecaster's
 affine kernel read off its forward map through basis windows, the
 per-channel kernel applied by one einsum over the whole batch, and Adam's
-update as one range on one thread.
+folded update as one range on one thread.
 It also offers CSV twins that only the csv path parses, and a pipe, for
 reading an input from a source that cannot seek.
 """
 import contextlib
 import csv
+import math
 import os
 import threading
 
@@ -470,22 +471,29 @@ def assert_channel_affine_rows_batch_invariant(rng, channels, lookback, horizon,
                 f"C={channels}, L={lookback}, H={horizon}")
 
 
+def folded_adam_scalars(t, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Step ``t``'s folded step size and epsilon, ``(α', ε̂)``:
+    ``s = √((1 − β2)/(1 − β2ᵗ))``, ``α' = lr·(1 − β1)/(1 − β1ᵗ)/s`` and
+    ``ε̂ = ε/s``."""
+    s = math.sqrt((1.0 - beta2) / (1.0 - beta2 ** t))
+    return lr * (1.0 - beta1) / (1.0 - beta1 ** t) / s, eps / s
+
+
 def reference_adam_step(data, grads, m, v, t, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8,
                         weight_decay=1e-5, block=8192):
-    """Adam step ``t`` on lists of arrays, in place: each parameter in
-    turn, ``block`` elements at a time, on the calling thread, in the
-    textbook formula's elementwise order."""
-    bc1, bc2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+    """Folded Adam step ``t`` on lists of arrays, in place: each parameter
+    in turn, ``block`` elements at a time, on the calling thread, each
+    block computed out of place.  ``m`` and ``v`` hold the unscaled
+    moments ``M = m/(1 − β1)`` and ``V = v/(1 − β2)``."""
+    alpha, eps_hat = folded_adam_scalars(t, lr, beta1, beta2, eps)
     for d, g, mm, vv in zip(data, grads, m, v):
         d, g, mm, vv = (x.reshape(-1) for x in (d, g, mm, vv))
         for lo in range(0, d.size, block):
             s = slice(lo, lo + block)
             gs = g[s] + weight_decay * d[s] if weight_decay else g[s]
-            mm[s] *= beta1
-            mm[s] += gs * (1.0 - beta1)
-            vv[s] *= beta2
-            vv[s] += (gs * gs) * (1.0 - beta2)
-            d[s] -= (mm[s] / bc1) * lr / (np.sqrt(vv[s] / bc2) + eps)
+            mm[s] = beta1 * mm[s] + gs
+            vv[s] = beta2 * vv[s] + gs * gs
+            d[s] = d[s] - (alpha * mm[s]) / (np.sqrt(vv[s]) + eps_hat)
 
 
 def crlf_and_quoted(text: str) -> tuple[str, str]:

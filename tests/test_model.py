@@ -433,6 +433,20 @@ def test_export_gates_in_unit_interval():
     assert np.all((gates > 0.0) & (gates < 1.0))
 
 
+def test_export_gates_is_bit_identical_to_the_tape_sigmoid():
+    params = MPPNParams.init(cfg())
+    embed = params.tensors["embed"]
+    special = [800.0, -800.0, 0.0, -0.0, 1e-300, -1e-300]
+    logits = np.random.default_rng(11).standard_normal(embed.size)
+    logits[:len(special)] = special
+    embed.data[:] = logits.reshape(embed.shape)
+    gates = export_gates(params)
+    with T.no_grad():
+        want = T.sigmoid(embed).data
+    np.testing.assert_array_equal(gates, want)
+    assert gates.shape == embed.shape
+
+
 def test_gates_csv_round_trip(tmp_path):
     # the gates CSV layout, written by the shared CSV writer and read back
     # both as CSV rows and by load_csv with the channel column as its dates

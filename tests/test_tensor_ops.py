@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (assert_channel_affine_rows_batch_invariant, check_grads,
-                     reference_adam_step, reference_channel_affine)
+                     folded_adam_scalars, reference_adam_step, reference_channel_affine)
 from mppn import optim, pool
 from mppn import tensor as T
 from mppn.errors import ArgumentError, ReceptiveFieldError, ShapeError
@@ -671,17 +671,18 @@ def _check_adam_against_out_of_place_formula(shapes, weight_decay):
         for p, g in zip(params, step_grads):
             p.grad = g.copy(order="F")  # not C-contiguous when 2-d or more
         opt.step()
+        alpha, eps_hat = folded_adam_scalars(t, lr, b1, b2, eps)
         for i, g in enumerate(step_grads):
             if weight_decay:
                 g = g + weight_decay * ref[i]
-            m[i] = b1 * m[i] + (1.0 - b1) * g
-            v[i] = b2 * v[i] + (1.0 - b2) * (g * g)
-            m_hat = m[i] / (1.0 - b1 ** t)
-            v_hat = v[i] / (1.0 - b2 ** t)
-            ref[i] = ref[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            m[i] = b1 * m[i] + g
+            v[i] = b2 * v[i] + g * g
+            ref[i] = ref[i] - (alpha * m[i]) / (np.sqrt(v[i]) + eps_hat)
         for p, g, r in zip(params, step_grads, ref):
             np.testing.assert_array_equal(p.data, r)
             np.testing.assert_array_equal(p.grad, g)  # the gradient is only read
+        for got, want in zip(opt.m + opt.v, m + v):
+            np.testing.assert_array_equal(got, want)
     assert opt.t == len(grads)
 
 
@@ -690,6 +691,88 @@ def test_adam_in_place_step_matches_out_of_place_formula(weight_decay):
     # the long one spans several Adam scratch blocks and ends mid-block
     shapes = [(4, 3), (5,), (2, 3, 2), (2 * optim._BLOCK + 3,), ()]
     _check_adam_against_out_of_place_formula(shapes, weight_decay)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+def test_adam_folded_step_matches_the_textbook_formula(weight_decay):
+    # the textbook update (Kingma & Ba, Algorithm 1) with coupled L2, out of
+    # place; the folded step rounds differently, so the two agree to a
+    # tolerance relative to each array's largest magnitude, not bit for bit
+    lr, b1, b2, eps, tol = 1e-2, 0.9, 0.999, 1e-8, 1e-12
+    gen = np.random.default_rng(33)
+    shapes = [(40, 3), (7,), ()]
+    start = [gen.standard_normal(s) for s in shapes]
+    params = [Tensor(a.copy(), requires_grad=True) for a in start]
+    opt = Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps, weight_decay=weight_decay)
+    ref = [a.copy() for a in start]
+    m, v = [np.zeros(s) for s in shapes], [np.zeros(s) for s in shapes]
+    # per-step gradient scales across the regimes: √v̂ far below, near and
+    # far above ε
+    scales = 10.0 ** gen.uniform(-8, 2, size=200)
+    scales[:3] = 1e-8, 1e2, 1e-8
+    for t, scale in enumerate(scales, 1):
+        grads = [gen.standard_normal(s) * scale for s in shapes]
+        for p, g in zip(params, grads):
+            p.grad = g
+        opt.step()
+        for i, g in enumerate(grads):
+            g = g + weight_decay * ref[i]
+            m[i] = b1 * m[i] + (1.0 - b1) * g
+            v[i] = b2 * v[i] + (1.0 - b2) * (g * g)
+            m_hat = m[i] / (1.0 - b1 ** t)
+            v_hat = v[i] / (1.0 - b2 ** t)
+            ref[i] = ref[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        for got, want in [(p.data, r) for p, r in zip(params, ref)] + \
+                [(mm * (1.0 - b1), r) for mm, r in zip(opt.m, m)] + \
+                [(vv * (1.0 - b2), r) for vv, r in zip(opt.v, v)]:
+            np.testing.assert_allclose(got, want, rtol=0, atol=tol * np.abs(want).max())
+
+
+@pytest.mark.parametrize("sizes", [(5,), (optim._BLOCK + 3, 5)], ids=["one-block", "two-threads"])
+def test_adam_epsilon_dominated_steps_stay_exact_and_finite(sizes):
+    # √V is 0 where the gradient has been 0, so ε̂ alone is the denominator:
+    # a wrong ε̂ or a 0/0 would show here.  errstate is per thread: one block
+    # runs on the calling thread only, so every operation is under it; the
+    # worker's blocks are checked by the finiteness and oracle asserts
+    params = [Tensor(np.linspace(-2.0, 2.0, n), requires_grad=True) for n in sizes]
+    start = [p.data.copy() for p in params]
+    opt = Adam(params, weight_decay=0.0)
+    with np.errstate(all="raise"):
+        for p in params:
+            p.grad = np.zeros(p.shape)
+        opt.step()
+        for p, a in zip(params, start):
+            np.testing.assert_array_equal(p.data, a)
+        grads = [np.where(np.arange(p.size) % 3 == 0, 0.0, 1e-9 * (np.arange(p.size) + 1.0))
+                 for p in params]
+        for t in (2, 3):
+            for p, g in zip(params, grads):
+                p.grad = g
+            opt.step()
+    ref = [a.copy() for a in start]
+    m, v = [np.zeros(p.shape) for p in params], [np.zeros(p.shape) for p in params]
+    reference_adam_step(ref, [np.zeros(p.shape) for p in params], m, v, 1, weight_decay=0.0)
+    for t in (2, 3):
+        reference_adam_step(ref, grads, m, v, t, weight_decay=0.0)
+    for p, a, r, g in zip(params, start, ref, grads):
+        assert np.all(np.isfinite(p.data))
+        np.testing.assert_array_equal(p.data, r)
+        np.testing.assert_array_equal(p.data[g == 0], a[g == 0])  # M stays 0 there
+        assert np.all(p.data[g > 0] < a[g > 0])
+
+
+@pytest.mark.parametrize("setting, value", [
+    ("lr", 0.0), ("lr", -1e-3), ("lr", float("inf")), ("lr", float("nan")),
+    ("beta1", 1.0), ("beta1", -0.1), ("beta1", float("nan")),
+    ("beta2", 1.0), ("beta2", 1.5), ("beta2", float("nan")),
+    ("eps", 0.0), ("eps", -1e-8), ("eps", float("inf")), ("eps", float("nan")),
+    ("weight_decay", -1e-5), ("weight_decay", float("inf")), ("weight_decay", float("nan")),
+])
+def test_adam_rejects_hyperparameters_outside_their_range(setting, value):
+    p = Tensor(np.zeros(3), requires_grad=True)
+    with pytest.raises(ArgumentError, match=setting):
+        Adam([p], **{setting: value})
+    Adam([p], beta1=0.0, beta2=0.0, weight_decay=0.0)  # the closed ends are allowed
 
 
 # how a step's blocks fall: each parameter is cut into blocks of at most
