@@ -7,9 +7,9 @@ window into a moving-average trend and a residual and projects each part
 separately.  All three are affine in the window, so each composes its
 kernel (A [C, L, H], b [C, H]) from its weights, as the pattern
 forecaster does, and maps a batch of windows [B, L, C] to [B, H, C] by
-applying it.  The kernel is the same for every channel: each linear model
-composes it in numpy as one tape node whose pullback, derived by hand,
-takes its gradient summed over the channels.  The test suite's
+applying it as one tape node.  The kernel is the same for every channel:
+each linear model composes it in plain numpy, with a pullback derived by
+hand that takes its gradient summed over the channels.  The test suite's
 reference_*_kernel compose it op by op on the tape, as the oracles.  The
 weights sit in a ``tensor.Params``; DLinear's moving-average width is a
 run setting, passed to its kernel as an argument.
@@ -24,31 +24,26 @@ from .rng import seeded_parameters
 from .tensor import Tensor
 
 
-def _batch(x, fn: str, weight: Tensor | None = None) -> Tensor:
-    """``x`` as windows [B, L, C]; given the [L, H] ``weight`` of a kernel
-    not yet composed, checked against that kernel's shape."""
+def _batch(x, fn: str) -> Tensor:
+    """``x`` as windows [B, L, C]."""
     x = x if isinstance(x, Tensor) else Tensor(x)
     if x.ndim != 3:
         raise ShapeError(f"{fn}: expected [B, L, C], got {x.shape}")
-    if weight is not None:
-        T.check_affine(x.shape, (x.shape[2], *weight.shape))
     return x
 
 
-def _shared_kernel(op: str, params: T.Params, a: np.ndarray, b: np.ndarray, channels: int,
-                   pullback) -> tuple[Tensor, Tensor]:
-    """(a [L, H], b [H]) from ``params``, repeated per channel as one tape node;
-    ``pullback`` maps their gradients, summed over channels, to the parameters'."""
-    return T.custom_op(op, tuple(params.tensors.values()),
-                       (np.repeat(a[None], channels, axis=0), np.repeat(b[None], channels, axis=0)),
-                       lambda d_a, d_b: pullback(d_a.sum(axis=0), d_b.sum(axis=0)))
+def _shared_kernel(a: np.ndarray, b: np.ndarray, channels: int, pullback) -> T.Kernel:
+    """(a [L, H], b [H]) repeated per channel; ``pullback`` maps their
+    gradients, summed over channels, to the parameters'."""
+    return (np.repeat(a[None], channels, axis=0), np.repeat(b[None], channels, axis=0),
+            lambda d_a, d_b: pullback(d_a.sum(axis=0), d_b.sum(axis=0)))
 
 
-def naive_kernel(lookback: int, horizon: int, channels: int) -> tuple[Tensor, Tensor]:
-    """Last-value repeat as a kernel: A = e_L 1^T, b = 0."""
+def naive_kernel(lookback: int, horizon: int, channels: int) -> T.Kernel:
+    """Last-value repeat as a kernel: A = e_L 1^T, b = 0, and no parameters."""
     a = np.zeros((channels, lookback, horizon))
     a[:, -1] = 1.0
-    return Tensor(a), Tensor(np.zeros((channels, horizon)))
+    return a, np.zeros((channels, horizon)), lambda d_a, d_b: ()
 
 
 class NLinearParams(T.Params):
@@ -62,7 +57,7 @@ class NLinearParams(T.Params):
         return cls.from_arrays(shapes, seeded_parameters(shapes, seed, "nlinear-init"))
 
 
-def nlinear_kernel(params: NLinearParams, channels: int) -> tuple[Tensor, Tensor]:
+def nlinear_kernel(params: NLinearParams, channels: int) -> T.Kernel:
     """(x - last) @ W + b + last as a kernel: A = W plus 1 - colsum(W) on
     its last row, so a constant shift of the window shifts the forecast by
     the same constant.  With G, g the gradients of A, b summed over the
@@ -70,7 +65,7 @@ def nlinear_kernel(params: NLinearParams, channels: int) -> tuple[Tensor, Tensor
     weight = params.tensors["weight"].data
     a = weight.copy()
     a[-1] += 1.0 - (np.ones((1, len(weight))) @ weight)[0]
-    return _shared_kernel("nlinear_kernel", params, a, params.tensors["bias"].data, channels,
+    return _shared_kernel(a, params.tensors["bias"].data, channels,
                           lambda g_a, g_b: (g_a - g_a[-1], g_b))
 
 
@@ -78,8 +73,8 @@ def nlinear_forward(x, params: NLinearParams) -> Tensor:
     """[B, L, C] -> [B, H, C] projection of the last-value-anchored window:
     shifting every input by a constant shifts every output by the same
     constant."""
-    xb = _batch(x, "nlinear_forward", params.tensors["weight"])
-    return T.channel_affine(xb, *nlinear_kernel(params, xb.shape[2]))
+    xb = _batch(x, "nlinear_forward")
+    return T.apply_kernel(xb, "nlinear", params, nlinear_kernel(params, xb.shape[2]))
 
 
 class DLinearParams(T.Params):
@@ -125,7 +120,7 @@ def moving_average_decompose(x, window: int) -> tuple[Tensor, Tensor]:
     return trend, T.sub(xb, trend)
 
 
-def dlinear_kernel(params: DLinearParams, channels: int, window: int) -> tuple[Tensor, Tensor]:
+def dlinear_kernel(params: DLinearParams, channels: int, window: int) -> T.Kernel:
     """trend @ W_t + (x - trend) @ W_s with trend = M x, M the moving
     average of odd width ``window``, as a kernel: A = W_s + M^T (W_t - W_s),
     b = b_t + b_s.  With G, g the gradients of A, b summed over the
@@ -138,12 +133,11 @@ def dlinear_kernel(params: DLinearParams, channels: int, window: int) -> tuple[T
         mg = mt.T @ g_a
         return mg, g_b, g_a - mg, g_b
 
-    return _shared_kernel("dlinear_kernel", params, a, w["trend.bias"] + w["seasonal.bias"],
-                          channels, pullback)
+    return _shared_kernel(a, w["trend.bias"] + w["seasonal.bias"], channels, pullback)
 
 
 def dlinear_forward(x, params: DLinearParams, window: int) -> Tensor:
     """[B, L, C] -> [B, H, C]: decompose with a moving average of width
     ``window``, project trend and residual separately, and sum."""
-    xb = _batch(x, "dlinear_forward", params.tensors["trend.weight"])
-    return T.channel_affine(xb, *dlinear_kernel(params, xb.shape[2], window))
+    xb = _batch(x, "dlinear_forward")
+    return T.apply_kernel(xb, "dlinear", params, dlinear_kernel(params, xb.shape[2], window))

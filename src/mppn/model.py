@@ -20,14 +20,14 @@ checkpoints are unchanged.  Each pair's taps land on the window's tail in
 placements (the pair, or one tap of it with overlap: Q placements in
 all), so every kernel row is a gate-weighted mix of Q tap rows, and A is
 one batched product of a per-row gate matrix [L, C, Q] with the tap rows
-[L, Q, H].  It does this in plain numpy and records one tape node with
-two outputs, whose pullback, derived by hand, maps (dA, db) to every
-parameter's gradient through the same two arrays; it runs once, as
-backward runs it.  forward_batch applies that kernel to a batch of
-windows [B, L, C].  The pattern bank is never materialised here; the test
-suite's plain-numpy reference_bank and reference_forward run the network
-stage by stage, and reference_compose_kernel composes the kernel op by op
-on the tape: they are the oracles of the composition and its gradients.
+[L, Q, H].  It does this in plain numpy and returns, beside A and b, a
+pullback derived by hand that maps (dA, db) to every parameter's gradient
+through the same two arrays.  forward_batch applies that kernel to a
+batch of windows [B, L, C] as one tape node.  The pattern bank is never
+materialised here; the test suite's plain-numpy reference_bank and
+reference_forward run the network stage by stage, and
+reference_compose_kernel composes the kernel op by op on the tape: they
+are the oracles of the composition and its gradients.
 """
 from __future__ import annotations
 
@@ -137,10 +137,10 @@ class MPPNParams(T.Params):
         return cls.from_arrays(shapes, seeded_parameters(shapes, config.seed, "mppn-init"))
 
 
-def compose_kernel(params: MPPNParams, config: MPPNConfig) -> tuple[Tensor, Tensor]:
+def compose_kernel(params: MPPNParams, config: MPPNConfig) -> T.Kernel:
     """The model's map as one affine kernel per channel: (A [C, L, H],
-    b [C, H]) with forecast[:, c] = window[:, c] @ A[c] + b[c], recorded
-    as one tape node whose pullback is derived by hand.
+    b [C, H], pullback) with forecast[:, c] = window[:, c] @ A[c] + b[c],
+    and pullback(dA, db) the gradient of every parameter, in params order.
 
     The gate is a sigmoid of a parameter, not of the window, so the whole
     network is affine in its input.  For each pair, the patch kernel folds
@@ -169,7 +169,7 @@ def compose_kernel(params: MPPNParams, config: MPPNConfig) -> tuple[Tensor, Tens
     dg[c, t], and d_tmix = gmix^T dA^T holds each pair's dM on its rows.
     Then dW = w'^T dM and dw' = sum_t dM[t] W[t]^T, and the fold's pullback
     reaches mine.* and patch.*.  d_tmix is written over tmix, so the
-    pullback runs once, as the tape runs it: backward clears the tape.
+    pullback may run only once.
     Every contraction is a matmul or a tensordot, so each run does the
     same sums in the same order.
     """
@@ -239,7 +239,7 @@ def compose_kernel(params: MPPNParams, config: MPPNConfig) -> tuple[Tensor, Tens
         grads["out.bias"] = d_bias.sum(axis=0)
         return tuple(grads[name] for name in data)
 
-    return T.custom_op("compose_kernel", tuple(params.tensors.values()), (kernel, bias), pullback)
+    return kernel, bias, pullback
 
 
 def channel_adapt(bank: Tensor, embed: Tensor) -> Tensor:
@@ -261,9 +261,8 @@ def channel_adapt(bank: Tensor, embed: Tensor) -> Tensor:
 
 def forward_batch(xb: Tensor, params: MPPNParams, config: MPPNConfig) -> Tensor:
     """[B, L, C] -> [B, H, C] direct multi-horizon forecast: the composed
-    kernel applied to each window, once the windows fit its shape."""
-    T.check_affine(xb.shape, (config.channels, config.lookback, config.horizon))
-    return T.channel_affine(xb, *compose_kernel(params, config))
+    kernel applied to each window."""
+    return T.apply_kernel(xb, "mppn", params, compose_kernel(params, config))
 
 
 def export_gates(params: MPPNParams) -> np.ndarray:

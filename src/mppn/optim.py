@@ -80,6 +80,8 @@ class Adam:
         # M = m/(1 − β1) and V = v/(1 − β2) of the textbook moments
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
+        for p in self.params:  # written now, not in step 1 (a mapped array faults in pages)
+            p._spare = np.full_like(p.data, 0.0)
         # two scratch arrays per thread
         n = min(_BLOCK, max((p.size for p in self.params), default=0))
         self._scratch = [(np.empty(n), np.empty(n)) for _ in range(threads)]
@@ -144,10 +146,10 @@ class Adam:
     def zero_grad(self) -> None:
         """Drop every parameter's gradient.
 
-        Each dropped array stays on its parameter as a one-use spare, which
-        the next pullback that produces that parameter's whole gradient
-        (``tensor.grad_buffer``) may overwrite instead of allocating.  A
-        caller who needs a gradient after zero_grad must copy it.
+        Each dropped array stays on its parameter as a one-use spare (a new
+        Adam gives each one a first), which the next pullback producing the
+        parameter's whole gradient (``tensor.grad_buffer``) may overwrite
+        instead of allocating.  Copy a gradient needed after zero_grad.
         """
         for p in self.params:
             if p.grad is not None:

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import threading
 
+import numpy as np
+
 # Threads draining a list: the calling thread and _THREADS - 1 workers.  A
 # constant, not os.cpu_count(), so the work does not depend on where it runs.
 _THREADS = 2
@@ -36,23 +38,27 @@ def drain(items: list, fn, per_thread=((),) * _THREADS) -> None:
     cancels a worker task that has not started, so an unscheduled thread
     holds up at most the one item it took.  A failed item empties the
     iterator, and its error is raised (the worker's if both failed).
+    numpy keeps its error state per thread, so every item runs under the
+    caller's (``np.geterr()``).
     """
     pending = iter(items)
     lock = threading.Lock()
+    errors = np.geterr()
 
     def take(*args):
         nonlocal pending
-        while True:
-            with lock:
-                item = next(pending, None)
-            if item is None:
-                return
-            try:
-                fn(item, *args)
-            except BaseException:
+        with np.errstate(**errors):
+            while True:
                 with lock:
-                    pending = iter(())
-                raise
+                    item = next(pending, None)
+                if item is None:
+                    return
+                try:
+                    fn(item, *args)
+                except BaseException:
+                    with lock:
+                        pending = iter(())
+                    raise
 
     rest = per_thread[1:] if len(items) > 1 else ()
     futures = [_workers().submit(take, *args) for args in rest]

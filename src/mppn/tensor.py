@@ -5,12 +5,12 @@ appends one node to the thread's tape; ``backward`` replays the tape once
 in reverse creation order, accumulating gradients additively, and then
 clears it.  Graphs are rebuilt on every forward pass, never cached.
 
-A node may have several outputs.  ``custom_op`` records one computed
-outside this module, with a hand-written pullback that takes one gradient
-per output (zeros for an output the loss does not reach): the pattern of
-a custom autograd function.  Each learned forecaster's kernel
-composition is such a node, so its training step records three: it,
-``channel_affine`` and ``mse_loss``.
+Every forecaster is one affine map per channel.  Its kernel function
+composes (A [C, L, H], b [C, H]) in plain numpy and returns them with a
+pullback derived by hand; ``apply_kernel`` runs the map on a batch of
+windows and records it as one node over the windows and the parameters.
+So a training step records two nodes, the forecaster's and ``mse_loss``,
+and inference reads the kernel arrays without building a Tensor.
 
 A gradient array may be shared (``add`` hands one array to both inputs,
 ``reshape`` and ``transpose`` hand out views, a leaf keeps its ``.grad``
@@ -27,7 +27,6 @@ tape and the inspection API (``model.channel_adapt``,
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -44,21 +43,6 @@ def _tape() -> list["TapeNode"]:
         tape = []
         _local.tape = tape
     return tape
-
-
-def _grad_enabled() -> bool:
-    return not getattr(_local, "no_grad", False)
-
-
-@contextmanager
-def no_grad():
-    """Run forward computations without recording tape nodes."""
-    prev = getattr(_local, "no_grad", False)
-    _local.no_grad = True
-    try:
-        yield
-    finally:
-        _local.no_grad = prev
 
 
 def clear_tape() -> None:
@@ -124,54 +108,37 @@ class Params:
         return list(self.tensors.items())
 
 
+@dataclass(slots=True, eq=False)
 class TapeNode:
-    """One recorded operation: inputs, outputs, and a pullback closure
-    taking one gradient per output and returning one per input."""
+    """One recorded operation: inputs, output, and a pullback closure
+    taking the output's gradient and returning one per input."""
 
-    __slots__ = ("op", "inputs", "outputs", "backward")
-
-    def __init__(self, op: str, inputs: tuple[Tensor, ...], outputs: tuple[Tensor, ...],
-                 backward: Callable[..., tuple]):
-        self.op = op
-        self.inputs = inputs
-        self.outputs = outputs
-        self.backward = backward
+    op: str
+    inputs: tuple[Tensor, ...]
+    output: Tensor
+    backward: Callable[[np.ndarray], tuple]
 
 
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _record(op: str, inputs: tuple[Tensor, ...], out_data, backward: Callable[..., tuple]):
-    """Wrap ``out_data`` (one array, or a tuple of arrays for an op with
-    several outputs) in tensors and, if any input requires grad, append
-    the node.  Returns one tensor, or a tuple of them."""
-    requires = _grad_enabled() and any(t.requires_grad for t in inputs)
-    many = isinstance(out_data, tuple)
-    outs = tuple(Tensor(d, requires_grad=requires) for d in (out_data if many else (out_data,)))
+def _record(op: str, inputs: tuple[Tensor, ...], out_data, backward: Callable[[np.ndarray], tuple]):
+    """Wrap ``out_data`` in a tensor and, if any input requires grad,
+    append the node."""
+    requires = any(t.requires_grad for t in inputs)
+    out = Tensor(out_data, requires_grad=requires)
     if requires:
-        _tape().append(TapeNode(op, inputs, outs, backward))
-    return outs if many else outs[0]
-
-
-def custom_op(op: str, inputs: Sequence[Tensor], outputs: tuple[np.ndarray, ...],
-              pullback: Callable[..., tuple]) -> tuple[Tensor, ...]:
-    """Record an operation whose forward and pullback are computed outside
-    this module, as one tape node with several outputs.
-
-    ``outputs`` are the forward's arrays.  ``pullback`` takes one gradient
-    per output, at the output's shape (zeros for an output the loss does
-    not reach), and returns one dense gradient per input, or None.
-    """
-    return _record(op, tuple(inputs), tuple(outputs), pullback)
+        _tape().append(TapeNode(op, inputs, out, backward))
+    return out
 
 
 def grad_buffer(t: Tensor) -> np.ndarray:
     """Uninitialised storage for the whole of ``t``'s next gradient, for a
-    pullback that writes every element: the spare ``Adam.zero_grad`` left
-    on ``t`` when it is a writable C-contiguous float64 array of ``t``'s
-    shape, else a new array.  A spare is handed out once; ``backward`` and
-    ``Tensor.zero_grad`` never make one."""
+    pullback that writes every element: the spare ``Adam`` or
+    ``Adam.zero_grad`` left on ``t`` when it is a writable C-contiguous
+    float64 array of ``t``'s shape, else a new array.  A spare is handed
+    out once; ``backward`` and ``Tensor.zero_grad`` never make one."""
     spare, t._spare = t._spare, None
     if (spare is not None and spare.shape == t.shape and spare.dtype == np.float64
             and spare.flags.c_contiguous and spare.flags.writeable):
@@ -194,10 +161,9 @@ def backward(loss: Tensor) -> None:
     """Populate gradients of everything reachable from a scalar loss.
 
     Gradients accumulate additively across fan-out and across repeated
-    backward calls; the tape is cleared afterwards.  A node runs if any of
-    its outputs received a gradient; its pullback gets one gradient per
-    output, zeros for an output that received none, and returns one dense
-    gradient per input, at the input's shape, or None.
+    backward calls; the tape is cleared afterwards.  A node runs if its
+    output received a gradient; its pullback returns one dense gradient
+    per input, at the input's shape, or None.
     """
     if loss.size != 1:
         raise ArgumentError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -205,12 +171,9 @@ def backward(loss: Tensor) -> None:
     seed = np.ones_like(loss.data)
     loss.grad = seed if loss.grad is None else loss.grad + seed
     for node in reversed(tape):
-        gs = [t.grad for t in node.outputs]
-        if all(g is None for g in gs):
+        if node.output.grad is None:
             continue
-        grads = node.backward(*(np.zeros(t.shape) if g is None else g
-                                for t, g in zip(node.outputs, gs)))
-        for t, gin in zip(node.inputs, grads):
+        for t, gin in zip(node.inputs, node.backward(node.output.grad)):
             if gin is not None and t.requires_grad:
                 t.grad = gin if t.grad is None else t.grad + gin
     tape.clear()
@@ -428,17 +391,31 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return _record("linear", (x, weight, bias), out, bw)
 
 
-# Rows per BLAS product in channel_affine's forward; fixed, so that every
+# A composed kernel: (A [C, L, H], b [C, H], pullback), with pullback(dA, db)
+# one gradient per parameter of the forecaster that composed it.
+Kernel = tuple[np.ndarray, np.ndarray, Callable[[np.ndarray, np.ndarray], tuple]]
+
+# Rows per BLAS product in a forecaster's forward; fixed, so that every
 # product has one shape whatever the batch size.
 _ROWS = 16
 
 
 def _affine_forward(xt: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``channel_affine``'s forward on arrays: windows ``xt [C, B, L]``, of
-    any strides, through ``a [C, L, H]`` and ``b [C, H]`` to a new
-    C-contiguous ``[B, H, C]``.  The windows are copied once, into the
-    zero-padded ``[C, blocks * _ROWS, L]`` layout of the fixed-shape
-    products."""
+    """A forecaster's forward on arrays: windows ``xt [C, B, L]``, of any
+    strides, through ``a [C, L, H]`` and ``b [C, H]`` to a new
+    C-contiguous ``[B, H, C]``, ``out[n, h, c] = sum_l xt[c, n, l] *
+    a[c, l, h] + b[c, h]``.
+
+    The windows are copied once, zero-padded to a multiple of ``_ROWS``,
+    and multiplied through BLAS as ``[C, k, _ROWS, L] @ [C, 1, L, H]``, so
+    every product has the shape ``[_ROWS, L] @ [L, H]`` whatever the batch
+    size.  OpenBLAS picks its kernels and summation order by a product's
+    shape, not by the values in its other rows: with the shape fixed, a
+    window's forecast is bit-identical alone or at any position in any
+    batch.  That was measured with OpenBLAS at 1 and 2 threads; another
+    BLAS (MKL outside its reproducible mode may vary with alignment) is
+    checked by the batch-invariance tests of ``tests/test_tensor_ops.py``.
+    """
     channels, n, lookback = xt.shape
     blocks = -(-n // _ROWS)
     padded = np.zeros((channels, blocks * _ROWS, lookback))
@@ -450,48 +427,36 @@ def _affine_forward(xt: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def check_affine(x: tuple[int, ...], a: tuple[int, ...], b: tuple[int, ...] | None = None) -> None:
-    """Raise ShapeError unless windows of shape ``x`` fit a kernel of shape
-    ``a`` and a bias of shape ``b`` (by default the one that fits ``a``) in
-    ``channel_affine``.  A forward that composes its kernel checks the
-    kernel's shape first, so a failed check leaves no node on the tape."""
-    b = (a[0], a[2]) if b is None and len(a) == 3 else b
-    if len(x) != 3 or len(a) != 3 or a[:2] != (x[2], x[1]) or b != (a[0], a[2]):
-        raise ShapeError(f"channel_affine: windows {x} do not match kernel {a} "
-                         f"and bias {b}; expected [B, L, C], [C, L, H], [C, H]")
+def apply_kernel(x, op: str, params: Params, composed: Kernel) -> Tensor:
+    """A forecaster's forward: windows ``x [B, L, C]`` through the kernel
+    ``composed = (A [C, L, H], b [C, H], pullback)`` that its kernel
+    function composed from ``params``, to ``[B, H, C]`` by
+    ``_affine_forward``.
 
-
-def channel_affine(x: Tensor, a: Tensor, b: Tensor) -> Tensor:
-    """Per-channel affine map of a batch of windows:
-    ``out[n, h, c] = sum_l x[n, l, c] * a[c, l, h] + b[c, h]``, mapping
-    ``[B, L, C]`` through ``a [C, L, H]`` and ``b [C, H]`` to ``[B, H, C]``.
-
-    The forward zero-pads the batch to a multiple of ``_ROWS`` windows and
-    multiplies it through BLAS as ``[C, k, _ROWS, L] @ [C, 1, L, H]``, so
-    every product has the shape ``[_ROWS, L] @ [L, H]`` whatever the batch
-    size.  OpenBLAS picks its kernels and summation order by a product's
-    shape, not by the values in its other rows: with the shape fixed, a
-    window's forecast is bit-identical alone or at any position in any
-    batch.  That was measured with OpenBLAS at 1 and 2 threads; another
-    BLAS (MKL outside its reproducible mode may vary with alignment) is
-    checked by ``test_channel_affine_rows_do_not_depend_on_the_batch``.
+    Recorded as one node named ``op`` over ``x`` and the parameters.  Its
+    pullback forms dA and db from the output's gradient, then
+    ``pullback(dA, db)`` maps them to one gradient per parameter, in
+    ``params`` order.  Windows that do not fit the kernel raise ShapeError,
+    and nothing is recorded.
     """
-    x, a, b = _as_tensor(x), _as_tensor(a), _as_tensor(b)
-    check_affine(x.shape, a.shape, b.shape)
-    out = _affine_forward(x.data.transpose(2, 0, 1), a.data, b.data)
+    x = _as_tensor(x)
+    a, b, pullback = composed
+    if (x.ndim != 3 or a.ndim != 3 or a.shape[:2] != (x.shape[2], x.shape[1])
+            or b.shape != (a.shape[0], a.shape[2])):
+        raise ShapeError(f"{op}: windows {x.shape} do not match kernel {a.shape} and bias "
+                         f"{b.shape}; expected [B, L, C], [C, L, H], [C, H]")
+    out = _affine_forward(x.data.transpose(2, 0, 1), a, b)
 
     def bw(g):
         gt = g.transpose(2, 0, 1)  # [C, B, H]
-        gx = ga = gb = None
+        gx = None
         if x.requires_grad:
-            gx = np.ascontiguousarray(np.matmul(gt, a.data.transpose(0, 2, 1)).transpose(1, 2, 0))
-        if a.requires_grad:
-            ga = np.matmul(x.data.transpose(2, 1, 0), gt)
-        if b.requires_grad:
-            gb = np.ascontiguousarray(g.sum(axis=0).T)
-        return gx, ga, gb
+            gx = np.ascontiguousarray(np.matmul(gt, a.transpose(0, 2, 1)).transpose(1, 2, 0))
+        d_a = np.matmul(x.data.transpose(2, 1, 0), gt)
+        d_b = np.ascontiguousarray(g.sum(axis=0).T)
+        return (gx, *pullback(d_a, d_b))
 
-    return _record("channel_affine", (x, a, b), out, bw)
+    return _record(op, (x, *params.tensors.values()), out, bw)
 
 
 def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, dilation: int = 1) -> Tensor:

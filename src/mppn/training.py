@@ -7,9 +7,10 @@ channel count and names) so evaluation can rebuild the exact model.
 
 Every forecaster is affine in its input window, channel by channel, and
 composes that map from its weights as one kernel (A [C, L, H], b [C, H])
-that the tape differentiates.  Training, forecast and kernel export run
-through it; scoring a split (evaluate, and the per-epoch validation of
-train) composes it once and applies it to every chunk of windows.  Those
+with a pullback to every weight's gradient.  A training step applies it
+as one tape node.  Forecast and kernel export read the arrays, and
+scoring a split (evaluate, and the per-epoch validation of train)
+composes it once and applies it to every chunk of windows.  Those
 windows are read through a strided view of the series, with no gather,
 and the chunks are scored on both threads of ``pool.drain``; training
 batches are shuffled, so they are gathered by ``iter_batches``.
@@ -202,26 +203,24 @@ def config_blob(run: RunConfig, extras: dict) -> str:
 class Forecaster:
     """One model of any kind: its parameters, a ``tensor.Params`` (empty
     for naive), and ``kernel()``, which composes from them (A [C, L, H],
-    b [C, H]) with forward_batch(x)[:, :, c] = x[:, :, c] @ A[c] + b[c];
-    ``kernel_shape`` is (C, L, H)."""
+    b [C, H], pullback) with forward_batch(x)[:, :, c] = x[:, :, c] @ A[c]
+    + b[c].  A caller that only reads the arrays takes ``kernel()[:2]``,
+    so that the pullback and what it holds are dropped at once."""
 
     kind: str
     params: T.Params
-    kernel: Callable[[], tuple[Tensor, Tensor]]
-    kernel_shape: tuple[int, int, int]
+    kernel: Callable[[], T.Kernel]
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         return self.params.named_parameters()
 
     def forward_batch(self, xb: Tensor) -> Tensor:
-        """[B, L, C] -> [B, H, C]: check the windows against the kernel's
-        shape, then compose the kernel and apply it."""
-        T.check_affine(xb.shape, self.kernel_shape)
-        return T.channel_affine(xb, *self.kernel())
+        """[B, L, C] -> [B, H, C]: compose the kernel and apply it."""
+        return T.apply_kernel(xb, self.kind, self.params, self.kernel())
 
 
-def _forecaster(run: RunConfig, channels: int, resolved_periods: tuple[int, ...],
-                arrays_for: Callable[[dict], dict] | None = None) -> Forecaster:
+def build_forecaster(run: RunConfig, channels: int, resolved_periods: tuple[int, ...],
+                     arrays_for: Callable[[dict], dict] | None = None) -> Forecaster:
     """The forecaster of the run's kind, its parameters drawn by the kind's
     seeded ``init`` or, given ``arrays_for``, taken from ``arrays_for(shapes)``:
     shapes maps each parameter's name to its shape, in named_parameters order."""
@@ -244,12 +243,7 @@ def _forecaster(run: RunConfig, channels: int, resolved_periods: tuple[int, ...]
         cls, shapes, init = T.Params, {}, lambda: T.Params({})
         kernel = lambda: baselines.naive_kernel(run.lookback, run.horizon, channels)
     params = init() if arrays_for is None else cls.from_arrays(shapes, arrays_for(shapes))
-    return Forecaster(run.model, params, kernel, (channels, run.lookback, run.horizon))
-
-
-def build_forecaster(run: RunConfig, channels: int, resolved_periods: tuple[int, ...]) -> Forecaster:
-    """A forecaster with its kind's seeded initial parameters."""
-    return _forecaster(run, channels, resolved_periods)
+    return Forecaster(run.model, params, kernel)
 
 
 def restore_forecaster(run: RunConfig, extras: dict, tensors: dict[str, np.ndarray]) -> Forecaster:
@@ -280,7 +274,7 @@ def restore_forecaster(run: RunConfig, extras: dict, tensors: dict[str, np.ndarr
                     f"checkpoint tensor '{name}' has shape {arr.shape}, expected {shapes[name]}")
         return tensors
 
-    return _forecaster(run, channels, tuple(periods), checked)
+    return build_forecaster(run, channels, tuple(periods), checked)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +326,7 @@ def split_metrics(fc: Forecaster, values: np.ndarray, origins: np.ndarray, lookb
     is gathered.  Both threads of ``pool.drain`` score chunks, each to its
     ``error_sums``; the caller adds them in chunk order, so the metrics
     are those of one thread adding chunk after chunk.  Nothing a chunk
-    runs touches the tape or ``MetricsAccumulator``."""
+    runs touches ``MetricsAccumulator``."""
     if batch_size < 1:
         raise ArgumentError(f"split_metrics: batch_size must be >= 1, got {batch_size}")
     n = len(origins)
@@ -340,8 +334,7 @@ def split_metrics(fc: Forecaster, values: np.ndarray, origins: np.ndarray, lookb
             and lookback <= origins[0] and origins[-1] + horizon <= len(values)):
         raise ArgumentError(f"split_metrics: origins must be a non-empty run of consecutive "
                             f"integers in [{lookback}, {len(values) - horizon}]")
-    with T.no_grad():
-        a, b = (t.data for t in fc.kernel())
+    a, b = fc.kernel()[:2]
     if values.ndim != 2 or a.shape != (values.shape[1], lookback, horizon):
         raise ShapeError(f"split_metrics: values {values.shape} do not match kernel {a.shape} "
                          f"for lookback {lookback} and horizon {horizon}")
@@ -505,9 +498,8 @@ def forecast(ckpt_path, data_path=None, origin: int | None = None, standardized:
     if not (run.lookback <= origin <= ds.length - run.horizon):
         raise ConfigError(
             f"origin {origin} outside [{run.lookback}, {ds.length - run.horizon}]")
-    window = values[origin - run.lookback:origin]
-    with T.no_grad():
-        pred = fc.forward_batch(Tensor(window[None])).data[0]
+    a, b = fc.kernel()[:2]
+    pred = T._affine_forward(values[origin - run.lookback:origin].T[:, None], a, b)[0]
     if not standardized:
         pred = std.invert(pred)
     return pred, extras["channel_names"], origin
@@ -569,6 +561,4 @@ def export_kernel(ckpt_path) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Channel names and the composed kernel (A [C, L, H], b [C, H]) of a
     checkpoint."""
     _, extras, fc = _restore_checkpoint(ckpt_path)
-    with T.no_grad():
-        a, b = fc.kernel()
-    return list(extras["channel_names"]), a.data, b.data
+    return list(extras["channel_names"]), *fc.kernel()[:2]

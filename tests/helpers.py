@@ -9,7 +9,8 @@ and its forecast gated and projected from that bank, MPPN's, NLinear's
 and DLinear's kernels composed op by op on the tape, and a forecaster's
 affine kernel read off its forward map through basis windows, the
 per-channel kernel applied by one einsum over the whole batch, and Adam's
-folded update as one range on one thread.
+folded update as one range on one thread.  ``channel_affine`` applies a
+kernel of free tensors through the forecasters' own tape node.
 It also offers CSV twins that only the csv path parses, and a pipe, for
 reading an input from a source that cannot seek.
 """
@@ -31,19 +32,21 @@ from mppn.tensor import Tensor
 
 
 def fd_gradient(loss_fn, tensor, h=1e-6):
-    """Central finite differences of a scalar closure wrt one tensor."""
+    """Central finite differences of a scalar closure wrt one tensor; the
+    tape is cleared after each evaluation, so none leaves a node behind."""
     grad = np.zeros_like(tensor.data)
     flat = tensor.data.ravel()
     gf = grad.ravel()
-    with T.no_grad():
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            plus = loss_fn()
-            flat[i] = orig - h
-            minus = loss_fn()
-            flat[i] = orig
-            gf[i] = (plus - minus) / (2.0 * h)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        plus = loss_fn()
+        T.clear_tape()
+        flat[i] = orig - h
+        minus = loss_fn()
+        T.clear_tape()
+        flat[i] = orig
+        gf[i] = (plus - minus) / (2.0 * h)
     return grad
 
 
@@ -413,6 +416,41 @@ def reference_dlinear_kernel(params, channels, window):
     return _per_channel(a, T.add(w["trend.bias"], w["seasonal.bias"]), channels)
 
 
+def _targets(a, b, reach, seed):
+    """Seeded standard normal targets of the outputs ``reach`` names."""
+    rng = np.random.default_rng(seed)
+    return {name: rng.standard_normal(out.shape)
+            for name, out in (("kernel", a), ("bias", b)) if name in reach}
+
+
+def pulled_gradients(compose, params, reach, seed):
+    """A, b and every parameter's gradient by name, through the pullback of
+    ``compose()``'s kernel (A, b, pullback), of the summed mean squared
+    errors of the outputs ``reach`` names ("kernel", "bias") against
+    seeded random targets.  The pullback gets mse_loss's gradient of each
+    reached output, and zeros for the other."""
+    a, b, pullback = compose()
+    targets = _targets(a, b, reach, seed)
+    d = [2.0 / out.size * (out - targets[name]) if name in targets else np.zeros(out.shape)
+         for name, out in (("kernel", a), ("bias", b))]
+    return a, b, dict(zip(params.tensors, pullback(*d)))
+
+
+def tape_gradients(compose, params, reach, seed):
+    """``pulled_gradients``' loss for a composition ``compose()`` of tensors
+    (A, b) on the tape, through backward; a parameter the loss does not
+    reach has the gradient None."""
+    for t in params.tensors.values():
+        t.grad = None
+    T.clear_tape()
+    a, b = compose()
+    targets = _targets(a, b, reach, seed)
+    terms = [T.mse_loss(out, Tensor(targets[name]))
+             for name, out in (("kernel", a), ("bias", b)) if name in reach]
+    T.backward(terms[0] if len(terms) == 1 else T.add(*terms))
+    return a.data, b.data, {name: t.grad for name, t in params.tensors.items()}
+
+
 # the probe forecast must match A.probe + b to this share of the summed
 # terms' magnitude; rounding leaves about 1e-15 at ETTh1 geometry
 AFFINE_RTOL = 1e-9
@@ -444,8 +482,18 @@ def reference_kernel(forward, lookback, channels):
     return a, b
 
 
+def channel_affine(x, a, b):
+    """Windows ``x [B, L, C]`` through the kernel ``a [C, L, H]``,
+    ``b [C, H]`` (tensors or arrays) to ``[B, H, C]``, as a forecaster's
+    forward runs: ``apply_kernel`` with ``a`` and ``b`` as the parameters
+    and the identity as the kernel's pullback."""
+    a, b = (t if isinstance(t, Tensor) else Tensor(t) for t in (a, b))
+    return T.apply_kernel(x, "channel_affine", T.Params({"a": a, "b": b}),
+                          (a.data, b.data, lambda d_a, d_b: (d_a, d_b)))
+
+
 def reference_channel_affine(x, a, b):
-    """``channel_affine``'s forward as one einsum over the whole batch:
+    """A forecaster's forward as one einsum over the whole batch:
     out[n, h, c] = sum_l x[n, l, c] * a[c, l, h] + b[c, h]."""
     return np.einsum("blc,clh->bhc", x, a) + b.T
 
@@ -458,13 +506,13 @@ def assert_channel_affine_rows_batch_invariant(rng, channels, lookback, horizon,
     windows; an empty batch must give ``[0, H, C]``."""
     a = Tensor(rng.standard_normal((channels, lookback, horizon)))
     b = Tensor(rng.standard_normal((channels, horizon)))
-    empty = T.channel_affine(Tensor(np.zeros((0, lookback, channels))), a, b).data
+    empty = channel_affine(Tensor(np.zeros((0, lookback, channels))), a, b).data
     assert empty.shape == (0, horizon, channels)
     pool = rng.standard_normal((max(batch_sizes) + 3, lookback, channels))
-    alone = [T.channel_affine(Tensor(window[None]), a, b).data[0] for window in pool]
+    alone = [channel_affine(Tensor(window[None]), a, b).data[0] for window in pool]
     for n in batch_sizes:
         picks = rng.permutation(len(pool))[:n]
-        got = T.channel_affine(Tensor(pool[picks]), a, b).data
+        got = channel_affine(Tensor(pool[picks]), a, b).data
         for pos, k in enumerate(picks):
             assert np.array_equal(got[pos], alone[k]), (
                 f"row {pos} of {n} differs from its window alone at "

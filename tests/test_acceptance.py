@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import dataset_path, full_runs_enabled
-from helpers import brute_match_lengths, check_grads
+from helpers import brute_match_lengths, channel_affine, check_grads
 from mppn import tensor as T
 from mppn.data import Standardizer, chronological_split, load_csv
 from mppn.errors import ConfigError
@@ -175,7 +175,7 @@ def _op_cases(rng):
     ck = mk((2, 5, 4))
     cb = mk((2, 4))
     yield "channel_affine", [cx, ck, cb], lambda: T.mse_loss(
-        T.channel_affine(cx, ck, cb), Tensor(np.zeros((3, 4, 2))))
+        channel_affine(cx, ck, cb), Tensor(np.zeros((3, 4, 2))))
 
     sl = mk((3, 8))
     yield "slice_axis", [sl], lambda: T.mse_loss(

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import check_grads, reference_dlinear_kernel, reference_nlinear_kernel
+from helpers import (check_grads, pulled_gradients, reference_dlinear_kernel,
+                     reference_nlinear_kernel, tape_gradients)
 from mppn import tensor as T
 from mppn.baselines import (DLinearParams, NLinearParams, dlinear_forward, dlinear_kernel,
                             moving_average_decompose, moving_average_matrix, naive_kernel,
@@ -21,13 +22,13 @@ from mppn.training import RunConfig, build_forecaster, restore_forecaster
 
 def test_naive_repeats_last_row():
     x = np.array([[0.0, 9.0], [1.0, 2.0]])
-    out = T.channel_affine(Tensor(x[None]), *naive_kernel(2, 3, 2))
+    out = T.apply_kernel(Tensor(x[None]), "naive", T.Params({}), naive_kernel(2, 3, 2))
     np.testing.assert_array_equal(out.data, [[[1.0, 2.0]] * 3])
 
 
 def test_naive_perfect_on_constant_target():
     x = np.array([[5.0], [5.0], [5.0]])
-    out = T.channel_affine(Tensor(x[None]), *naive_kernel(3, 4, 1))
+    out = T.apply_kernel(Tensor(x[None]), "naive", T.Params({}), naive_kernel(3, 4, 1))
     target = np.full((1, 4, 1), 5.0)
     assert float(np.mean((out.data - target) ** 2)) == 0.0
 
@@ -43,7 +44,8 @@ def test_naive_tone_mse_matches_closed_form():
     sq = []
     for t0 in origins:
         window = Tensor(x[None, t0 - lookback:t0, None])
-        pred = T.channel_affine(window, *naive_kernel(lookback, horizon, 1)).data[0]
+        pred = T.apply_kernel(window, "naive", T.Params({}),
+                              naive_kernel(lookback, horizon, 1)).data[0]
         target = x[t0:t0 + horizon, None]
         sq.append(np.mean((pred - target) ** 2))
     direct = float(np.mean(sq))
@@ -110,7 +112,7 @@ def test_nlinear_zero_weights_reduce_to_naive():
     params = NLinearParams.from_arrays(NLinearParams.shapes(8, 5),
                                        {"weight": np.zeros((8, 5)), "bias": np.zeros(5)})
     out = nlinear_forward(Tensor(x), params)
-    naive = T.channel_affine(Tensor(x), *naive_kernel(8, 5, 3))
+    naive = T.apply_kernel(Tensor(x), "naive", T.Params({}), naive_kernel(8, 5, 3))
     np.testing.assert_array_equal(out.data, naive.data)
 
 
@@ -198,17 +200,17 @@ def test_dlinear_kernel_matches_decomposed_projection():
             + np.einsum("blc,lh->bhc", seasonal.data, w["seasonal.weight"].data)
             + (w["trend.bias"].data + w["seasonal.bias"].data)[None, :, None])
     assert np.max(np.abs(dlinear_forward(Tensor(x), params, 7).data - want)) <= 1e-12
-    a, b = dlinear_kernel(params, 2, 7)
+    a, b, _ = dlinear_kernel(params, 2, 7)
     assert a.shape == (2, 15, 4) and b.shape == (2, 4)
-    assert np.array_equal(a.data[0], a.data[1])
+    assert np.array_equal(a[0], a[1])
 
 
 def test_nlinear_kernel_columns_sum_to_one():
     # a constant window forecasts itself plus the bias
     params = NLinearParams.init(9, 4, seed=8)
-    a, b = nlinear_kernel(params, 3)
+    a, b, _ = nlinear_kernel(params, 3)
     assert a.shape == (3, 9, 4) and b.shape == (3, 4)
-    assert np.max(np.abs(a.data.sum(axis=1) - 1.0)) <= 1e-12
+    assert np.max(np.abs(a.sum(axis=1) - 1.0)) <= 1e-12
 
 
 def test_dlinear_batch_matches_single():
@@ -223,7 +225,7 @@ def test_dlinear_batch_matches_single():
 
 @pytest.mark.parametrize("shape", [(10, 2), (10,), (1, 1, 10, 2)])
 @pytest.mark.parametrize("forecast", [
-    lambda x: T.channel_affine(x, *naive_kernel(10, 3, 2)),
+    lambda x: T.apply_kernel(x, "naive", T.Params({}), naive_kernel(10, 3, 2)),
     lambda x: nlinear_forward(x, NLinearParams.init(10, 3)),
     lambda x: dlinear_forward(x, DLinearParams.init(10, 3), 5),
     lambda x: moving_average_decompose(x, 5),
@@ -253,20 +255,6 @@ def _linear_cases():
                                    id=f"dlinear-L{lookback}-w{window}-C{channels}")
 
 
-def _kernel_and_gradients(compose, params, reach, seed):
-    """A, b and every parameter's gradient of the squared error against
-    random targets of the outputs named in ``reach``."""
-    for t in params.tensors.values():
-        t.grad = None
-    T.clear_tape()
-    a, b = compose()
-    rng = np.random.default_rng(seed)
-    terms = [T.mse_loss(out, Tensor(rng.standard_normal(out.shape)))
-             for name, out in (("kernel", a), ("bias", b)) if name in reach]
-    T.backward(terms[0] if len(terms) == 1 else T.add(*terms))
-    return a.data, b.data, {name: t.grad for name, t in params.tensors.items()}
-
-
 @pytest.mark.parametrize("cls,lookback,channels,kernel,reference", _linear_cases())
 def test_linear_kernels_and_pullbacks_equal_the_tape_composition(cls, lookback, channels,
                                                                  kernel, reference):
@@ -277,13 +265,13 @@ def test_linear_kernels_and_pullbacks_equal_the_tape_composition(cls, lookback, 
         shapes = cls.shapes(lookback, 5)
         params = cls.from_arrays(shapes, {n: rng.standard_normal(s) for n, s in shapes.items()})
         for reach in (("kernel", "bias"), ("kernel",), ("bias",)):
-            a, b, got = _kernel_and_gradients(lambda: kernel(params, channels), params, reach, seed)
-            want_a, want_b, want = _kernel_and_gradients(lambda: reference(params, channels),
-                                                         params, reach, seed)
+            a, b, got = pulled_gradients(lambda: kernel(params, channels), params, reach, seed)
+            want_a, want_b, want = tape_gradients(lambda: reference(params, channels), params,
+                                                  reach, seed)
             assert a.shape == (channels, lookback, 5) and b.shape == (channels, 5)
             assert np.array_equal(a, want_a) and np.array_equal(b, want_b)
             for name, g in got.items():
-                if want[name] is None:  # no path from the loss: the op hands back zeros
+                if want[name] is None:  # no path from the loss: the pullback hands back zeros
                     assert not np.any(g), (name, reach)
                 else:
                     assert g.shape == want[name].shape, (name, reach)

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import check_grads, reference_compose_kernel, reference_forward, reference_kernel
+from helpers import (channel_affine, fd_gradient, max_rel_err, pulled_gradients,
+                     reference_compose_kernel, reference_forward, reference_kernel, tape_gradients)
 from mppn import baselines, model, pool, training
 from mppn import tensor as T
 from mppn.data import (MetricsAccumulator, Standardizer, gather_windows, iter_batches,
@@ -104,8 +105,7 @@ def test_kernel_reproduces_forward_batch(kind, geom, seed):
     if kind == "mppn":
         assume(usable(geom))
     fc = random_forecaster(kind, geom, seed)
-    with T.no_grad():
-        a, b = (t.data for t in fc.kernel())
+    a, b = fc.kernel()[:2]
     assert a.shape == (geom["channels"], geom["lookback"], geom["horizon"])
     assert b.shape == (geom["channels"], geom["horizon"])
     want_a, want_b = reference_kernel(reference_forecaster(fc, geom), geom["lookback"],
@@ -114,8 +114,8 @@ def test_kernel_reproduces_forward_batch(kind, geom, seed):
     assert np.max(np.abs(a - want_a)) <= 1e-12 * scale
     assert np.max(np.abs(b - want_b)) <= 1e-12 * scale
     x = np.random.default_rng(seed + 1).standard_normal((3, geom["lookback"], geom["channels"]))
-    with T.no_grad():
-        direct = fc.forward_batch(Tensor(x)).data
+    direct = fc.forward_batch(Tensor(x)).data
+    T.clear_tape()
     via_kernel = np.einsum("blc,clh->bhc", x, a) + b.T
     assert np.max(np.abs(direct - via_kernel)) <= 1e-12 * max(1.0, float(np.max(np.abs(direct))))
 
@@ -129,8 +129,7 @@ def test_compose_kernel_matches_reference_forward(geom, seed):
     assume(usable(geom))
     fc = random_forecaster("mppn", geom, seed)
     cfg = mppn_config(geom)
-    with T.no_grad():
-        a, b = (t.data for t in compose_kernel(fc.params, cfg))
+    a, b = compose_kernel(fc.params, cfg)[:2]
     for x in np.random.default_rng(seed + 1).standard_normal((2, cfg.lookback, cfg.channels)):
         want = reference_forward(x, fc.params, cfg)
         got = np.einsum("lc,clh->hc", x, a) + b.T
@@ -139,21 +138,6 @@ def test_compose_kernel_matches_reference_forward(geom, seed):
 
 _ETTH1 = dict(lookback=336, horizon=96, channels=7, hidden=48, resolutions=(1, 3, 4, 6),
               periods=(24, 168), moving_average=25, batch_size=2)
-
-
-def _compose_gradients(compose, fc, cfg, reach, seed):
-    """Kernel, bias and every parameter's gradient of the squared error of
-    A and b against random targets; ``reach`` names the outputs the loss
-    reads, so the op's pullback also runs with a zero gradient for one."""
-    for _, t in fc.named_parameters():
-        t.grad = None
-    T.clear_tape()
-    a, b = compose(fc.params, cfg)
-    rng = np.random.default_rng(seed)
-    terms = [T.mse_loss(out, Tensor(rng.standard_normal(out.shape)))
-             for name, out in (("kernel", a), ("bias", b)) if name in reach]
-    T.backward(terms[0] if len(terms) == 1 else T.add(*terms))
-    return a.data, b.data, {name: t.grad for name, t in fc.named_parameters()}
 
 
 def _rel_err(got, want):
@@ -174,11 +158,12 @@ def test_compose_kernel_and_its_pullback_match_the_tape_composition(geom, reach,
     assume(usable(geom))
     fc = random_forecaster("mppn", geom, seed)
     cfg = mppn_config(geom)
-    a, b, got = _compose_gradients(compose_kernel, fc, cfg, reach, seed + 1)
-    want_a, want_b, want = _compose_gradients(reference_compose_kernel, fc, cfg, reach, seed + 1)
+    a, b, got = pulled_gradients(lambda: compose_kernel(fc.params, cfg), fc.params, reach, seed + 1)
+    want_a, want_b, want = tape_gradients(lambda: reference_compose_kernel(fc.params, cfg),
+                                          fc.params, reach, seed + 1)
     assert _rel_err(a, want_a) <= 1e-12 and _rel_err(b, want_b) <= 1e-12
     for name, g in got.items():
-        if want[name] is None:  # no path from the loss: the op hands back zeros
+        if want[name] is None:  # no path from the loss: the pullback hands back zeros
             assert not np.any(g), name
         else:
             assert g.shape == want[name].shape and _rel_err(g, want[name]) <= 1e-12, name
@@ -190,24 +175,24 @@ def test_compose_kernel_gradients_match_finite_differences(overlap):
     fc = random_forecaster("mppn", geom, 14)
     cfg = mppn_config(geom)
     rng = np.random.default_rng(15)
-    ta = Tensor(rng.standard_normal((cfg.channels, cfg.lookback, cfg.horizon)))
-    tb = Tensor(rng.standard_normal((cfg.channels, cfg.horizon)))
+    ta = rng.standard_normal((cfg.channels, cfg.lookback, cfg.horizon))
+    tb = rng.standard_normal((cfg.channels, cfg.horizon))
 
     def loss():
-        a, b = compose_kernel(fc.params, cfg)
-        return T.add(T.mse_loss(a, ta), T.mse_loss(b, tb))
+        a, b = compose_kernel(fc.params, cfg)[:2]
+        return float(np.mean((a - ta) * (a - ta)) + np.mean((b - tb) * (b - tb)))
 
-    check_grads(loss, [t for _, t in fc.named_parameters()], tol=1e-7)
+    a, b, pullback = compose_kernel(fc.params, cfg)
+    grads = pullback(2.0 / a.size * (a - ta), 2.0 / b.size * (b - tb))
+    worst = max(max_rel_err(g, fd_gradient(loss, t)) for g, (_, t) in
+                zip(grads, fc.named_parameters()))
+    assert worst <= 1e-7, f"gradient mismatch: rel err {worst:.3e}"
 
 
 def _compose_and_pull(fc, cfg, d_kernel, d_bias):
     """A, b and the pullback's gradients for (d_kernel, d_bias), by name."""
-    T.clear_tape()
-    a, b = compose_kernel(fc.params, cfg)
-    (node,) = T._tape()
-    grads = node.backward(d_kernel, d_bias)
-    T.clear_tape()
-    return a.data, b.data, dict(zip(fc.params.tensors, grads))
+    a, b, pullback = compose_kernel(fc.params, cfg)
+    return a, b, dict(zip(fc.params.tensors, pullback(d_kernel, d_bias)))
 
 
 @pytest.mark.parametrize("overlap", [False, True])
@@ -246,29 +231,26 @@ def test_compose_kernel_memory_peaks_at_etth1_geometry():
     d_kernel = rng.standard_normal((cfg.channels, cfg.lookback, cfg.horizon))
     d_bias = rng.standard_normal((cfg.channels, cfg.horizon))
     out_weight = fc.params.tensors["out.weight"]
-    T.clear_tape()
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        compose_kernel(fc.params, cfg)
+        composed = compose_kernel(fc.params, cfg)
         forward = tracemalloc.get_traced_memory()[1] - start
-        (node,) = T._tape()
         spare = out_weight._spare = np.empty(out_weight.shape)
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        grads = node.backward(d_kernel, d_bias)
+        grads = composed[2](d_kernel, d_bias)
         pullback = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-        T.clear_tape()
     assert any(g is spare for g in grads)
     assert forward <= 3.0 * kernel_bytes, forward / kernel_bytes
     assert pullback <= 1.5 * kernel_bytes, pullback / kernel_bytes
 
 
 def test_mppn_step_records_a_handful_of_tape_nodes():
-    # compose, apply, loss: the kernel's composition is one node
+    # the forecaster's forward is one node
     fc = random_forecaster("mppn", {**_ETTH1, "overlap": True}, 16)
     rng = np.random.default_rng(17)
     T.clear_tape()
@@ -277,31 +259,31 @@ def test_mppn_step_records_a_handful_of_tape_nodes():
     ops = [node.op for node in T._tape()]
     T.backward(loss)
     assert len(ops) <= 5, ops
-    assert ops.count("compose_kernel") == 1
+    assert ops.count("mppn") == 1
 
 
-@pytest.mark.parametrize("kind,compose", [("mppn", "compose_kernel"),
-                                          ("nlinear", "nlinear_kernel"),
-                                          ("dlinear", "dlinear_kernel")])
-def test_a_step_of_every_trained_kind_records_three_tape_nodes(kind, compose):
-    # compose, apply, loss: no generic op on the path a step trains through
+@pytest.mark.parametrize("kind", ["mppn", "nlinear", "dlinear"])
+def test_a_step_of_every_trained_kind_records_two_tape_nodes(kind):
+    # the forecaster's forward, then the loss: no generic op on the path a
+    # step trains through
     fc = random_forecaster(kind, {**_PINNED, "overlap": False}, 18)
     T.clear_tape()
     loss = _step_loss(fc, 19)
     ops = [node.op for node in T._tape()]
     T.backward(loss)
-    assert ops == [compose, "channel_affine", "mse"]
+    assert ops == [kind, "mse"]
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_a_window_of_other_length_fails_before_anything_is_recorded(kind):
-    # the windows are checked against the kernel's shape before it is
-    # composed, so the failed forward leaves no node holding the parameters
+    # composing records nothing and the windows are checked before the
+    # forward is recorded, so a failed forward leaves no node holding the
+    # parameters, at each of the seven entry points
     geom = {**_PINNED, "overlap": False}
     fc = random_forecaster(kind, geom, 20)
     short = np.zeros((2, geom["lookback"] - 1, geom["channels"]))
     T.clear_tape()
-    with pytest.raises(ShapeError, match="channel_affine: windows"):
+    with pytest.raises(ShapeError, match=f"{kind}: windows .* do not match kernel"):
         fc.forward_batch(Tensor(short))
     assert T._tape() == []
     direct = {"mppn": lambda: model.forward_batch(Tensor(short), fc.params, mppn_config(geom)),
@@ -309,7 +291,7 @@ def test_a_window_of_other_length_fails_before_anything_is_recorded(kind):
               "dlinear": lambda: baselines.dlinear_forward(short, fc.params,
                                                            geom["moving_average"])}
     if kind in direct:
-        with pytest.raises(ShapeError, match="channel_affine: windows"):
+        with pytest.raises(ShapeError, match=f"{kind}: windows .* do not match kernel"):
             direct[kind]()
         assert T._tape() == []
 
@@ -409,9 +391,9 @@ def test_split_metrics_match_the_direct_forward_loop(kind):
     values = np.random.default_rng(6).standard_normal((60, geom["channels"]))
     origins = np.arange(geom["lookback"], 60 - geom["horizon"] + 1)
     acc = MetricsAccumulator()
-    with T.no_grad():
-        for inp, tgt, _ in iter_batches(values, origins, geom["lookback"], geom["horizon"], 7):
-            acc.add(fc.forward_batch(Tensor(inp)), tgt)
+    for inp, tgt, _ in iter_batches(values, origins, geom["lookback"], geom["horizon"], 7):
+        acc.add(fc.forward_batch(Tensor(inp)), tgt)
+        T.clear_tape()
     want = acc.finalize()
     got = split_metrics(fc, values, origins, geom["lookback"], geom["horizon"], 7)
     assert got.windows == want.windows == len(origins)
@@ -421,13 +403,11 @@ def test_split_metrics_match_the_direct_forward_loop(kind):
 
 def reference_split_metrics(fc, values, origins, lookback, horizon, batch_size):
     """The loop split_metrics ran before it read windows through a view:
-    gather each chunk, apply channel_affine, add the chunk to the
-    accumulator."""
-    with T.no_grad():
-        a, b = fc.kernel()
-        acc = MetricsAccumulator()
-        for inp, tgt, _ in iter_batches(values, origins, lookback, horizon, batch_size):
-            acc.add(T.channel_affine(Tensor(inp), a, b), tgt)
+    gather each chunk, apply the kernel, add the chunk to the accumulator."""
+    a, b = fc.kernel()[:2]
+    acc = MetricsAccumulator()
+    for inp, tgt, _ in iter_batches(values, origins, lookback, horizon, batch_size):
+        acc.add(channel_affine(Tensor(inp), a, b), tgt)
     return acc.finalize()
 
 

@@ -2,6 +2,7 @@
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from mppn import pool
@@ -48,3 +49,24 @@ def test_drain_takes_no_item_after_a_failed_one():
         pool.drain(list(range(100)), fn)
     # the other thread finishes the item it holds; all 100 would take 0.5 s
     assert len(calls) < 50, calls
+
+
+def test_drain_runs_the_workers_items_under_the_callers_error_state():
+    # numpy keeps its error state per thread: under errstate(all="raise") a
+    # 0/0 the worker computes must raise, as it does on the caller, and under
+    # the default state it must warn on both
+    caller, worker_items = threading.current_thread(), []
+
+    def fn(item):
+        time.sleep(0.003)
+        if threading.current_thread() is not caller:
+            worker_items.append(item)
+            np.zeros(1) / np.zeros(1)
+
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+        pool.drain(list(range(40)), fn)
+    assert worker_items
+    worker_items.clear()
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        pool.drain(list(range(40)), fn)
+    assert worker_items

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (assert_channel_affine_rows_batch_invariant, check_grads,
+from helpers import (assert_channel_affine_rows_batch_invariant, channel_affine, check_grads,
                      folded_adam_scalars, reference_adam_step, reference_channel_affine)
 from mppn import optim, pool
 from mppn import tensor as T
@@ -195,11 +195,11 @@ def test_linear_inner_dim_error():
 
 
 # ---------------------------------------------------------------------------
-# channel_affine
+# apply_kernel: a kernel of free tensors through a forecaster's tape node
 
 def test_channel_affine_matches_per_channel_products(rng):
     x, a, b = randn(rng, 4, 6, 3), randn(rng, 3, 6, 5), randn(rng, 3, 5)
-    out = T.channel_affine(Tensor(x), Tensor(a), Tensor(b)).data
+    out = channel_affine(Tensor(x), Tensor(a), Tensor(b)).data
     assert out.shape == (4, 5, 3)
     for c in range(3):
         assert np.max(np.abs(out[:, :, c] - (x[:, :, c] @ a[c] + b[c]))) <= 1e-12
@@ -252,7 +252,7 @@ def test_channel_affine_matches_reference_einsum(batch, channels, lookback, hori
     rng = np.random.default_rng(seed)
     x = randn(rng, batch, lookback, channels)
     a, b = randn(rng, channels, lookback, horizon), randn(rng, channels, horizon)
-    got = T.channel_affine(Tensor(x), Tensor(a), Tensor(b)).data
+    got = channel_affine(Tensor(x), Tensor(a), Tensor(b)).data
     want = reference_channel_affine(x, a, b)
     assert got.shape == want.shape == (batch, horizon, channels)
     # within 1e-12 of the summed terms' magnitude
@@ -267,7 +267,7 @@ def test_channel_affine_gradients(seed):
     a = Tensor(randn(rng, 2, 5, 4), requires_grad=True)
     b = Tensor(randn(rng, 2, 4), requires_grad=True)
     target = Tensor(randn(rng, 3, 4, 2))
-    check_grads(lambda: T.mse_loss(T.channel_affine(x, a, b), target), [x, a, b], tol=1e-5)
+    check_grads(lambda: T.mse_loss(channel_affine(x, a, b), target), [x, a, b], tol=1e-5)
 
 
 @pytest.mark.parametrize("x,a,b", [
@@ -278,7 +278,7 @@ def test_channel_affine_gradients(seed):
 ])
 def test_channel_affine_shape_errors(x, a, b):
     with pytest.raises(ShapeError, match="channel_affine"):
-        T.channel_affine(Tensor(np.zeros(x)), Tensor(np.zeros(a)), Tensor(np.zeros(b)))
+        channel_affine(Tensor(np.zeros(x)), Tensor(np.zeros(a)), Tensor(np.zeros(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -421,46 +421,6 @@ def test_backward_rejects_non_scalar(rng):
     T.clear_tape()
 
 
-def _sum_and_product(x, w):
-    """One custom node with two outputs, x + w and x * w, and its
-    hand-written pullback."""
-    def pullback(g_sum, g_prod):
-        assert g_sum.shape == g_prod.shape == x.shape  # zeros for an output not reached
-        return g_sum + g_prod * w.data, g_sum + g_prod * x.data
-
-    return T.custom_op("sum_and_product", (x, w), (x.data + w.data, x.data * w.data), pullback)
-
-
-@pytest.mark.parametrize("reach", [("sum", "product"), ("sum",), ("product",)])
-def test_custom_op_with_two_outputs(rng, reach):
-    # each output alone and both: an output the loss does not read hands
-    # the pullback zeros, and finite differences agree
-    x = Tensor(randn(rng, 2, 3), requires_grad=True)
-    w = Tensor(randn(rng, 2, 3), requires_grad=True)
-    c = {"sum": randn(rng, 2, 3), "product": randn(rng, 2, 3)}
-
-    def loss():
-        outs = dict(zip(("sum", "product"), _sum_and_product(x, w)))
-        terms = [T.mse_loss(outs[name], Tensor(c[name])) for name in reach]
-        return terms[0] if len(terms) == 1 else T.add(*terms)
-
-    check_grads(loss, [x, w], tol=1e-7)
-
-
-def test_custom_op_records_one_node_and_nothing_under_no_grad(rng):
-    x = Tensor(randn(rng, 3), requires_grad=True)
-    w = Tensor(randn(rng, 3))
-    T.clear_tape()
-    s, p = _sum_and_product(x, w)
-    assert [node.op for node in T._tape()] == ["sum_and_product"]
-    assert s.requires_grad and p.requires_grad
-    T.clear_tape()
-    with T.no_grad():
-        s, p = _sum_and_product(x, w)
-    assert T._tape() == [] and not s.requires_grad
-    np.testing.assert_array_equal(p.data, x.data * w.data)
-
-
 def _sliced_and_dense_loss(x, w, target, ranges, slices_first):
     """u = x * w used through slices of axis 1 at ``ranges`` and once
     densely.  Backward reaches u in reverse recording order, so with
@@ -570,14 +530,6 @@ def test_transpose_reshape_gradients(rng):
         return T.mse_loss(T.reshape(y, (3, 8)), Tensor(np.zeros((3, 8))))
 
     check_grads(loss, [x], tol=1e-6)
-
-
-def test_no_grad_suppresses_recording(rng):
-    x = Tensor(randn(rng, 3), requires_grad=True)
-    with T.no_grad():
-        y = T.mul(x, x)
-    assert not y.requires_grad
-    assert len(T._tape()) == 0
 
 
 def test_tapes_are_thread_confined():
